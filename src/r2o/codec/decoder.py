@@ -27,10 +27,10 @@ _ALL_FORMATS = [(tables.format_info(lvl, m), lvl, m)
                 for lvl in tables.EC_LEVELS for m in range(8)]
 
 
-def _candidate_grids(dark: np.ndarray):
+def _candidate_grids(pixels: np.ndarray):
     """Yield (score, n, grid) for plausible module counts, best first."""
-    rows = np.flatnonzero(dark.any(axis=1))
-    cols = np.flatnonzero(dark.any(axis=0))
+    rows = np.flatnonzero(pixels.min(axis=1) < DARK_THRESHOLD)
+    cols = np.flatnonzero(pixels.min(axis=0) < DARK_THRESHOLD)
     if rows.size == 0:
         raise NotAQrSymbol("image contains no dark pixels")
     top, left = int(rows[0]), int(cols[0])
@@ -44,16 +44,15 @@ def _candidate_grids(dark: np.ndarray):
         if w % n:
             continue
         s = w // n
-        grid = dark[top + s // 2:top + n * s:s,
-                    left + s // 2:left + n * s:s].astype(np.uint8)
+        grid = (pixels[top + s // 2:top + n * s:s,
+                       left + s // 2:left + n * s:s]
+                < DARK_THRESHOLD).astype(np.uint8)
         if grid.shape != (n, n):
             continue
-        score = sum(int((grid[r0:r0 + 7, c0:c0 + 7] == _FINDER).sum())
-                    for r0, c0 in ((0, 0), (0, n - 7), (n - 7, 0)))
-        worst = min(int((grid[r0:r0 + 7, c0:c0 + 7] == _FINDER).sum())
-                    for r0, c0 in ((0, 0), (0, n - 7), (n - 7, 0)))
-        if worst >= FINDER_MIN_SCORE:
-            found.append((score, n, grid))
+        agree = [int((grid[r0:r0 + 7, c0:c0 + 7] == _FINDER).sum())
+                 for r0, c0 in ((0, 0), (0, n - 7), (n - 7, 0))]
+        if min(agree) >= FINDER_MIN_SCORE:
+            found.append((sum(agree), n, grid))
     if not found:
         raise NotAQrSymbol("no finder patterns at any plausible module pitch")
     found.sort(key=lambda t: -t[0])
@@ -106,24 +105,26 @@ def _deinterleave(codewords: list[int], version: int,
 
 
 def _parse_byte_mode(data: bytes, version: int) -> bytes:
-    pos = 0
-    total_bits = 8 * len(data)
+    """Read a byte-mode segment: 4-bit mode, count, then the bytes.
 
-    def take(width: int) -> int:
-        nonlocal pos
-        if pos + width > total_bits:
-            raise DecodeFailure("bitstream truncated")
-        v = 0
-        for _ in range(width):
-            v = (v << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-            pos += 1
-        return v
-
-    mode = take(4)
+    The 4-bit mode indicator leaves every later field half a byte off the
+    byte grid, so each payload byte joins the low nibble of one data byte
+    to the high nibble of the next.
+    """
+    start = 2 if version >= 10 else 1  # bytes of mode and count, rounded down
+    if not data:
+        raise DecodeFailure("bitstream truncated")
+    mode = data[0] >> 4
     if mode != 0b0100:
         raise DecodeFailure(f"unsupported mode indicator {mode:#06b}")
-    length = take(16 if version >= 10 else 8)
-    return bytes(take(8) for _ in range(length))
+    if len(data) < start + 1:
+        raise DecodeFailure("bitstream truncated")
+    header = int.from_bytes(data[:start + 1], "big") >> 4
+    length = header & ((1 << 8 * start) - 1)
+    if len(data) < start + length + 1:
+        raise DecodeFailure("bitstream truncated")
+    seg = np.frombuffer(data, dtype=np.uint8)[start:start + length + 1]
+    return (((seg[:-1] & 0x0F) << 4) | (seg[1:] >> 4)).tobytes()
 
 
 def decode_matrix(grid: np.ndarray) -> bytes:
@@ -149,9 +150,8 @@ def decode_qr(image: PseudoImage) -> IndirectionPayload:
         np.asarray(image)
     if pixels.ndim != 2:
         raise NotAQrSymbol("expected a 2-D grayscale raster")
-    dark = pixels < DARK_THRESHOLD
     last_err: DecodeFailure | None = None
-    for _, _, grid in _candidate_grids(dark):
+    for _, _, grid in _candidate_grids(pixels):
         try:
             raw = decode_matrix(grid)
         except DecodeFailure as exc:

@@ -96,16 +96,14 @@ def encode_symbol(data: bytes, ec_level: str = "M",
     data_cw = build_data_codewords(data, version, ec_level)
     codewords = interleave_blocks(data_cw, version, ec_level)
 
-    best = None
-    for mask_id in range(8):
-        m = matrix.base_matrix(version)
+    # all 8 masked candidates as one stack; the first lowest score wins
+    candidates = np.repeat(matrix.base_matrix(version)[None], 8, axis=0)
+    for mask_id, m in enumerate(candidates):
         matrix.place_codewords(m, version, codewords, mask_id)
         matrix.place_format_info(m, ec_level, mask_id)
-        score = matrix.penalty_score(m)
-        if best is None or score < best[0]:
-            best = (score, mask_id, m)
-    _, mask_id, m = best
-    return m, version, mask_id
+    scores = matrix.penalty_scores(candidates)
+    mask_id = scores.index(min(scores))
+    return candidates[mask_id].copy(), version, mask_id
 
 
 def render(modules: np.ndarray, config: QrConfig,

@@ -8,6 +8,8 @@ alpha^0 .. alpha^(nsym-1).
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class CorrectionError(Exception):
     """Raised when a codeword's errors exceed the correction capacity."""
@@ -30,6 +32,9 @@ for _i in range(255, 512):
     EXP[_i] = EXP[_i - 255]
 del _x, _i
 
+_EXP_NP = np.array(EXP, dtype=np.uint8)
+_LOG_NP = np.array(LOG, dtype=np.intp)
+
 
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
@@ -41,14 +46,6 @@ def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("inverse of 0 in GF(256)")
     return EXP[255 - LOG[a]]
-
-
-def gf_poly_eval(poly: list[int], x: int) -> int:
-    """Evaluate a polynomial given most-significant coefficient first."""
-    y = 0
-    for c in poly:
-        y = gf_mul(y, x) ^ c
-    return y
 
 
 def _generator_poly(nsym: int) -> list[int]:
@@ -82,8 +79,25 @@ def rs_encode(data: list[int], nsym: int) -> list[int]:
     return rem[len(data):]
 
 
+_SYND_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
 def _syndromes(codeword: list[int], nsym: int) -> list[int]:
-    return [gf_poly_eval(codeword, EXP[i]) for i in range(nsym)]
+    """S_i = codeword(alpha^i) for i < nsym, as one table lookup.
+
+    Coefficient j (of n, most significant first) meets alpha^(i * (n-1-j));
+    the (nsym, n) matrix of those exponents is built once per shape.
+    """
+    c = np.frombuffer(bytes(codeword), dtype=np.uint8)
+    n = c.size
+    powers = _SYND_CACHE.get((n, nsym))
+    if powers is None:
+        powers = (np.arange(nsym)[:, None]
+                  * np.arange(n - 1, -1, -1)[None, :]) % 255
+        _SYND_CACHE[(n, nsym)] = powers
+    terms = _EXP_NP[powers + _LOG_NP[c]]
+    terms[:, c == 0] = 0
+    return np.bitwise_xor.reduce(terms, axis=1).tolist()
 
 
 def _berlekamp_massey(synd: list[int]) -> list[int]:

@@ -141,76 +141,89 @@ def placement_order(version: int) -> list[tuple[int, int]]:
     return order
 
 
-_ORDER_CACHE: dict[int, list[tuple[int, int]]] = {}
+_ORDER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def cached_placement_order(version: int) -> list[tuple[int, int]]:
+def _order_arrays(version: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of placement_order, built once."""
     order = _ORDER_CACHE.get(version)
     if order is None:
-        order = _ORDER_CACHE[version] = placement_order(version)
+        rr, cc = np.array(placement_order(version), dtype=np.intp).T
+        order = _ORDER_CACHE[version] = (rr, cc)
     return order
+
+
+def _mask_bits(version: int, mask_id: int) -> np.ndarray:
+    """The mask's bit at every placement slot, in placement order."""
+    bits = _MASK_CACHE.get((version, mask_id))
+    if bits is None:
+        rr, cc = _order_arrays(version)
+        bits = MASK_FUNCS[mask_id](rr, cc).astype(np.uint8)
+        _MASK_CACHE[(version, mask_id)] = bits
+    return bits
 
 
 def place_codewords(m: np.ndarray, version: int, codewords: list[int],
                     mask_id: int) -> None:
-    """Write codeword bits (MSB first) with the mask applied at placement."""
-    order = cached_placement_order(version)
-    mask = MASK_FUNCS[mask_id]
-    total_bits = len(codewords) * 8
-    for i, (r, c) in enumerate(order):
-        if i < total_bits:
-            bit = (codewords[i >> 3] >> (7 - (i & 7))) & 1
-        else:
-            bit = 0  # remainder bits
-        if mask(r, c):
-            bit ^= 1
-        m[r, c] = bit
+    """Write codeword bits (MSB first) with the mask applied at placement.
+
+    Slots past the last codeword bit are remainder bits, placed as 0.
+    """
+    rr, cc = _order_arrays(version)
+    bits = np.zeros(rr.size, dtype=np.uint8)
+    data = np.unpackbits(np.asarray(codewords, dtype=np.uint8))[:rr.size]
+    bits[:data.size] = data
+    m[rr, cc] = bits ^ _mask_bits(version, mask_id)
 
 
 def read_codewords(m: np.ndarray, version: int, mask_id: int) -> list[int]:
     """Inverse of place_codewords; remainder bits are dropped."""
-    order = cached_placement_order(version)
-    mask = MASK_FUNCS[mask_id]
-    bits = []
-    for r, c in order:
-        bit = int(m[r, c])
-        if mask(r, c):
-            bit ^= 1
-        bits.append(bit)
-    n_codewords = len(bits) // 8
-    out = []
-    for i in range(n_codewords):
-        b = 0
-        for j in range(8):
-            b = (b << 1) | bits[8 * i + j]
-        out.append(b)
-    return out
+    rr, cc = _order_arrays(version)
+    bits = m[rr, cc] ^ _mask_bits(version, mask_id)
+    return np.packbits(bits[:bits.size - bits.size % 8]).tolist()
 
 
-def penalty_score(m: np.ndarray) -> int:
-    """Standard four-rule mask evaluation; lower is better."""
-    n = m.shape[0]
-    total = 0
+# rule 3's finder-like pattern 1011101 with 4 light modules on either side,
+# as 11-bit window codes read left to right
+_FINDER_RUNS = (0b10111010000, 0b00001011101)
 
-    # rule 1: same-color runs of length >= 5, rows and columns
-    for grid in (m, m.T):
-        for line in grid:
-            edges = np.flatnonzero(np.diff(line))
-            runs = np.diff(np.concatenate(([-1], edges, [n - 1])))
-            total += int((runs[runs >= 5] - 2).sum())
+
+def penalty_scores(ms: np.ndarray) -> list[int]:
+    """Four-rule mask evaluation of each matrix in a (k, n, n) stack.
+
+    Lower is better; the scores equal scoring each matrix on its own.
+    """
+    k, n, _ = ms.shape
+    # every row and every column of every matrix, as (k * 2n, n) lines
+    lines = np.concatenate((ms, ms.transpose(0, 2, 1)), axis=1)
+    lines = lines.reshape(k * 2 * n, n)
+
+    # rule 1: same-color runs of length >= 5; each line's first module and
+    # each change point start a run, and a mark past the line's end closes
+    # the last, so run lengths are the gaps between marks
+    starts = np.ones((lines.shape[0], n + 1), dtype=bool)
+    starts[:, 1:n] = lines[:, 1:] != lines[:, :-1]
+    at = np.flatnonzero(starts)
+    runs = np.diff(at)  # the gap across a line break is 1, never scored
+    weight = np.where(runs >= 5, runs - 2, 0)
+    owner = at[:-1] // ((n + 1) * 2 * n)
+    total = np.bincount(owner, weights=weight, minlength=k).astype(np.int64)
 
     # rule 2: 2x2 blocks of one color
-    blocks = m[:-1, :-1] + m[1:, :-1] + m[:-1, 1:] + m[1:, 1:]
-    total += 3 * int(np.count_nonzero((blocks == 0) | (blocks == 4)))
+    blocks = ms[:, :-1, :-1] + ms[:, 1:, :-1] + ms[:, :-1, 1:] + ms[:, 1:, 1:]
+    total += 3 * np.count_nonzero((blocks == 0) | (blocks == 4), axis=(1, 2))
 
-    # rule 3: finder-like pattern 1011101 with 4 light modules on either side
-    pat = np.array((1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0), dtype=np.uint8)
-    for kernel in (pat, pat[::-1]):
-        for grid in (m, m.T):
-            win = np.lib.stride_tricks.sliding_window_view(grid, 11, axis=1)
-            total += 40 * int(np.count_nonzero((win == kernel).all(axis=2)))
+    # rule 3: finder-like runs, in either direction, in rows and columns
+    codes = np.zeros((lines.shape[0], n - 10), dtype=np.int16)
+    for i in range(11):
+        codes |= lines[:, i:i + n - 10].astype(np.int16) << (10 - i)
+    found = (codes == _FINDER_RUNS[0]) | (codes == _FINDER_RUNS[1])
+    total += 40 * found.reshape(k, -1).sum(axis=1)
+
     # rule 4: dark-module proportion
-    dark = int(m.sum())
-    pct = 100 * dark / (n * n)
-    total += 10 * int(abs(pct - 50) // 5)
-    return total
+    scores = []
+    for t, dark in zip(total.tolist(), ms.sum(axis=(1, 2)).tolist()):
+        pct = 100 * dark / (n * n)
+        scores.append(t + 10 * int(abs(pct - 50) // 5))
+    return scores

@@ -264,12 +264,12 @@ def _resolve_one(e: ElementDescriptor, cache: MappingsCache, fetcher,
         pseudo_item = fetcher.fetch(e.source_url)
     except FetchError as exc:
         return Resolution(e, OUTCOME_FAILED, reason=str(exc))
-    try:
-        image = codec.PseudoImage.from_png(pseudo_item.data)
-    except codec.PNGError:
-        return Resolution(e, OUTCOME_NOT_INDIRECTION,
-                          reason="not a PNG pseudo-object")
     with decode_gate:
+        try:
+            image = codec.PseudoImage.from_png(pseudo_item.data)
+        except codec.PNGError:
+            return Resolution(e, OUTCOME_NOT_INDIRECTION,
+                              reason="not a PNG pseudo-object")
         try:
             payload = codec.decode_qr(image)
         except codec.NotAQrSymbol:
@@ -294,9 +294,9 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
               fetcher, parallelism: int = DEFAULT_PARALLELISM) -> list[Resolution]:
     """Resolve page elements to real content; order-preserving.
 
-    `parallelism` bounds concurrent decodes (the CPU stage); network fetches
-    for distinct elements overlap freely up to an internal fan-out cap, so
-    k independent elements cost about one round trip.
+    `parallelism` bounds concurrent PNG reads and decodes (the CPU stage);
+    network fetches for distinct elements overlap freely up to an internal
+    fan-out cap, so k independent elements cost about one round trip.
     """
     filter_cfg = filter_cfg or FilterConfig()
     elements = list(elements)

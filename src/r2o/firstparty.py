@@ -16,9 +16,9 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
-from .store import BindFailure, ContentItem
+from .store import BindFailure, ContentItem, HttpServer
 
 PHOTO_PATH_PREFIX = "/fp/photos/"
 DEFAULT_RESPONSE_DELAY_MS = 11.0  # plays the "facebook_cdn" latency preset
@@ -298,7 +298,7 @@ class _FirstPartyHandler(BaseHTTPRequestHandler):
 class FirstPartyServer:
     """Running first-party HTTP service; context manager handle."""
 
-    def __init__(self, httpd: ThreadingHTTPServer, thread: threading.Thread,
+    def __init__(self, httpd: HttpServer, thread: threading.Thread,
                  service: FirstPartyService):
         self._httpd = httpd
         self._thread = thread
@@ -325,10 +325,9 @@ def serve_firstparty(bind_address: tuple[str, int],
     handler = type("BoundFirstPartyHandler", (_FirstPartyHandler,),
                    {"service": service})
     try:
-        httpd = ThreadingHTTPServer(bind_address, handler)
+        httpd = HttpServer(bind_address, handler)
     except OSError as exc:
         raise BindFailure(f"cannot bind {bind_address}: {exc}") from None
-    httpd.daemon_threads = True
     thread = threading.Thread(target=httpd.serve_forever,
                               name=f"fp-{httpd.server_address[1]}",
                               daemon=True)

@@ -235,6 +235,17 @@ class FilesystemStore(_ProviderBase):
             (self.root / f"{oid}.meta").unlink(missing_ok=True)
 
 
+class HttpServer(ThreadingHTTPServer):
+    """Threaded HTTP server with a listen backlog sized for page fan-out.
+
+    socketserver's default backlog of 5 overflows when a page's fetches
+    arrive in one burst; the dropped SYNs then wait out a 1 s retransmit.
+    """
+
+    request_queue_size = 128
+    daemon_threads = True
+
+
 class _StoreHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "r2o-store/1"
@@ -308,7 +319,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
 class StoreServer:
     """Running HTTP store; context manager with graceful shutdown."""
 
-    def __init__(self, httpd: ThreadingHTTPServer, thread: threading.Thread):
+    def __init__(self, httpd: HttpServer, thread: threading.Thread):
         self._httpd = httpd
         self._thread = thread
         host, port = httpd.server_address[:2]
@@ -332,10 +343,9 @@ def serve_store(bind_address: tuple[str, int],
     handler = type("BoundStoreHandler", (_StoreHandler,),
                    {"backing": backing})
     try:
-        httpd = ThreadingHTTPServer(bind_address, handler)
+        httpd = HttpServer(bind_address, handler)
     except OSError as exc:
         raise BindFailure(f"cannot bind {bind_address}: {exc}") from None
-    httpd.daemon_threads = True
     host, port = httpd.server_address[:2]
     httpd.public_base_url = f"http://{host}:{port}{OBJECTS_PATH}"
     thread = threading.Thread(target=httpd.serve_forever,

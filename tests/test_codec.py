@@ -264,5 +264,6 @@ def test_penalty_prefers_textured_matrices():
     n = 21
     flat = np.zeros((n, n), dtype=np.uint8)
     checker = np.indices((n, n)).sum(axis=0) % 2
-    assert matrix.penalty_score(flat) > matrix.penalty_score(
-        checker.astype(np.uint8))
+    flat_score, checker_score = matrix.penalty_scores(
+        np.stack([flat, checker.astype(np.uint8)]))
+    assert flat_score > checker_score

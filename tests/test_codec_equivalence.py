@@ -1,0 +1,266 @@
+"""The vectorised codec against plain scalar references.
+
+Each reference below is the straightforward per-row, per-module or
+per-coefficient loop the numpy code replaces. The golden digest pins the
+exact PNG bytes the encoder produced before vectorisation.
+"""
+
+import hashlib
+import random
+import string
+import zlib
+
+import numpy as np
+import pytest
+
+from r2o import codec
+from r2o.codec import decoder, gf256, matrix, tables
+from r2o.codec.png import read_png
+
+
+# -- PNG unfiltering ---------------------------------------------------------
+
+def _unfilter_reference(raw: bytes, width: int, height: int) -> np.ndarray:
+    stride = width + 1
+    out = np.empty((height, width), dtype=np.uint8)
+    prev = bytes(width)
+    for r in range(height):
+        kind = raw[r * stride]
+        line = bytearray(raw[r * stride + 1:(r + 1) * stride])
+        n = len(line)
+        if kind == 1:
+            for i in range(1, n):
+                line[i] = (line[i] + line[i - 1]) & 0xFF
+        elif kind == 2:
+            for i in range(n):
+                line[i] = (line[i] + prev[i]) & 0xFF
+        elif kind == 3:
+            line[0] = (line[0] + prev[0] // 2) & 0xFF
+            for i in range(1, n):
+                line[i] = (line[i] + (line[i - 1] + prev[i]) // 2) & 0xFF
+        elif kind == 4:
+            for i in range(n):
+                a = line[i - 1] if i else 0
+                b = prev[i]
+                c = prev[i - 1] if i else 0
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+                line[i] = (line[i] + pred) & 0xFF
+        out[r] = np.frombuffer(bytes(line), dtype=np.uint8)
+        prev = bytes(line)
+    return out
+
+
+def _png_from_raw(raw: bytes, width: int, height: int) -> bytes:
+    def chunk(tag, payload):
+        return (len(payload).to_bytes(4, "big") + tag + payload
+                + zlib.crc32(tag + payload).to_bytes(4, "big"))
+
+    ihdr = (width.to_bytes(4, "big") + height.to_bytes(4, "big")
+            + bytes((8, 0, 0, 0, 0)))
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(raw)) + chunk(b"IEND", b""))
+
+
+@pytest.mark.parametrize("seed,height,width", [
+    (0, 1, 1), (1, 7, 33), (2, 39, 5), (3, 40, 40),
+    (4, 260, 300),  # more than one inflate step
+])
+def test_mixed_filter_rows_match_row_loop(seed, height, width):
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(0, 256, (height, width + 1), dtype=np.uint8)
+    rows[:, 0] = gen.integers(0, 5, height)  # filter types 0-4, mixed
+    raw = rows.tobytes()
+    assert np.array_equal(read_png(_png_from_raw(raw, width, height)),
+                          _unfilter_reference(raw, width, height))
+
+
+# -- codeword placement ------------------------------------------------------
+
+def _place_reference(m, version, codewords, mask_id):
+    mask = matrix.MASK_FUNCS[mask_id]
+    total_bits = len(codewords) * 8
+    for i, (r, c) in enumerate(matrix.placement_order(version)):
+        bit = (codewords[i >> 3] >> (7 - (i & 7))) & 1 if i < total_bits else 0
+        m[r, c] = bit ^ int(mask(r, c))
+
+
+def _read_reference(m, version, mask_id):
+    mask = matrix.MASK_FUNCS[mask_id]
+    bits = [int(m[r, c]) ^ int(mask(r, c))
+            for r, c in matrix.placement_order(version)]
+    return [int("".join(map(str, bits[i:i + 8])), 2)
+            for i in range(0, len(bits) - 7, 8)]
+
+
+@pytest.mark.parametrize("version", range(1, 11))
+def test_place_and_read_match_module_loops(version):
+    r = random.Random(version)
+    total = tables.TOTAL_CODEWORDS[version]
+    for mask_id in range(8):
+        words = [r.randrange(256) for _ in range(total)]
+        fast = matrix.base_matrix(version)
+        slow = matrix.base_matrix(version)
+        matrix.place_codewords(fast, version, words, mask_id)
+        _place_reference(slow, version, words, mask_id)
+        assert np.array_equal(fast, slow)
+        got = matrix.read_codewords(fast, version, mask_id)
+        assert got == _read_reference(fast, version, mask_id)
+        assert got[:total] == words
+
+
+# -- mask penalty ------------------------------------------------------------
+
+def _penalty_reference(m):
+    n = m.shape[0]
+    total = 0
+    for grid in (m, m.T):
+        for line in grid:
+            run = 1
+            for a, b in zip(line[:-1], line[1:]):
+                if a == b:
+                    run += 1
+                    continue
+                total += run - 2 if run >= 5 else 0
+                run = 1
+            total += run - 2 if run >= 5 else 0
+    for r in range(n - 1):
+        for c in range(n - 1):
+            s = int(m[r, c] + m[r + 1, c] + m[r, c + 1] + m[r + 1, c + 1])
+            total += 3 if s in (0, 4) else 0
+    pats = ([1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1])
+    for grid in (m, m.T):
+        for line in grid.tolist():
+            for c in range(n - 10):
+                total += 40 * sum(line[c:c + 11] == p for p in pats)
+    pct = 100 * int(m.sum()) / (n * n)
+    return total + 10 * int(abs(pct - 50) // 5)
+
+
+@pytest.mark.parametrize("version", [1, 2, 4, 7, 10])
+def test_batched_penalty_matches_scalar(version):
+    n = tables.size_for_version(version)
+    gen = np.random.default_rng(version)
+    stack = [(gen.random((n, n)) < p).astype(np.uint8)
+             for p in (0.1, 0.3, 0.5, 0.5, 0.7, 0.9)]
+    words = gen.integers(0, 256, tables.TOTAL_CODEWORDS[version]).tolist()
+    for mask_id in (0, 5):  # real symbols are rich in finder-like runs
+        m = matrix.base_matrix(version)
+        matrix.place_codewords(m, version, words, mask_id)
+        stack.append(m)
+    stack = np.stack(stack)
+    assert matrix.penalty_scores(stack) == [_penalty_reference(m)
+                                            for m in stack]
+
+
+# -- Reed-Solomon syndromes --------------------------------------------------
+
+def _syndromes_reference(codeword, nsym):
+    out = []
+    for i in range(nsym):
+        y = 0
+        for c in codeword:
+            y = gf256.gf_mul(y, gf256.EXP[i]) ^ c
+        out.append(y)
+    return out
+
+
+def test_syndromes_match_horner():
+    r = random.Random(7)
+    for _ in range(200):
+        nsym = r.randrange(2, 31)
+        data = [r.randrange(256) for _ in range(r.randrange(1, 120))]
+        word = data + gf256.rs_encode(bytes(data), nsym)
+        assert gf256._syndromes(word, nsym) == [0] * nsym
+        for _ in range(r.randrange(1, 4)):
+            word[r.randrange(len(word))] ^= r.randrange(1, 256)
+        if r.random() < 0.2:
+            word[0] = 0  # zero coefficients take the table's special case
+        assert gf256._syndromes(word, nsym) == _syndromes_reference(word,
+                                                                    nsym)
+        assert gf256._syndromes(bytes(word), nsym) == \
+            _syndromes_reference(word, nsym)
+
+
+# -- byte-mode parsing -------------------------------------------------------
+
+def _parse_reference(data, version):
+    pos = 0
+
+    def take(width):
+        nonlocal pos
+        if pos + width > 8 * len(data):
+            raise codec.DecodeFailure("bitstream truncated")
+        v = 0
+        for _ in range(width):
+            v = (v << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
+            pos += 1
+        return v
+
+    if take(4) != 0b0100:
+        raise codec.DecodeFailure("unsupported mode indicator")
+    length = take(16 if version >= 10 else 8)
+    return bytes(take(8) for _ in range(length))
+
+
+@pytest.mark.parametrize("version", [1, 9, 10])
+def test_byte_mode_parse_matches_bit_reader(version):
+    r = random.Random(version)
+    for _ in range(300):
+        data = bytearray(r.randrange(256) for _ in range(r.randrange(0, 40)))
+        if len(data) > 2 and r.random() < 0.8:  # byte mode, a count near fit
+            k = r.randrange(len(data))
+            if version >= 10:  # 4-bit mode, 16-bit count
+                data[:3] = bytes((0x40, k >> 4,
+                                  (k & 0xF) << 4 | data[2] & 0xF))
+            else:  # 4-bit mode, 8-bit count
+                data[:2] = bytes((0x40 | k >> 4,
+                                  (k & 0xF) << 4 | data[1] & 0xF))
+        data = bytes(data)
+        try:
+            want = _parse_reference(data, version)
+        except codec.DecodeFailure:
+            with pytest.raises(codec.DecodeFailure):
+                decoder._parse_byte_mode(data, version)
+            continue
+        assert decoder._parse_byte_mode(data, version) == want
+
+
+# -- golden encoder output ---------------------------------------------------
+
+# sha256 over the PNG bytes of the corpus below, as the scalar encoder wrote
+# them; any change to mask choice, placement, render or PNG write shows here
+GOLDEN_SHA256 = \
+    "e6ada33315d81b587266d4d7cf62b21ebfbc8e8a86a6323b3cc31d114cdb4d59"
+
+
+def _golden_corpus():
+    """240 seeded locators: six per (version 1-10, EC level) pair."""
+    r = random.Random(20181004)
+    alphabet = string.ascii_letters + string.digits + "-._~/"
+    for i in range(240):
+        ec = tables.EC_LEVELS[i % 4]
+        version = 1 + (i // 4) % 10
+        hi = tables.byte_capacity(version, ec)
+        lo = tables.byte_capacity(version - 1, ec) + 1 if version > 1 else 10
+        lo = min(max(lo, 10), hi)
+        scheme = "https://" if i % 3 else "http://"
+        n = r.randint(lo, hi) - len(scheme)
+        locator = scheme + "".join(r.choice(alphabet) for _ in range(n))
+        if i % 5:
+            config = codec.QrConfig(ec_level=ec)
+        else:
+            config = codec.QrConfig(ec_level=ec, target_size=None,
+                                    module_scale=1 + i % 3)
+        yield locator, config
+
+
+def test_golden_png_digest():
+    digest = hashlib.sha256()
+    for locator, config in _golden_corpus():
+        image = codec.encode_qr(codec.IndirectionPayload(locator=locator),
+                                config)
+        digest.update(image.to_png())
+    assert digest.hexdigest() == GOLDEN_SHA256

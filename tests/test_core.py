@@ -1,5 +1,6 @@
 """Write path, read path, and page resolution wiring."""
 
+import threading
 import time
 
 import numpy as np
@@ -173,6 +174,45 @@ def test_read_path_plain_png_is_not_indirection():
     (res,) = read_path([elem], None, w.cache, w.fetcher)
     assert res.outcome == OUTCOME_NOT_INDIRECTION
     assert res.reason == "no symbol found"
+
+
+def test_read_path_non_png_pseudo_is_not_indirection():
+    class JunkFetcher:
+        def fetch(self, url):
+            return ContentItem(data=b"GIF89a, not a PNG",
+                               media_type="image/png")
+
+    elem = ElementDescriptor(source_url="http://fp.example/fp/photos/x.png",
+                             width=512, height=512, media_subtype="png",
+                             caption="r2o:1 junk")
+    (res,) = read_path([elem], None, MappingsCache(), JunkFetcher())
+    assert res.outcome == OUTCOME_NOT_INDIRECTION
+    assert res.reason == "not a PNG pseudo-object"
+
+
+def test_read_path_parallelism_bounds_png_reads(monkeypatch):
+    w = World()
+    elements = [w.element(w.publish(seed=i)) for i in range(4)]
+    inner = codec.PseudoImage.from_png
+    lock = threading.Lock()
+    active = [0]
+    peak = [0]
+
+    def gated_from_png(cls, data):
+        with lock:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+        time.sleep(0.02)  # hold the stage so overlapping calls would show
+        with lock:
+            active[0] -= 1
+        return inner(data)
+
+    monkeypatch.setattr(codec.PseudoImage, "from_png",
+                        classmethod(gated_from_png))
+    results = read_path(elements, None, MappingsCache(), w.fetcher,
+                        parallelism=1)
+    assert all(r.outcome == OUTCOME_REPLACED for r in results)
+    assert peak[0] == 1
 
 
 def test_read_path_fetch_failures():

@@ -180,6 +180,30 @@ def test_http_concurrent_uploads(http_pair):
     assert len(set(locators)) == 12
 
 
+def test_http_burst_of_gets_is_not_dropped(http_pair):
+    # a page's fetches arrive in one burst; a listen backlog smaller than
+    # the burst drops SYNs, which then wait out a 1 s retransmit
+    client, _ = http_pair
+    locator = client.upload(ContentItem(data=b"x" * 1024))
+    n = 64
+    start = threading.Barrier(n)
+    elapsed = [None] * n
+
+    def work(i):
+        start.wait()
+        t0 = time.perf_counter()
+        assert client.fetch(locator).data == b"x" * 1024
+        elapsed[i] = time.perf_counter() - t0
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert None not in elapsed
+    assert max(elapsed) < 0.5
+
+
 def test_bind_failure():
     backing = MemoryStore(name="b")
     server = serve_store(("127.0.0.1", 0), backing)
