@@ -158,13 +158,6 @@ def bench_decode(count: int, qr_config: codec.QrConfig | None = None,
 
 # -- provider medians -------------------------------------------------------
 
-def provider_report(provider, item_size: int = DEFAULT_ITEM_SIZE,
-                    repetitions: int = 10,
-                    interval: float = 0.0) -> BenchReport:
-    samples = measure_store(provider, item_size, repetitions, interval)
-    return make_report(f"provider-{provider.descriptor.name}", samples)
-
-
 def bench_providers(providers=None, item_size: int = DEFAULT_ITEM_SIZE,
                     repetitions: int = 10,
                     interval: float = 0.0) -> list[tuple[str, float]]:

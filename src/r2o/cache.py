@@ -9,6 +9,7 @@ reproducible. A single instance is safe under concurrent use.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 MAP_HEADER = "r2o-map/1"
@@ -60,7 +61,9 @@ class MappingsCache:
     def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
         self._frequent: dict[str, MappingEntry] = {}
-        self._recent: dict[str, MappingEntry] = {}
+        # least recently used first: every stamp of a recent entry moves it
+        # to the end, so the front is always the LRU victim
+        self._recent: OrderedDict[str, MappingEntry] = OrderedDict()
         self._clock = 0
         self._lock = threading.RLock()
 
@@ -105,14 +108,13 @@ class MappingsCache:
                 existing.media_class = entry.media_class
                 existing.hit_count += 1
                 existing.last_used = self._now()
+                self._recent.move_to_end(entry.pseudo_locator)
                 return
             stored = replace(entry)
             stored.last_used = self._now()
             self._recent[stored.pseudo_locator] = stored
             while len(self._recent) > self.config.m_recent:
-                victim = min(self._recent.values(),
-                             key=lambda e: e.last_used or 0)
-                del self._recent[victim.pseudo_locator]
+                self._recent.popitem(last=False)
 
     # -- queries -----------------------------------------------------------
 
@@ -126,6 +128,8 @@ class MappingsCache:
             if hit is not None:
                 hit.hit_count += 1
                 hit.last_used = stamp
+        if hit_r is not None:
+            self._recent.move_to_end(pseudo_locator)
         return hit_f if hit_f is not None else hit_r
 
     def lookup(self, pseudo_locator: str) -> str | None:
@@ -134,12 +138,6 @@ class MappingsCache:
         with self._lock:
             hit = self._hit(pseudo_locator)
             return None if hit is None else hit.offsite_locator
-
-    def lookup_entry(self, pseudo_locator: str) -> MappingEntry | None:
-        """Like lookup but returns a copy of the full entry (frequent wins)."""
-        with self._lock:
-            hit = self._hit(pseudo_locator)
-            return None if hit is None else replace(hit)
 
     def __contains__(self, pseudo_locator: str) -> bool:
         with self._lock:

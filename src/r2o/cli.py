@@ -19,6 +19,7 @@ import os
 import random
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -270,15 +271,17 @@ def _cmd_serve_firstparty(args, cfg: Config, rng) -> int:
 
 
 def _cmd_upload(args, cfg: Config, rng) -> int:
-    provider = build_provider(cfg, args.provider)
     data = Path(args.file).read_bytes()
     media_type = ("image/png" if args.file.lower().endswith(".png")
                   else "application/octet-stream")
-    client = core.HttpFirstPartyClient(args.firstparty or cfg.firstparty_url)
-    album_id = args.album or client.create_album(args.album_title)
-    receipt = core.write_path(
-        ContentItem(data=data, media_type=media_type), args.caption,
-        album_id, provider, client, qr_config=cfg.qr, filter_cfg=cfg.filter)
+    with closing(build_provider(cfg, args.provider)) as provider, \
+            closing(core.HttpFirstPartyClient(
+                args.firstparty or cfg.firstparty_url)) as client:
+        album_id = args.album or client.create_album(args.album_title)
+        receipt = core.write_path(
+            ContentItem(data=data, media_type=media_type), args.caption,
+            album_id, provider, client, qr_config=cfg.qr,
+            filter_cfg=cfg.filter)
     print(f"offsite_locator: {receipt.offsite_locator}")
     print(f"pseudo_locator: {receipt.pseudo_locator}")
     print(f"photo_id: {receipt.photo_id}")
@@ -289,10 +292,11 @@ def _cmd_upload(args, cfg: Config, rng) -> int:
 def _cmd_resolve(args, cfg: Config, rng) -> int:
     cache = _load_cache_file(cfg, args.cache_file)
     parallelism = args.parallelism or cfg.parallelism
-    html_bytes = core.resolve_page(args.page, core.HttpFetcher(),
-                                   filter_cfg=cfg.filter, cache=cache,
-                                   parallelism=parallelism,
-                                   inline=args.inline)
+    with closing(core.HttpFetcher()) as fetcher:
+        html_bytes = core.resolve_page(args.page, fetcher,
+                                       filter_cfg=cfg.filter, cache=cache,
+                                       parallelism=parallelism,
+                                       inline=args.inline)
     if args.out == "-":
         sys.stdout.buffer.write(html_bytes)
     else:

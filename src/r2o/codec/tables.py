@@ -14,7 +14,6 @@ EC_LEVELS = ("L", "M", "Q", "H")
 
 # 2-bit indicator carried in the format information.
 EC_FORMAT_BITS = {"L": 1, "M": 0, "Q": 3, "H": 2}
-FORMAT_BITS_EC = {v: k for k, v in EC_FORMAT_BITS.items()}
 
 TOTAL_CODEWORDS = {
     1: 26, 2: 44, 3: 70, 4: 100, 5: 134,
@@ -77,9 +76,6 @@ ALIGNMENT = {
     9: (6, 26, 46),
     10: (6, 28, 50),
 }
-
-# Leftover placement bits after all codewords, written as light modules.
-REMAINDER_BITS = {1: 0, 2: 7, 3: 7, 4: 7, 5: 7, 6: 7, 7: 0, 8: 0, 9: 0, 10: 0}
 
 FORMAT_GEN = 0b10100110111       # BCH(15,5) generator
 FORMAT_MASK = 0b101010000010010  # fixed XOR applied to format information

@@ -11,15 +11,13 @@ fan-out so a page costs about one network round trip, not one per element.
 from __future__ import annotations
 
 import base64
-import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from urllib import error as urlerror
-from urllib import request as urlrequest
 from urllib.parse import urljoin, urlsplit
 
 from . import codec, rewriter
+from ._http import ConnectionPool, HttpError
 from .cache import MappingEntry, MappingsCache
 from .filter import ElementDescriptor, FilterConfig, is_candidate, make_caption
 from .firstparty import FirstPartyService
@@ -73,22 +71,25 @@ class Resolution:
 # -- fetchers ---------------------------------------------------------------
 
 class HttpFetcher:
-    """GET over real sockets; the normal fetcher for served pages."""
+    """GET over kept-alive sockets; the normal fetcher for served pages."""
 
     def __init__(self, timeout: float = 10.0):
         self.timeout = timeout
+        self._pool = ConnectionPool(timeout)
 
     def fetch(self, url: str) -> ContentItem:
         try:
-            with urlrequest.urlopen(url, timeout=self.timeout) as resp:
-                data = resp.read()
-                media_type = resp.headers.get("Content-Type",
-                                              "application/octet-stream")
-        except urlerror.HTTPError as exc:
-            raise FetchError(f"GET {url} -> {exc.code}") from None
-        except (urlerror.URLError, socket.timeout, ConnectionError) as exc:
+            resp = self._pool.request("GET", url)
+        except HttpError as exc:
             raise FetchError(f"GET {url} failed: {exc}") from None
-        return ContentItem(data=data, media_type=media_type.split(";")[0])
+        if resp.status != 200:
+            raise FetchError(f"GET {url} -> {resp.status}")
+        return ContentItem(data=resp.body,
+                           media_type=resp.content_type.split(";")[0])
+
+    def close(self) -> None:
+        """Close the kept-alive connections."""
+        self._pool.close()
 
 
 class InProcessFetcher:
@@ -135,24 +136,6 @@ class InProcessFetcher:
         raise FetchError(f"no first-party route for {path!r}")
 
 
-class RecordingFetcher:
-    """Wraps a fetcher and counts requests per URL; test instrumentation."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.requests: list[str] = []
-        self._lock = threading.Lock()
-
-    def fetch(self, url: str) -> ContentItem:
-        with self._lock:
-            self.requests.append(url)
-        return self.inner.fetch(url)
-
-    def count(self, url: str) -> int:
-        with self._lock:
-            return self.requests.count(url)
-
-
 # -- first-party clients ----------------------------------------------------
 
 class InProcessFirstPartyClient:
@@ -179,18 +162,22 @@ class HttpFirstPartyClient:
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._pool = ConnectionPool(timeout)
 
     def _post(self, path: str, body: bytes,
               headers: dict[str, str]) -> bytes:
-        req = urlrequest.Request(self.base_url + path, data=body,
-                                 method="POST", headers=headers)
         try:
-            with urlrequest.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read()
-        except urlerror.HTTPError as exc:
-            raise FetchError(f"POST {path} -> {exc.code}") from None
-        except (urlerror.URLError, socket.timeout, ConnectionError) as exc:
+            resp = self._pool.request("POST", self.base_url + path,
+                                      body=body, headers=headers)
+        except HttpError as exc:
             raise FetchError(f"POST {path} failed: {exc}") from None
+        if not 200 <= resp.status < 300:
+            raise FetchError(f"POST {path} -> {resp.status}")
+        return resp.body
+
+    def close(self) -> None:
+        """Close the kept-alive connections."""
+        self._pool.close()
 
     def create_album(self, title: str) -> str:
         return self._post("/fp/albums", title.encode("utf-8"),
@@ -248,6 +235,21 @@ def write_path(image: ContentItem, caption: str | None, album_id: str,
 
 
 # -- read path --------------------------------------------------------------
+
+# fan-out threads shared by every page view and created on first use, so a
+# page view starts and joins no threads of its own
+_io_pool: ThreadPoolExecutor | None = None
+_io_pool_lock = threading.Lock()
+
+
+def _io_executor() -> ThreadPoolExecutor:
+    global _io_pool
+    with _io_pool_lock:
+        if _io_pool is None:
+            _io_pool = ThreadPoolExecutor(max_workers=_IO_FANOUT_MAX,
+                                          thread_name_prefix="r2o-io")
+        return _io_pool
+
 
 def _resolve_one(e: ElementDescriptor, cache: MappingsCache, fetcher,
                  decode_gate: threading.Semaphore) -> Resolution:
@@ -311,13 +313,13 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
                                     reason=decision.reason)
     if candidates:
         gate = threading.Semaphore(max(1, parallelism))
-        workers = min(_IO_FANOUT_MAX, len(candidates))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_resolve_one, elements[i], cache,
-                                      fetcher, gate)
-                       for i in candidates}
-            for i, fut in futures.items():
-                results[i] = fut.result()
+        pool = _io_executor()
+        futures = {i: pool.submit(_resolve_one, elements[i], cache, fetcher,
+                                  gate)
+                   for i in candidates}
+        wait(futures.values())  # no element outlives the call, even on error
+        for i, fut in futures.items():
+            results[i] = fut.result()
     return results  # type: ignore[return-value]
 
 

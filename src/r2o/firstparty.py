@@ -16,9 +16,9 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler
 
-from .store import BindFailure, ContentItem, HttpServer
+from ._http import Handler, Server, serve
+from .store import ContentItem
 
 PHOTO_PATH_PREFIX = "/fp/photos/"
 DEFAULT_RESPONSE_DELAY_MS = 11.0  # plays the "facebook_cdn" latency preset
@@ -224,38 +224,24 @@ class FirstPartyService:
             return "\n".join(parts) + "\n"
 
 
-class _FirstPartyHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _FirstPartyHandler(Handler):
     server_version = "r2o-fp/1"
     service: FirstPartyService  # set per bound subclass
 
-    def log_message(self, fmt, *args):
-        pass
-
-    def _reply(self, status: int, body: bytes = b"",
-               content_type: str = "text/plain") -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
-
-    def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0"))
-        return self.rfile.read(length)
-
     def do_POST(self):
         svc = self.service
+        body = self._body()
+        if body is None:
+            return
         try:
             if self.path == "/fp/albums":
-                album_id = svc.create_album(self._body().decode("utf-8"))
+                album_id = svc.create_album(body.decode("utf-8"))
                 self._reply(201, (album_id + "\n").encode())
                 return
             m = re.fullmatch(r"/fp/albums/([0-9a-f]+)/photos", self.path)
             if m:
                 caption = self.headers.get("X-Caption", "")
-                item = ContentItem(data=self._body(), media_type="image/png")
+                item = ContentItem(data=body, media_type="image/png")
                 photo_id, static_url = svc.upload_photo(m.group(1), item,
                                                         caption)
                 self._reply(201, f"{photo_id}\n{static_url}\n".encode())
@@ -264,7 +250,7 @@ class _FirstPartyHandler(BaseHTTPRequestHandler):
             if m:
                 author = self.headers.get("X-Author", "")
                 comment = svc.add_comment(m.group(1), author,
-                                          self._body().decode("utf-8"))
+                                          body.decode("utf-8"))
                 photo = svc.get_photo(m.group(1))
                 index = next(i for i, c in enumerate(photo.comments)
                              if c is comment)
@@ -275,6 +261,8 @@ class _FirstPartyHandler(BaseHTTPRequestHandler):
             self._reply(404, b"not found\n")
         except UnsupportedMediaType:
             self._reply(415, b"unsupported media type\n")
+        except UnicodeDecodeError:
+            self._reply(400, b"body is not UTF-8\n")
 
     def do_GET(self):
         svc = self.service
@@ -295,41 +283,11 @@ class _FirstPartyHandler(BaseHTTPRequestHandler):
             self._reply(404, b"not found\n")
 
 
-class FirstPartyServer:
-    """Running first-party HTTP service; context manager handle."""
-
-    def __init__(self, httpd: HttpServer, thread: threading.Thread,
-                 service: FirstPartyService):
-        self._httpd = httpd
-        self._thread = thread
-        self.service = service
-        host, port = httpd.server_address[:2]
-        self.base_url = f"http://{host}:{port}"
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5)
-
-    def __enter__(self) -> "FirstPartyServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
 def serve_firstparty(bind_address: tuple[str, int],
-                     service: FirstPartyService | None = None) -> FirstPartyServer:
+                     service: FirstPartyService | None = None) -> Server:
     """Serve the /fp API over HTTP; returns a handle with .service."""
     service = service or FirstPartyService()
-    handler = type("BoundFirstPartyHandler", (_FirstPartyHandler,),
-                   {"service": service})
-    try:
-        httpd = HttpServer(bind_address, handler)
-    except OSError as exc:
-        raise BindFailure(f"cannot bind {bind_address}: {exc}") from None
-    thread = threading.Thread(target=httpd.serve_forever,
-                              name=f"fp-{httpd.server_address[1]}",
-                              daemon=True)
-    thread.start()
-    return FirstPartyServer(httpd, thread, service)
+    server = serve(bind_address, _FirstPartyHandler, {"service": service},
+                   name="fp")
+    server.service = service
+    return server

@@ -2,7 +2,8 @@
 
 Three interchangeable providers (in-memory, filesystem, HTTP client) speak
 one locator shape: <base_url>/<16-hex-id>. The HTTP pieces implement the v1
-object protocol over stdlib http.server / urllib so desk-scale measurements
+object protocol on r2o's one HTTP layer (`_http`): a keep-alive server
+scaffold and a pooled `http.client` client, so desk-scale measurements
 cross a real socket. Latency floors are a pre-response sleep of exactly the
 configured duration.
 """
@@ -11,17 +12,21 @@ from __future__ import annotations
 
 import random
 import secrets
-import socket
 import statistics
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib import error as urlerror
-from urllib import request as urlrequest
 
-MAX_PAYLOAD_DEFAULT = 16 * 1024 * 1024
+from ._http import (
+    MAX_PAYLOAD_DEFAULT,
+    ConnectionPool,
+    Handler,
+    HttpError,
+    Server,
+    serve,
+)
+
 OBJECTS_PATH = "/v1/objects"
 _ID_HEX_LEN = 16
 
@@ -125,6 +130,9 @@ class _ProviderBase:
         if len(item.data) > self.max_payload:
             raise PayloadTooLarge(
                 f"{len(item.data)} bytes exceeds cap {self.max_payload}")
+
+    def close(self) -> None:
+        """Release held connections; local stores hold none."""
 
     def _locator_for(self, oid: str) -> str:
         return f"{self.descriptor.base_url}/{oid}"
@@ -235,24 +243,9 @@ class FilesystemStore(_ProviderBase):
             (self.root / f"{oid}.meta").unlink(missing_ok=True)
 
 
-class HttpServer(ThreadingHTTPServer):
-    """Threaded HTTP server with a listen backlog sized for page fan-out.
-
-    socketserver's default backlog of 5 overflows when a page's fetches
-    arrive in one burst; the dropped SYNs then wait out a 1 s retransmit.
-    """
-
-    request_queue_size = 128
-    daemon_threads = True
-
-
-class _StoreHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _StoreHandler(Handler):
     server_version = "r2o-store/1"
     backing: _ProviderBase  # set by serve_store
-
-    def log_message(self, fmt, *args):
-        pass
 
     def _object_id(self) -> str | None:
         prefix = OBJECTS_PATH + "/"
@@ -261,27 +254,13 @@ class _StoreHandler(BaseHTTPRequestHandler):
         oid = self.path[len(prefix):]
         return oid if _is_valid_id(oid) else None
 
-    def _reply(self, status: int, body: bytes = b"",
-               content_type: str = "text/plain",
-               extra: dict[str, str] | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for k, v in (extra or {}).items():
-            self.send_header(k, v)
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
-
     def do_POST(self):
         if self.path != OBJECTS_PATH:
             self._reply(404, b"unknown path\n")
             return
-        length = int(self.headers.get("Content-Length", "0"))
-        if length > self.backing.max_payload:
-            self._reply(413, b"payload too large\n")
+        body = self._body(self.backing.max_payload)
+        if body is None:
             return
-        body = self.rfile.read(length)
         media_type = self.headers.get("Content-Type",
                                       "application/octet-stream")
         try:
@@ -291,7 +270,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
             self._reply(413, b"payload too large\n")
             return
         oid = locator.rsplit("/", 1)[1]
-        public = f"{self.server.public_base_url}/{oid}"
+        public = f"{self.server.base_url}/{oid}"
         self._reply(201, (public + "\n").encode(),
                     extra={"Location": f"{OBJECTS_PATH}/{oid}"})
 
@@ -316,46 +295,15 @@ class _StoreHandler(BaseHTTPRequestHandler):
         self._reply(204)
 
 
-class StoreServer:
-    """Running HTTP store; context manager with graceful shutdown."""
-
-    def __init__(self, httpd: HttpServer, thread: threading.Thread):
-        self._httpd = httpd
-        self._thread = thread
-        host, port = httpd.server_address[:2]
-        self.base_url = f"http://{host}:{port}{OBJECTS_PATH}"
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5)
-
-    def __enter__(self) -> "StoreServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
 def serve_store(bind_address: tuple[str, int],
-                backing: _ProviderBase) -> StoreServer:
+                backing: _ProviderBase) -> Server:
     """Serve the v1 object protocol on bind_address backed by a provider."""
-    handler = type("BoundStoreHandler", (_StoreHandler,),
-                   {"backing": backing})
-    try:
-        httpd = HttpServer(bind_address, handler)
-    except OSError as exc:
-        raise BindFailure(f"cannot bind {bind_address}: {exc}") from None
-    host, port = httpd.server_address[:2]
-    httpd.public_base_url = f"http://{host}:{port}{OBJECTS_PATH}"
-    thread = threading.Thread(target=httpd.serve_forever,
-                              name=f"store-{port}", daemon=True)
-    thread.start()
-    return StoreServer(httpd, thread)
+    return serve(bind_address, _StoreHandler, {"backing": backing},
+                 name="store", base_path=OBJECTS_PATH)
 
 
 class HttpStoreClient(_ProviderBase):
-    """Client side of the v1 object protocol."""
+    """Client side of the v1 object protocol, over keep-alive connections."""
 
     def __init__(self, base_url: str, name: str = "http",
                  timeout: float = 10.0,
@@ -364,51 +312,44 @@ class HttpStoreClient(_ProviderBase):
             name=name, kind="http", base_url=base_url.rstrip("/"))
         self.timeout = timeout
         self.max_payload = max_payload
+        self._pool = ConnectionPool(timeout)
+
+    def _request(self, what: str, method: str, url: str, **kwargs):
+        try:
+            return self._pool.request(method, url,
+                                      max_body=self.max_payload, **kwargs)
+        except HttpError as exc:
+            raise StoreUnavailable(f"{what} failed: {exc}") from None
 
     def upload(self, item: ContentItem) -> str:
         self._check_size(item)
-        req = urlrequest.Request(
-            self.descriptor.base_url, data=item.data, method="POST",
-            headers={"Content-Type": item.media_type})
-        try:
-            with urlrequest.urlopen(req, timeout=self.timeout) as resp:
-                body = resp.read().decode().strip()
-                if resp.status != 201:
-                    raise StoreUnavailable(f"unexpected status {resp.status}")
-        except urlerror.HTTPError as exc:
-            if exc.code == 413:
-                raise PayloadTooLarge("server rejected payload") from None
-            raise StoreUnavailable(f"upload failed: {exc}") from None
-        except (urlerror.URLError, socket.timeout, ConnectionError) as exc:
-            raise StoreUnavailable(f"upload failed: {exc}") from None
-        return body
+        resp = self._request("upload", "POST", self.descriptor.base_url,
+                             body=item.data,
+                             headers={"Content-Type": item.media_type})
+        if resp.status == 413:
+            raise PayloadTooLarge("server rejected payload")
+        if resp.status != 201:
+            raise StoreUnavailable(f"upload failed: HTTP {resp.status}")
+        return resp.body.decode().strip()
 
     def fetch(self, locator: str) -> ContentItem:
         self._id_from(locator)  # validate shape before any network use
-        try:
-            with urlrequest.urlopen(locator, timeout=self.timeout) as resp:
-                data = resp.read()
-                media_type = resp.headers.get("Content-Type",
-                                              "application/octet-stream")
-        except urlerror.HTTPError as exc:
-            if exc.code == 404:
-                raise NotFound(locator) from None
-            raise StoreUnavailable(f"fetch failed: {exc}") from None
-        except (urlerror.URLError, socket.timeout, ConnectionError) as exc:
-            raise StoreUnavailable(f"fetch failed: {exc}") from None
-        return ContentItem(data=data, media_type=media_type)
+        resp = self._request("fetch", "GET", locator)
+        if resp.status == 404:
+            raise NotFound(locator)
+        if resp.status != 200:
+            raise StoreUnavailable(f"fetch failed: HTTP {resp.status}")
+        return ContentItem(data=resp.body, media_type=resp.content_type)
 
     def delete(self, locator: str) -> None:
         self._id_from(locator)
-        req = urlrequest.Request(locator, method="DELETE")
-        try:
-            with urlrequest.urlopen(req, timeout=self.timeout):
-                pass
-        except urlerror.HTTPError as exc:
-            if exc.code != 404:
-                raise StoreUnavailable(f"delete failed: {exc}") from None
-        except (urlerror.URLError, socket.timeout, ConnectionError) as exc:
-            raise StoreUnavailable(f"delete failed: {exc}") from None
+        resp = self._request("delete", "DELETE", locator)
+        if resp.status >= 300 and resp.status != 404:
+            raise StoreUnavailable(f"delete failed: HTTP {resp.status}")
+
+    def close(self) -> None:
+        """Close the kept-alive connections."""
+        self._pool.close()
 
 
 def preset_store(name: str, **kwargs) -> MemoryStore:

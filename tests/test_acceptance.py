@@ -19,7 +19,6 @@ from r2o.codec.png import write_png
 from r2o.core import (
     InProcessFetcher,
     InProcessFirstPartyClient,
-    RecordingFetcher,
     read_path,
     resolve_page,
     write_path,
@@ -37,6 +36,7 @@ from r2o.store import LATENCY_PRESETS, ContentItem, MemoryStore, preset_store
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from cache_reference import ReferenceCache  # noqa: E402
+from recording_fetcher import RecordingFetcher  # noqa: E402
 
 URL_CHARS = ("abcdefghijklmnopqrstuvwxyz"
              "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~/")

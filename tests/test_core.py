@@ -18,7 +18,6 @@ from r2o.core import (
     InProcessFetcher,
     InProcessFirstPartyClient,
     PageUnreachable,
-    RecordingFetcher,
     read_path,
     resolve_page,
     write_path,
@@ -26,6 +25,7 @@ from r2o.core import (
 from r2o.filter import ElementDescriptor, FilterConfig
 from r2o.firstparty import FirstPartyService
 from r2o.store import ContentItem, MemoryStore, NotFound
+from recording_fetcher import RecordingFetcher
 
 
 def png_item(seed=0, edge=96):
@@ -149,6 +149,25 @@ def test_read_path_cold_then_warm():
     assert warm.via == VIA_CACHE_HIT
     assert warm_recorder.count(elem.source_url) == 0
     assert warm_recorder.requests == [receipt.offsite_locator]
+
+
+def test_repeated_page_views_start_no_threads(monkeypatch):
+    w = World()
+    elements = [w.element(w.publish(seed=s)) for s in range(4)]
+    read_path(elements, None, MappingsCache(), w.fetcher)
+    started = []
+    start = threading.Thread.start
+
+    def counting(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    # one worker at a time keeps the first view's threads enough for the rest
+    for _ in range(3):
+        results = read_path(elements[:1], None, MappingsCache(), w.fetcher)
+        assert results[0].replaced
+    assert started == []
 
 
 def test_read_path_filter_rejection_is_networkless():

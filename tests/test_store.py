@@ -137,6 +137,7 @@ def http_pair():
     server = serve_store(("127.0.0.1", 0), backing)
     client = HttpStoreClient(server.base_url, name="client")
     yield client, backing
+    client.close()
     server.shutdown()
 
 
