@@ -30,8 +30,7 @@ def main() -> int:
     service = FirstPartyService(response_delay_ms=11.0)
     store = MemoryStore(name="demo", simulated_latency=147.0)
     client = InProcessFirstPartyClient(service)
-    fetcher = InProcessFetcher(firstparty=service, providers=[store],
-                               firstparty_base=client.base_url)
+    fetcher = InProcessFetcher(firstparty=service, providers=[store])
     album = service.create_album("demo album")
 
     pixels = np.random.default_rng(7).integers(0, 256, size=(96, 96),

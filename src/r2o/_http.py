@@ -126,6 +126,10 @@ class ConnectionPool:
             for conn in conns:
                 conn.close()
 
+    def __del__(self):
+        # a client dropped without close() still releases its sockets
+        self.close()
+
 
 def _read_body(resp: http.client.HTTPResponse, max_body: int) -> bytes:
     """The whole body, or HttpError past max_body bytes.

@@ -194,8 +194,7 @@ def _e2e_world(firstparty_delay: float, offsite_delay: float,
     client = core.InProcessFirstPartyClient(service)
     album_id = service.create_album("bench album")
     core.write_path(_random_png(rng), None, album_id, provider, client)
-    fetcher = core.InProcessFetcher(firstparty=service, providers=[provider],
-                                    firstparty_base=client.base_url)
+    fetcher = core.InProcessFetcher(firstparty=service, providers=[provider])
     return fetcher, client.page_url(album_id)
 
 

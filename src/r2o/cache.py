@@ -66,6 +66,7 @@ class MappingsCache:
         self._recent: OrderedDict[str, MappingEntry] = OrderedDict()
         self._clock = 0
         self._lock = threading.RLock()
+        self.skipped_on_last_import = 0  # malformed lines of the last import
 
     def _now(self) -> int:
         self._clock += 1
@@ -193,21 +194,16 @@ class MappingsCache:
             raise UnsupportedVersion(f"unsupported mapping header {head!r}")
         if lines and lines[-1] == "":
             lines.pop()
-        merged = 0
-        self.skipped_on_last_import = 0
+        merged = skipped = 0
         for line in lines[1:]:
             parts = line.split("\t")
-            if len(parts) != 3:
-                self.skipped_on_last_import += 1
-                continue
-            pseudo, offsite, media = parts
-            if (not pseudo or not offsite or pseudo == offsite
-                    or media not in MEDIA_CLASSES
-                    or "\n" in pseudo or "\n" in offsite):
-                self.skipped_on_last_import += 1
-                continue
-            self.record_resolved(MappingEntry(
-                pseudo_locator=pseudo, offsite_locator=offsite,
-                media_class=media, hit_count=0))
-            merged += 1
+            try:
+                if len(parts) != 3:
+                    raise ValueError("expected three tab-separated fields")
+                self.record_resolved(MappingEntry(*parts))  # validates
+            except ValueError:
+                skipped += 1
+            else:
+                merged += 1
+        self.skipped_on_last_import = skipped
         return merged

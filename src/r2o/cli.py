@@ -49,7 +49,7 @@ def default_providers() -> dict[str, ProviderDescriptor]:
     return {
         name: ProviderDescriptor(
             name=name, kind="memory",
-            base_url=f"http://{name}.offsite.invalid{store.OBJECTS_PATH}",
+            base_url=store.default_base_url(name),
             simulated_latency=float(latency))
         for name, latency in LATENCY_PRESETS.items()
     }
@@ -110,7 +110,7 @@ def _provider_from_section(name: str, section) -> tuple[ProviderDescriptor,
     if kind not in ("memory", "filesystem", "http"):
         raise UsageError(f"provider {name!r}: unknown kind {kind!r}")
     if not base_url:
-        base_url = f"http://{name}.offsite.invalid{store.OBJECTS_PATH}"
+        base_url = store.default_base_url(name)
     return ProviderDescriptor(name=name, kind=kind, base_url=base_url,
                               simulated_latency=latency), root
 

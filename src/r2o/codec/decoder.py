@@ -61,22 +61,7 @@ def _candidate_grids(pixels: np.ndarray):
 
 def _read_format(grid: np.ndarray) -> tuple[str, int]:
     """Recover (ec_level, mask_id) by nearest codeword over both copies."""
-    n = grid.shape[0]
-    word_a = 0
-    for i in range(15):
-        if i < 6:
-            bit = grid[i, 8]
-        elif i < 8:
-            bit = grid[i + 1, 8]
-        elif i == 8:
-            bit = grid[8, 7]
-        else:
-            bit = grid[8, 14 - i]
-        word_a |= int(bit) << i
-    word_b = 0
-    for i in range(15):
-        bit = grid[8, n - 1 - i] if i < 8 else grid[n - 15 + i, 8]
-        word_b |= int(bit) << i
+    word_a, word_b = matrix.read_format_words(grid)
     best = None
     for word, lvl, mask_id in _ALL_FORMATS:
         d = min(bin(word ^ word_a).count("1"), bin(word ^ word_b).count("1"))

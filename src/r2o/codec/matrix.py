@@ -5,6 +5,8 @@ Matrices are numpy uint8 arrays with 1 = dark, 0 = light, indexed [row, col].
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tables
@@ -95,26 +97,37 @@ def base_matrix(version: int) -> np.ndarray:
     return m
 
 
+_BIT_SHIFTS = np.arange(15)  # bit i of a format word sits in column i
+
+
+@functools.cache
+def format_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, each (2, 15) as [copy, bit], of the format
+    bits in an n x n symbol.
+
+    Copy 0 runs around the top-left finder, skipping the timing row and
+    column; copy 1 is split between the top-right row and the bottom-left
+    column.
+    """
+    first = ([(i, 8) for i in range(6)] + [(7, 8), (8, 8), (8, 7)]
+             + [(8, 14 - i) for i in range(9, 15)])
+    second = ([(8, n - 1 - i) for i in range(8)]
+              + [(n - 15 + i, 8) for i in range(8, 15)])
+    rr, cc = np.array([first, second], dtype=np.intp).transpose(2, 0, 1)
+    return rr, cc
+
+
 def place_format_info(m: np.ndarray, ec_level: str, mask_id: int) -> None:
     """Write both copies of the 15-bit format word into the matrix."""
-    n = m.shape[0]
-    f = tables.format_info(ec_level, mask_id)
-    for i in range(15):
-        bit = (f >> i) & 1
-        # copy 1, around the top-left finder (column 6 is timing, skipped)
-        if i < 6:
-            m[i, 8] = bit
-        elif i < 8:
-            m[i + 1, 8] = bit
-        elif i == 8:
-            m[8, 7] = bit
-        else:
-            m[8, 14 - i] = bit
-        # copy 2, split between bottom-left column and top-right row
-        if i < 8:
-            m[8, n - 1 - i] = bit
-        else:
-            m[n - 15 + i, 8] = bit
+    rr, cc = format_positions(m.shape[0])
+    m[rr, cc] = (tables.format_info(ec_level, mask_id) >> _BIT_SHIFTS) & 1
+
+
+def read_format_words(m: np.ndarray) -> tuple[int, int]:
+    """The two 15-bit format words as they stand, unchecked."""
+    rr, cc = format_positions(m.shape[0])
+    words = (m[rr, cc].astype(np.int64) << _BIT_SHIFTS).sum(axis=1)
+    return int(words[0]), int(words[1])
 
 
 def placement_order(version: int) -> list[tuple[int, int]]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class IndirectionPayload:
 
     locator: str
     media_class: str = MEDIA_IMAGE
-    extra: dict[str, str] | None = None
 
     def validate(self) -> "IndirectionPayload":
         validate_locator(self.locator)

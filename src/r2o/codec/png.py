@@ -19,6 +19,9 @@ import zlib
 import numpy as np
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
+# a stream opens with the signature, then IHDR's length, tag and 13 bytes
+_IHDR_HEAD = _SIGNATURE + struct.pack(">I", 13) + b"IHDR"
+_IHDR_END = len(_IHDR_HEAD) + 13
 
 MAX_EDGE = 4096  # largest width or height the reader accepts
 # bytes of scanlines inflated per step: small steps keep the inflater's
@@ -122,12 +125,28 @@ def _inflate(idat: bytes, width: int,
     return kinds, out
 
 
-def read_png(data: bytes) -> np.ndarray:
-    """Decode an 8-bit grayscale PNG back to a HxW uint8 array."""
+def read_ihdr(data: bytes) -> tuple[int, int, int, int, int, int, int]:
+    """The IHDR fields: width, height, bit depth, color type, compression,
+    filter and interlace method; checks only that the signature is followed
+    by a 13-byte IHDR, leaving the values to the caller.
+    """
     if not data.startswith(_SIGNATURE):
         raise PNGError("not a PNG stream")
-    pos = len(_SIGNATURE)
-    width = height = None
+    if len(data) < _IHDR_END or not data.startswith(_IHDR_HEAD):
+        raise PNGError("first chunk is not a 13-byte IHDR")
+    return struct.unpack(">IIBBBBB", data[len(_IHDR_HEAD):_IHDR_END])
+
+
+def read_png(data: bytes) -> np.ndarray:
+    """Decode an 8-bit grayscale PNG back to a HxW uint8 array."""
+    width, height, depth, color, comp, filt, interlace = read_ihdr(data)
+    if not (0 < width <= MAX_EDGE and 0 < height <= MAX_EDGE):
+        raise PNGError(f"dimensions {width}x{height} outside 1..{MAX_EDGE}")
+    if depth != 8 or color != 0:
+        raise PNGError("only 8-bit grayscale is supported")
+    if comp != 0 or filt != 0 or interlace != 0:
+        raise PNGError("unsupported IHDR settings")
+    pos = _IHDR_END + 4  # past the IHDR's CRC
     idat: list[bytes] = []
     while pos + 8 <= len(data):
         (length,) = struct.unpack(">I", data[pos:pos + 4])
@@ -135,25 +154,13 @@ def read_png(data: bytes) -> np.ndarray:
         payload = data[pos + 8:pos + 8 + length]
         if len(payload) != length:
             raise PNGError("truncated chunk")
-        if tag == b"IHDR":
-            if length != 13:
-                raise PNGError("malformed IHDR")
-            width, height, depth, color, comp, filt, interlace = \
-                struct.unpack(">IIBBBBB", payload)
-            if not (0 < width <= MAX_EDGE and 0 < height <= MAX_EDGE):
-                raise PNGError(f"dimensions {width}x{height} outside "
-                               f"1..{MAX_EDGE}")
-            if depth != 8 or color != 0:
-                raise PNGError("only 8-bit grayscale is supported")
-            if comp != 0 or filt != 0 or interlace != 0:
-                raise PNGError("unsupported IHDR settings")
-        elif tag == b"IDAT":
+        if tag == b"IDAT":
             idat.append(payload)
         elif tag == b"IEND":
             break
         pos += 12 + length
-    if width is None or not idat:
-        raise PNGError("missing IHDR or IDAT")
+    if not idat:
+        raise PNGError("missing IDAT")
     kinds, out = _inflate(b"".join(idat), width, height)
     _unfilter(kinds, out)
     return out

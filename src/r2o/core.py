@@ -14,13 +14,13 @@ import base64
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urljoin
 
 from . import codec, rewriter
 from ._http import ConnectionPool, HttpError
 from .cache import MappingEntry, MappingsCache
 from .filter import ElementDescriptor, FilterConfig, is_candidate, make_caption
-from .firstparty import FirstPartyService
+from .firstparty import FirstPartyError, FirstPartyService, album_page_path
 from .store import ContentItem
 
 DEFAULT_PARALLELISM = 8
@@ -74,7 +74,6 @@ class HttpFetcher:
     """GET over kept-alive sockets; the normal fetcher for served pages."""
 
     def __init__(self, timeout: float = 10.0):
-        self.timeout = timeout
         self._pool = ConnectionPool(timeout)
 
     def fetch(self, url: str) -> ContentItem:
@@ -95,45 +94,30 @@ class HttpFetcher:
 class InProcessFetcher:
     """Routes URLs to in-process components without sockets.
 
-    First-party paths (/fp/...) go to a FirstPartyService; any locator under
-    a registered provider's base goes to that provider. Useful for tight
-    latency measurements where socket noise is unwanted.
+    A locator under a registered provider's base goes to that provider; any
+    other URL goes through `FirstPartyService.get`, the route the HTTP first
+    party serves, so both give the same bytes, media type and misses.
+    Useful for tight latency measurements where socket noise is unwanted.
     """
 
     def __init__(self, firstparty: FirstPartyService | None = None,
-                 providers=(), firstparty_base: str = ""):
+                 providers=()):
         self.firstparty = firstparty
         self.providers = list(providers)
-        self.firstparty_base = firstparty_base.rstrip("/")
 
     def fetch(self, url: str) -> ContentItem:
-        path = urlsplit(url).path if "://" in url else url
-        if self.firstparty is not None and path.startswith("/fp/"):
-            return self._fetch_firstparty(path)
         for provider in self.providers:
             if url.startswith(provider.descriptor.base_url + "/"):
                 try:
                     return provider.fetch(url)
                 except Exception as exc:
                     raise FetchError(str(exc)) from None
-        raise FetchError(f"no route for {url!r}")
-
-    def _fetch_firstparty(self, path: str) -> ContentItem:
-        from . import firstparty as fp
+        if self.firstparty is None:
+            raise FetchError(f"no route for {url!r}")
         try:
-            if path.startswith(fp.PHOTO_PATH_PREFIX) and path.endswith(".png"):
-                pid = self.firstparty.photo_id_from_path(path)
-                return ContentItem(data=self.firstparty.get_photo_bytes(pid),
-                                   media_type="image/png")
-            parts = path.strip("/").split("/")
-            if (len(parts) == 4 and parts[:2] == ["fp", "albums"]
-                    and parts[3] == "page"):
-                doc = self.firstparty.render_album_page(parts[2])
-                return ContentItem(data=doc.encode("utf-8"),
-                                   media_type="text/html")
-        except fp.FirstPartyError as exc:
+            return self.firstparty.get(url)
+        except FirstPartyError as exc:
             raise FetchError(str(exc)) from None
-        raise FetchError(f"no first-party route for {path!r}")
 
 
 # -- first-party clients ----------------------------------------------------
@@ -153,7 +137,7 @@ class InProcessFirstPartyClient:
         return photo_id, self.base_url + static_url
 
     def page_url(self, album_id: str) -> str:
-        return f"{self.base_url}/fp/albums/{album_id}/page"
+        return self.base_url + album_page_path(album_id)
 
 
 class HttpFirstPartyClient:
@@ -161,7 +145,6 @@ class HttpFirstPartyClient:
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
         self._pool = ConnectionPool(timeout)
 
     def _post(self, path: str, body: bytes,
@@ -192,7 +175,7 @@ class HttpFirstPartyClient:
         return photo_id, self.base_url + static_url
 
     def page_url(self, album_id: str) -> str:
-        return f"{self.base_url}/fp/albums/{album_id}/page"
+        return self.base_url + album_page_path(album_id)
 
 
 # -- write path -------------------------------------------------------------

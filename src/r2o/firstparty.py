@@ -12,10 +12,10 @@ import html
 import random
 import re
 import secrets
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from urllib.parse import urlsplit
 
 from ._http import Handler, Server, serve
 from .store import ContentItem
@@ -24,7 +24,15 @@ PHOTO_PATH_PREFIX = "/fp/photos/"
 DEFAULT_RESPONSE_DELAY_MS = 11.0  # plays the "facebook_cdn" latency preset
 
 _URL_RE = re.compile(r"https?://\S+")
-_PNG_SIG = b"\x89PNG\r\n\x1a\n"
+
+
+def album_page_path(album_id: str) -> str:
+    """The path of an album's rendered page."""
+    return f"/fp/albums/{album_id}/page"
+
+
+_PHOTO_PATH_RE = re.compile(PHOTO_PATH_PREFIX + r"([0-9a-f]+)\.png")
+_PAGE_PATH_RE = re.compile(album_page_path("([0-9a-f]+)"))
 
 _id_rng: random.Random | None = None
 
@@ -77,14 +85,6 @@ class Album:
     photo_ids: list[str] = field(default_factory=list)
 
 
-def _png_dimensions(data: bytes) -> tuple[int, int]:
-    """Width/height from the IHDR chunk; raises on non-PNG bytes."""
-    if not data.startswith(_PNG_SIG) or len(data) < 24:
-        raise UnsupportedMediaType("payload is not a PNG stream")
-    w, h = struct.unpack(">II", data[16:24])
-    return int(w), int(h)
-
-
 class FirstPartyService:
     """In-process service core; the HTTP layer is a thin adapter over it."""
 
@@ -109,22 +109,22 @@ class FirstPartyService:
             self._albums[album_id] = Album(album_id=album_id, title=title)
             return album_id
 
-    def get_album(self, album_id: str) -> Album:
-        with self._lock:
-            album = self._albums.get(album_id)
-            if album is None:
-                raise AlbumNotFound(album_id)
-            return album
-
     # -- photos ------------------------------------------------------------
 
     def upload_photo(self, album_id: str, image: ContentItem,
                      caption: str = "") -> tuple[str, str]:
+        # imported on first upload, not at start: the codec loads numpy,
+        # which takes over 0.1 s
+        from .codec.png import PNGError, read_ihdr
+
         image.validate()
         if image.media_type != "image/png":
             raise UnsupportedMediaType(
                 f"photos must be image/png, got {image.media_type!r}")
-        width, height = _png_dimensions(image.data)
+        try:
+            width, height = read_ihdr(image.data)[:2]
+        except PNGError as exc:
+            raise UnsupportedMediaType(f"not a PNG stream: {exc}") from None
         with self._lock:
             album = self._albums.get(album_id)
             if album is None:
@@ -157,9 +157,27 @@ class FirstPartyService:
         return photo.image.data
 
     def photo_id_from_path(self, path: str) -> str:
-        if not (path.startswith(PHOTO_PATH_PREFIX) and path.endswith(".png")):
+        m = _PHOTO_PATH_RE.fullmatch(path)
+        if m is None:
             raise PhotoNotFound(path)
-        return path[len(PHOTO_PATH_PREFIX):-len(".png")]
+        return m.group(1)
+
+    def get(self, url: str) -> ContentItem:
+        """The one GET route, for the HTTP server and in-process reads alike.
+
+        Serves a photo or an album page; the path of `url` must match
+        exactly, and its query is ignored. Any other path, or an unknown
+        id, raises AlbumNotFound or PhotoNotFound.
+        """
+        path = urlsplit(url).path
+        page = _PAGE_PATH_RE.fullmatch(path)
+        if page is not None:
+            doc = self.render_album_page(page.group(1))
+            return ContentItem(data=doc.encode("utf-8"),
+                               media_type="text/html")
+        photo_id = self.photo_id_from_path(path)
+        return ContentItem(data=self.get_photo_bytes(photo_id),
+                           media_type="image/png")
 
     # -- comments ----------------------------------------------------------
 
@@ -265,22 +283,12 @@ class _FirstPartyHandler(Handler):
             self._reply(400, b"body is not UTF-8\n")
 
     def do_GET(self):
-        svc = self.service
         try:
-            m = re.fullmatch(r"/fp/photos/([0-9a-f]+)\.png", self.path)
-            if m:
-                data = svc.get_photo_bytes(m.group(1))
-                self._reply(200, data, content_type="image/png")
-                return
-            m = re.fullmatch(r"/fp/albums/([0-9a-f]+)/page", self.path)
-            if m:
-                doc = svc.render_album_page(m.group(1))
-                self._reply(200, doc.encode("utf-8"),
-                            content_type="text/html; charset=utf-8")
-                return
-            self._reply(404, b"unknown path\n")
+            item = self.service.get(self.path)
         except (AlbumNotFound, PhotoNotFound):
             self._reply(404, b"not found\n")
+            return
+        self._reply(200, item.data, content_type=item.media_type)
 
 
 def serve_firstparty(bind_address: tuple[str, int],

@@ -93,6 +93,11 @@ class ProviderDescriptor:
             raise ValueError("simulated_latency must be >= 0")
 
 
+def default_base_url(name: str) -> str:
+    """Base URL of a named provider that was given none."""
+    return f"http://{name}.offsite.invalid{OBJECTS_PATH}"
+
+
 _id_rng: random.Random | None = None
 
 
@@ -155,7 +160,7 @@ class MemoryStore(_ProviderBase):
                  simulated_latency: float | None = None,
                  base_url: str | None = None,
                  max_payload: int = MAX_PAYLOAD_DEFAULT):
-        base = base_url or f"http://{name}.offsite.invalid{OBJECTS_PATH}"
+        base = base_url or default_base_url(name)
         self.descriptor = ProviderDescriptor(
             name=name, kind="memory", base_url=base,
             simulated_latency=simulated_latency)
@@ -203,7 +208,7 @@ class FilesystemStore(_ProviderBase):
                  max_payload: int = MAX_PAYLOAD_DEFAULT):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        base = base_url or f"http://{name}.offsite.invalid{OBJECTS_PATH}"
+        base = base_url or default_base_url(name)
         self.descriptor = ProviderDescriptor(
             name=name, kind="filesystem", base_url=base,
             simulated_latency=simulated_latency)
@@ -310,7 +315,6 @@ class HttpStoreClient(_ProviderBase):
                  max_payload: int = MAX_PAYLOAD_DEFAULT):
         self.descriptor = ProviderDescriptor(
             name=name, kind="http", base_url=base_url.rstrip("/"))
-        self.timeout = timeout
         self.max_payload = max_payload
         self._pool = ConnectionPool(timeout)
 

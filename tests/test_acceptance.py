@@ -75,8 +75,7 @@ class World:
         self.store = MemoryStore(name="offsite", simulated_latency=latency_ms)
         self.client = InProcessFirstPartyClient(self.service)
         self.fetcher = InProcessFetcher(
-            firstparty=self.service, providers=[self.store],
-            firstparty_base=self.client.base_url)
+            firstparty=self.service, providers=[self.store])
         self.album = self.service.create_album("gate")
 
 

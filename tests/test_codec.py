@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from r2o import codec
-from r2o.codec import encoder, matrix, tables
+from r2o.codec import decoder, encoder, matrix, tables
 
 URL_ALPHABET = ("abcdefghijklmnopqrstuvwxyz"
                 "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~/")
@@ -41,7 +41,7 @@ def test_serialize_rejects_text_media_class():
 
 def test_serialized_payload_is_exactly_the_locator_bytes():
     url = "http://a.example/photo.png"
-    p = codec.IndirectionPayload(locator=url, extra={"ignored": "yes"})
+    p = codec.IndirectionPayload(locator=url)
     assert codec.serialize_payload(p) == url.encode("ascii")
 
 
@@ -258,6 +258,37 @@ def test_place_then_read_is_identity(rng):
             m = matrix.base_matrix(version)
             matrix.place_codewords(m, version, words, mask_id)
             assert matrix.read_codewords(m, version, mask_id)[:total] == words
+
+
+_FORMAT_PAIRS = {tables.format_info(lvl, k): (lvl, k)
+                 for lvl in tables.EC_LEVELS for k in range(8)}
+
+
+@pytest.mark.parametrize("damage", ["light", "dark", "toward_neighbour"])
+@pytest.mark.parametrize("copy", [0, 1])
+def test_format_read_recovers_from_either_copy(copy, damage):
+    """All 32 (EC level, mask) pairs survive the loss of one format copy.
+
+    The lost copy is painted light, painted dark, or has six of the seven
+    bits flipped that separate its word from a neighbouring format word, so
+    on its own it reads as that neighbour. (A complemented copy cannot be
+    told apart: the complement of every format word is another format word.)
+    """
+    version = 3
+    rr, cc = matrix.format_positions(tables.size_for_version(version))
+    rows, cols = rr[copy], cc[copy]
+    for word, pair in _FORMAT_PAIRS.items():
+        m = matrix.base_matrix(version)
+        matrix.place_format_info(m, *pair)
+        if damage == "toward_neighbour":
+            near = min((w for w in _FORMAT_PAIRS if w != word),
+                       key=lambda w: bin(w ^ word).count("1"))
+            differ = [i for i in range(15) if (near ^ word) >> i & 1]
+            assert len(differ) == 7
+            m[rows[differ[:6]], cols[differ[:6]]] ^= 1
+        else:
+            m[rows, cols] = damage == "dark"
+        assert decoder._read_format(m) == pair
 
 
 def test_penalty_prefers_textured_matrices():

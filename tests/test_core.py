@@ -43,8 +43,7 @@ class World:
                                  base_url="http://off.example/v1/objects")
         self.client = InProcessFirstPartyClient(self.service)
         self.fetcher = InProcessFetcher(
-            firstparty=self.service, providers=[self.store],
-            firstparty_base=self.client.base_url)
+            firstparty=self.service, providers=[self.store])
         self.album = self.service.create_album("vacation")
         self.cache = MappingsCache()
 

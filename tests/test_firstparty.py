@@ -1,5 +1,6 @@
 """First-party simulator: albums, PNG-only photos, comments, page shape."""
 
+import struct
 import time
 import urllib.error
 import urllib.request
@@ -9,11 +10,13 @@ import pytest
 
 from r2o import firstparty
 from r2o.codec.png import write_png
+from r2o.core import FetchError, HttpFetcher, InProcessFetcher
 from r2o.firstparty import (
     AlbumNotFound,
     FirstPartyService,
     PhotoNotFound,
     UnsupportedMediaType,
+    album_page_path,
     serve_firstparty,
 )
 from r2o.store import ContentItem
@@ -188,19 +191,77 @@ def test_http_album_photo_page_flow(served):
     assert "a comment" in page
 
 
+def _http_error(call, *args, **kwargs):
+    """The HTTPError `call` raises, closed so its socket does not leak."""
+    with pytest.raises(urllib.error.HTTPError) as err:
+        call(*args, **kwargs)
+    err.value.close()
+    return err.value
+
+
 def test_http_errors(served):
     base = served.base_url
-    with pytest.raises(urllib.error.HTTPError) as err:
-        urllib.request.urlopen(f"{base}/fp/photos/{'0' * 16}.png", timeout=5)
-    assert err.value.code == 404
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _post(f"{base}/fp/albums/{'0' * 16}/photos", png_item().data,
-              {"Content-Type": "image/png"})
-    assert err.value.code == 404
+    err = _http_error(urllib.request.urlopen,
+                      f"{base}/fp/photos/{'0' * 16}.png", timeout=5)
+    assert err.code == 404
+    err = _http_error(_post, f"{base}/fp/albums/{'0' * 16}/photos",
+                      png_item().data, {"Content-Type": "image/png"})
+    assert err.code == 404
     # non-PNG upload to a real album
     status, body = _post(f"{base}/fp/albums", b"t")
     album_id = body.decode().strip()
-    with pytest.raises(urllib.error.HTTPError) as err:
-        _post(f"{base}/fp/albums/{album_id}/photos", b"JFIF...",
-              {"Content-Type": "image/jpeg"})
-    assert err.value.code == 415
+    err = _http_error(_post, f"{base}/fp/albums/{album_id}/photos",
+                      b"JFIF...", {"Content-Type": "image/jpeg"})
+    assert err.code == 415
+
+
+def _not_ihdr_first(blob):
+    """Variants of a valid PNG whose first chunk is not a 13-byte IHDR."""
+    sig, ihdr, rest = blob[:8], blob[8:33], blob[33:]
+    # a 12-byte tEXt chunk (CRC unchecked) puts 5000 where IHDR's width was
+    text = struct.pack(">I4sII", 12, b"tEXt", 5000, 5000) + bytes(8)
+    long_ihdr = (struct.pack(">I", 14) + b"IHDR" + ihdr[8:21] + b"\x00"
+                 + ihdr[21:])
+    return [sig + text + ihdr + rest,  # IHDR second
+            sig + long_ihdr + rest,
+            sig + ihdr[:20]]  # IHDR cut short
+
+
+def test_upload_refuses_png_without_leading_ihdr(svc, served):
+    album = svc.create_album("a")
+    http_album = _post(f"{served.base_url}/fp/albums", b"t")[1].decode()
+    upload_url = f"{served.base_url}/fp/albums/{http_album.strip()}/photos"
+    for data in _not_ihdr_first(png_item().data):
+        with pytest.raises(UnsupportedMediaType):
+            svc.upload_photo(album, ContentItem(data=data,
+                                                media_type="image/png"), "")
+        err = _http_error(_post, upload_url, data,
+                          {"Content-Type": "image/png"})
+        assert err.code == 415
+
+
+def test_in_process_and_http_reads_share_one_route(served):
+    """The same URLs give the same bytes and media type, or fail, on both."""
+    svc = served.service
+    album = svc.create_album("parity")
+    _, photo = svc.upload_photo(album, png_item(), "")
+    page = album_page_path(album)
+    cases = [(photo, True), (f"{photo}?v=2", True), (page, True),
+             (f"{page}?x", True), (f"{page}/", False),
+             (f"/fp/photos/{'0' * 16}.png", False),
+             (album_page_path("0" * 16), False)]
+    fetchers = (InProcessFetcher(firstparty=svc), HttpFetcher(timeout=5))
+    try:
+        for path, found in cases:
+            got = []
+            for fetcher in fetchers:
+                try:
+                    item = fetcher.fetch(served.base_url + path)
+                except FetchError:
+                    got.append(None)
+                else:
+                    got.append((item.data, item.media_type))
+            assert got[0] == got[1], path
+            assert (got[0] is not None) == found, path
+    finally:
+        fetchers[1].close()

@@ -37,6 +37,9 @@ def test_reader_rejects_junk():
         read_png(b"not a png at all")
     with pytest.raises(PNGError):
         read_png(b"\x89PNG\r\n\x1a\n" + b"\x00" * 16)
+    blob = write_png(np.zeros((4, 4), dtype=np.uint8))
+    with pytest.raises(PNGError, match="first chunk"):  # IHDR comes second
+        read_png(blob[:8] + _chunk(b"tEXt", b"k\x00v") + blob[8:])
 
 
 def test_reader_rejects_unsupported_color_type():
