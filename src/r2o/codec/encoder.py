@@ -31,36 +31,22 @@ def choose_version(n_bytes: int, ec_level: str, min_version: int = 1) -> int:
 
 
 def build_data_codewords(data: bytes, version: int, ec_level: str) -> list[int]:
-    """Byte-mode bitstream with terminator and alternating pad bytes."""
+    """Byte-mode bitstream with terminator and alternating pad bytes.
+
+    The stream is built as one integer. Mode and count take 12 or 20 bits,
+    so the stream stops 4 bits short of a byte boundary and, because the
+    capacity is whole bytes, always has room for the 4-bit terminator,
+    which ends it on that boundary.
+    """
     n_data = tables.data_codewords(version, ec_level)
     cci_bits = 8 if version <= 9 else 16
-
-    bits: list[int] = []
-
-    def push(value: int, width: int) -> None:
-        for i in range(width - 1, -1, -1):
-            bits.append((value >> i) & 1)
-
-    push(0b0100, 4)
-    push(len(data), cci_bits)
-    for b in data:
-        push(b, 8)
-
-    capacity_bits = 8 * n_data
-    if len(bits) > capacity_bits:
+    n_bits = 4 + cci_bits + 8 * len(data)
+    if n_bits > 8 * n_data:
         raise CapacityExceeded("bitstream exceeds selected version capacity")
-    bits.extend([0] * min(4, capacity_bits - len(bits)))
-    while len(bits) % 8:
-        bits.append(0)
-
-    out = []
-    for i in range(0, len(bits), 8):
-        b = 0
-        for bit in bits[i:i + 8]:
-            b = (b << 1) | bit
-        out.append(b)
-    for i in range(n_data - len(out)):
-        out.append(PAD_BYTES[i % 2])
+    header = 0b0100 << cci_bits | len(data)
+    stream = (header << 8 * len(data) | int.from_bytes(data, "big")) << 4
+    out = list(stream.to_bytes((n_bits + 4) // 8, "big"))
+    out += [PAD_BYTES[i % 2] for i in range(n_data - len(out))]
     return out
 
 
@@ -106,13 +92,19 @@ def encode_symbol(data: bytes, ec_level: str = "M",
     return candidates[mask_id].copy(), version, mask_id
 
 
+def enlarge(pixels: np.ndarray, factor: int) -> np.ndarray:
+    """Nearest-neighbour scale: each pixel becomes a factor x factor block."""
+    return pixels.repeat(factor, axis=0).repeat(factor, axis=1)
+
+
 def render(modules: np.ndarray, config: QrConfig,
            quiet_zone: int = 4) -> PseudoImage:
     """Rasterize a module matrix to grayscale pixels per the config."""
     n = modules.shape[0]
-    padded = np.zeros((n + 2 * quiet_zone, n + 2 * quiet_zone), dtype=np.uint8)
-    padded[quiet_zone:quiet_zone + n, quiet_zone:quiet_zone + n] = modules
-    edge = padded.shape[0]
+    edge = n + 2 * quiet_zone
+    shade = np.full((edge, edge), 255, dtype=np.uint8)  # dark modules: 0
+    shade[quiet_zone:quiet_zone + n, quiet_zone:quiet_zone + n] = np.where(
+        modules, 0, 255)
 
     if config.target_size is not None:
         scale = config.target_size // edge
@@ -125,8 +117,7 @@ def render(modules: np.ndarray, config: QrConfig,
         scale = config.module_scale
         canvas_edge = edge * scale
 
-    pix = np.where(np.kron(padded, np.ones((scale, scale), dtype=np.uint8)),
-                   0, 255).astype(np.uint8)
+    pix = enlarge(shade, scale)
     if canvas_edge == pix.shape[0]:
         return PseudoImage(pixels=pix, quiet_zone=quiet_zone)
     canvas = np.full((canvas_edge, canvas_edge), 255, dtype=np.uint8)

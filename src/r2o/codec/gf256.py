@@ -32,8 +32,14 @@ for _i in range(255, 512):
     EXP[_i] = EXP[_i - 255]
 del _x, _i
 
-_EXP_NP = np.array(EXP, dtype=np.uint8)
+# numpy copies for table gathers. Zero has no logarithm: _LOG_NP maps it to
+# _LOG_ZERO, and any sum that includes it lands in _EXP_NP's zero tail, so
+# a product with a zero factor needs no special case.
+_LOG_ZERO = 512
+_EXP_NP = np.zeros(2 * _LOG_ZERO + 1, dtype=np.uint8)
+_EXP_NP[:512] = EXP
 _LOG_NP = np.array(LOG, dtype=np.intp)
+_LOG_NP[0] = _LOG_ZERO
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -60,23 +66,42 @@ def _generator_poly(nsym: int) -> list[int]:
     return g
 
 
-_GEN_CACHE: dict[int, list[int]] = {}
+_PARITY_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def rs_encode(data: list[int], nsym: int) -> list[int]:
-    """Return the nsym parity bytes for data (polynomial long division)."""
-    gen = _GEN_CACHE.get(nsym)
-    if gen is None:
-        gen = _GEN_CACHE[nsym] = _generator_poly(nsym)
-    rem = list(data) + [0] * nsym
-    for i in range(len(data)):
-        coef = rem[i]
-        if coef:
-            lc = LOG[coef]
-            for j in range(1, len(gen)):
-                if gen[j]:
-                    rem[i + j] ^= EXP[LOG[gen[j]] + lc]
-    return rem[len(data):]
+def _unit_parity_logs(k: int, nsym: int) -> np.ndarray:
+    """LOG of the parity of each unit data word, as a (k, nsym) table.
+
+    Data byte j (of k, most significant first) is the coefficient of
+    x^(k-1-j), so its unit word's parity is x^(nsym+k-1-j) mod g(x). The
+    remainders of x^nsym, x^(nsym+1), ... come one from the next by a shift
+    and one reduction by the monic g.
+    """
+    gen = _generator_poly(nsym)
+    rem = gen[1:]  # x^nsym mod g, since g is monic of degree nsym
+    rows = []
+    for _ in range(k):
+        rows.append(rem)
+        top = rem[0]
+        rem = rem[1:] + [0]
+        if top:
+            rem = [r ^ gf_mul(top, g) for r, g in zip(rem, gen[1:])]
+    return _LOG_NP[np.array(rows[::-1], dtype=np.uint8).reshape(k, nsym)]
+
+
+def rs_encode(data: bytes, nsym: int) -> list[int]:
+    """Return the nsym parity bytes for data.
+
+    Parity is linear over GF(256): it is the XOR of each data byte times
+    its unit word's parity, one table gather and one reduction.
+    """
+    d = np.frombuffer(bytes(data), dtype=np.uint8)
+    logs = _PARITY_CACHE.get((d.size, nsym))
+    if logs is None:
+        logs = _PARITY_CACHE[(d.size, nsym)] = _unit_parity_logs(d.size,
+                                                                 nsym)
+    terms = _EXP_NP[logs + _LOG_NP[d][:, None]]
+    return np.bitwise_xor.reduce(terms, axis=0).tolist()
 
 
 _SYND_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -96,7 +121,6 @@ def _syndromes(codeword: list[int], nsym: int) -> list[int]:
                   * np.arange(n - 1, -1, -1)[None, :]) % 255
         _SYND_CACHE[(n, nsym)] = powers
     terms = _EXP_NP[powers + _LOG_NP[c]]
-    terms[:, c == 0] = 0
     return np.bitwise_xor.reduce(terms, axis=1).tolist()
 
 

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from .filter import ElementDescriptor
 
 _IMG_TAG = re.compile(rb"<img\b[^>]*>", re.IGNORECASE | re.DOTALL)
-_ATTR = {
-    name: re.compile(
-        rb"\b" + name.encode() + rb'\s*=\s*(?:"([^"]*)"|\'([^\']*)\'|([^\s>]+))',
-        re.IGNORECASE)
-    for name in ("src", "width", "height")
-}
+# one attribute: a name, then optionally "=" and a double-quoted,
+# single-quoted or bare value. Matching attribute by attribute from the tag
+# name on means a name is never found inside another name (data-src) or
+# inside a value (alt="... src=...").
+_ATTR = re.compile(
+    rb'([^\s"\'>/=]+)(?:\s*=\s*(?:"([^"]*)"|\'([^\']*)\'|([^\s>]+)))?')
 _FIGCAPTION = re.compile(
     rb"\A\s*<figcaption\b[^>]*>(.*?)</figcaption>",
     re.IGNORECASE | re.DOTALL)
@@ -46,22 +46,27 @@ class ScanResult:
         return iter(self.elements)
 
 
-def _attr_value(tag: bytes, name: str) -> tuple[bytes, int, int] | None:
-    m = _ATTR[name].search(tag)
-    if not m:
-        return None
-    for group in (1, 2, 3):
-        if m.group(group) is not None:
-            return m.group(group), m.start(group), m.end(group)
-    return None
+def _attributes(tag: bytes) -> dict[bytes, re.Match]:
+    """Lower-cased name -> its attribute; the first of a name wins, as in
+    HTML."""
+    return {m.group(1).lower(): m
+            for m in reversed(list(_ATTR.finditer(tag, len(b"<img"))))}
 
 
-def _int_attr(tag: bytes, name: str) -> int:
-    got = _attr_value(tag, name)
-    if got is None:
-        return 0
+def _value(attrs: dict[bytes, re.Match],
+           name: bytes) -> tuple[bytes, int, int]:
+    """The value of an attribute and its offsets in the tag; empty when the
+    attribute is missing or has no value."""
+    m = attrs.get(name)
+    g = m.lastindex if m else 1  # group 1 is the name: there is no value
+    if g == 1:
+        return b"", 0, 0
+    return m.group(g), m.start(g), m.end(g)
+
+
+def _int_attr(attrs: dict[bytes, re.Match], name: bytes) -> int:
     try:
-        return max(0, int(got[0]))
+        return max(0, int(_value(attrs, name)[0]))
     except ValueError:
         return 0
 
@@ -85,16 +90,15 @@ def scan_html(document: bytes) -> ScanResult:
     """Extract img elements as descriptors with exact src byte spans."""
     out: list[ScannedElement] = []
     for tag_match in _IMG_TAG.finditer(document):
-        tag = tag_match.group(0)
-        src = _attr_value(tag, "src")
-        if src is None or not src[0]:
+        attrs = _attributes(tag_match.group(0))
+        value, rel_start, rel_end = _value(attrs, b"src")
+        if not value:
             continue
-        value, rel_start, rel_end = src
         src_text = value.decode("utf-8", errors="replace")
         descriptor = ElementDescriptor(
             source_url=src_text,
-            width=_int_attr(tag, "width"),
-            height=_int_attr(tag, "height"),
+            width=_int_attr(attrs, b"width"),
+            height=_int_attr(attrs, b"height"),
             media_subtype=_subtype_of(src_text),
             caption=_caption_after(document, tag_match.end()))
         span = (tag_match.start() + rel_start, tag_match.start() + rel_end)

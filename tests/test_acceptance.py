@@ -1,8 +1,9 @@
 """Acceptance gate: eleven behavioral criteria, one verdict line each.
 
-Every test prints `[criterion NN] PASS|FAIL <label>` through the terminal
-reporter so the verdicts survive output capture. A criterion collects all
-its violations before asserting, so the printed line always appears.
+Every test records `[criterion NN] PASS|FAIL <label>` through the
+`verdict` fixture (conftest.py), and the lines print together in the
+terminal summary, so they show whatever the output capture. A criterion
+collects all its violations before asserting, so its line always appears.
 """
 
 import random
@@ -40,21 +41,6 @@ from recording_fetcher import RecordingFetcher  # noqa: E402
 
 URL_CHARS = ("abcdefghijklmnopqrstuvwxyz"
              "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~/")
-
-
-@pytest.fixture(scope="session")
-def verdict(request):
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
-
-    def _report(number: int, label: str, failures: list) -> None:
-        status = "PASS" if not failures else "FAIL"
-        line = f"[criterion {number:02d}] {status} {label}"
-        if reporter is not None:
-            reporter.write_line(line)
-        else:
-            print(line)
-
-    return _report
 
 
 def random_url(rng: random.Random, max_len: int = 200) -> str:

@@ -1,20 +1,21 @@
 """The vectorised codec against plain scalar references.
 
-Each reference below is the straightforward per-row, per-module or
-per-coefficient loop the numpy code replaces. The golden digest pins the
-exact PNG bytes the encoder produced before vectorisation.
+Each reference below is the straightforward per-row, per-module, per-bit
+or per-coefficient loop the numpy code replaces. The golden digest pins the
+exact pixels the encoder produced before vectorisation.
 """
 
 import hashlib
 import random
 import string
+import struct
 import zlib
 
 import numpy as np
 import pytest
 
 from r2o import codec
-from r2o.codec import decoder, gf256, matrix, tables
+from r2o.codec import decoder, encoder, gf256, matrix, tables
 from r2o.codec.png import read_png
 
 
@@ -184,6 +185,119 @@ def test_syndromes_match_horner():
             _syndromes_reference(word, nsym)
 
 
+# -- Reed-Solomon parity -----------------------------------------------------
+
+def _rs_encode_reference(data, nsym):
+    gen = [1]
+    for i in range(nsym):  # multiply by (x - alpha^i)
+        gen = [a ^ gf256.gf_mul(b, gf256.EXP[i])
+               for a, b in zip(gen + [0], [0] + gen)]
+    rem = list(data) + [0] * nsym
+    for i in range(len(data)):  # long division by the monic generator
+        coef = rem[i]
+        for j in range(1, nsym + 1):
+            rem[i + j] ^= gf256.gf_mul(gen[j], coef)
+    return rem[len(data):]
+
+
+@pytest.mark.parametrize("shape", sorted({
+    (k, ec) for ec, groups in tables.BLOCKS.values() for _, k in groups}))
+def test_rs_encode_matches_long_division(shape):
+    k, nsym = shape
+    r = random.Random(k * 100 + nsym)
+    words = [bytes(k), bytes(r.randrange(256) for _ in range(k))]
+    for pos in {0, k // 2, k - 1}:  # a single nonzero byte
+        words.append(bytes(k - 1 - pos) + bytes((r.randrange(1, 256),))
+                     + bytes(pos))
+    for data in words:
+        assert gf256.rs_encode(data, nsym) == _rs_encode_reference(data,
+                                                                   nsym)
+
+
+# -- data codewords ----------------------------------------------------------
+
+def _data_codewords_reference(data, version, ec_level):
+    n_data = tables.data_codewords(version, ec_level)
+    bits = []
+
+    def push(value, width):
+        bits.extend((value >> i) & 1 for i in range(width - 1, -1, -1))
+
+    push(0b0100, 4)
+    push(len(data), 8 if version <= 9 else 16)
+    for b in data:
+        push(b, 8)
+    if len(bits) > 8 * n_data:
+        raise codec.CapacityExceeded("bitstream exceeds capacity")
+    bits.extend([0] * min(4, 8 * n_data - len(bits)))  # terminator
+    bits.extend([0] * (-len(bits) % 8))
+    out = [int("".join(map(str, bits[i:i + 8])), 2)
+           for i in range(0, len(bits), 8)]
+    return out + [encoder.PAD_BYTES[i % 2] for i in range(n_data - len(out))]
+
+
+@pytest.mark.parametrize("version", [1, 2, 9, 10])  # 9 -> 10: 16-bit count
+@pytest.mark.parametrize("ec_level", tables.EC_LEVELS)
+def test_data_codewords_match_bit_list(version, ec_level):
+    r = random.Random(version)
+    # every length up to the one that no longer fits: streams that end
+    # with pad bytes and the one that fills the capacity exactly
+    for n in range(tables.byte_capacity(version, ec_level) + 2):
+        data = bytes(r.randrange(256) for _ in range(n))
+        try:
+            want = _data_codewords_reference(data, version, ec_level)
+        except codec.CapacityExceeded:
+            with pytest.raises(codec.CapacityExceeded):
+                encoder.build_data_codewords(data, version, ec_level)
+            continue
+        assert encoder.build_data_codewords(data, version,
+                                            ec_level) == want
+
+
+# -- rasterising -------------------------------------------------------------
+
+def _render_reference(modules, config, quiet_zone=4):
+    n = modules.shape[0]
+    edge = n + 2 * quiet_zone
+    padded = np.zeros((edge, edge), dtype=np.uint8)
+    padded[quiet_zone:quiet_zone + n, quiet_zone:quiet_zone + n] = modules
+    if config.target_size is not None:
+        scale, canvas_edge = config.target_size // edge, config.target_size
+    else:
+        scale = config.module_scale
+        canvas_edge = edge * scale
+    pix = np.where(np.kron(padded, np.ones((scale, scale), dtype=np.uint8)),
+                   0, 255).astype(np.uint8)
+    canvas = np.full((canvas_edge, canvas_edge), 255, dtype=np.uint8)
+    off = (canvas_edge - pix.shape[0]) // 2
+    canvas[off:off + pix.shape[0], off:off + pix.shape[1]] = pix
+    if canvas_edge == pix.shape[0]:
+        return canvas, None
+    return canvas, (off, off, pix.shape[0], pix.shape[1])
+
+
+@pytest.mark.parametrize("config", [
+    codec.QrConfig(),  # 512 px: padded unless the edge divides 512
+    codec.QrConfig(target_size=100),
+    codec.QrConfig(target_size=58),  # version 1 at scale 2 with no pad
+    codec.QrConfig(target_size=None, module_scale=1),
+    codec.QrConfig(target_size=None, module_scale=2),
+    codec.QrConfig(target_size=None, module_scale=3),
+])
+@pytest.mark.parametrize("version", [1, 2, 5, 10])
+def test_render_matches_kron(config, version):
+    modules, _, _ = encoder.encode_symbol(b"x" * 10, "M", version)
+    if config.target_size is not None and \
+            config.target_size < modules.shape[0] + 8:
+        with pytest.raises(codec.TargetTooSmall):
+            encoder.render(modules, config)
+        return
+    image = encoder.render(modules, config)
+    pixels, bounds = _render_reference(modules, config)
+    assert np.array_equal(image.pixels, pixels)
+    assert image.inner_bounds == bounds
+
+
 # -- byte-mode parsing -------------------------------------------------------
 
 def _parse_reference(data, version):
@@ -230,10 +344,12 @@ def test_byte_mode_parse_matches_bit_reader(version):
 
 # -- golden encoder output ---------------------------------------------------
 
-# sha256 over the PNG bytes of the corpus below, as the scalar encoder wrote
-# them; any change to mask choice, placement, render or PNG write shows here
+# sha256 over the height, width and pixels of each symbol of the corpus
+# below, as the scalar encoder drew them; any change to mask choice,
+# placement or render shows here
 GOLDEN_SHA256 = \
-    "e6ada33315d81b587266d4d7cf62b21ebfbc8e8a86a6323b3cc31d114cdb4d59"
+    "b5c58a1e456d67c24832bbd1e3492e00ff57349f5e4c9d47d084cc7f5d25c872"
+MAX_PNG_BYTES = 8 * 1024  # a stored or barely compressed stream is larger
 
 
 def _golden_corpus():
@@ -262,5 +378,9 @@ def test_golden_png_digest():
     for locator, config in _golden_corpus():
         image = codec.encode_qr(codec.IndirectionPayload(locator=locator),
                                 config)
-        digest.update(image.to_png())
+        digest.update(struct.pack(">II", image.height, image.width))
+        digest.update(image.pixels.tobytes())
+        data = image.to_png()
+        assert len(data) <= MAX_PNG_BYTES, (locator, len(data))
+        assert np.array_equal(read_png(data), image.pixels)
     assert digest.hexdigest() == GOLDEN_SHA256

@@ -50,6 +50,30 @@ def test_scan_handles_quote_styles_and_case(doc):
     assert doc[start:end] == b"/a/b.png"
 
 
+def test_scan_ignores_names_inside_other_names_and_values():
+    doc = (b'<img data-src="/lazy.png" alt="see src=/fp/photos/a.png" '
+           b'src="/fp/photos/abc.png" data-width="7" width="512" '
+           b'height="256">')
+    (el,) = scan_html(doc)
+    assert el.descriptor.source_url == "/fp/photos/abc.png"
+    start, end = el.src_span
+    assert (start, end) == (doc.index(b"/fp/photos/abc.png"),
+                            doc.index(b"/fp/photos/abc.png") + 18)
+    assert el.descriptor.width == 512
+    assert el.descriptor.height == 256
+    assert rewrite_html(doc, [(el.src_span, "/x.png")]) == \
+        doc.replace(b"/fp/photos/abc.png", b"/x.png")
+
+
+@pytest.mark.parametrize("doc", [
+    b'<img src src="/a.png">',  # the first src, empty, wins
+    b'<img title=" src="/a.png">',  # the quoted title holds the src text
+    b'<img data-src="/a.png">',
+])
+def test_scan_takes_only_a_real_first_src(doc):
+    assert len(scan_html(doc)) == 0
+
+
 def test_scan_dimension_fallbacks():
     (el,) = scan_html(b'<img src="/x.png" width="abc">')
     assert el.descriptor.width == 0
