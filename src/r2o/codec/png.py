@@ -1,13 +1,12 @@
 """Minimal grayscale PNG writer/reader (8-bit, single channel).
 
 Writes filter-0 scanlines at zlib level 3. On a 512 px symbol with a
-50-byte locator (2 vCPU Xeon, Python 3.11, zlib 1.2.13) level 3 writes in
-0.8 ms and 5.5 KB, against 5-7 ms and 1.6 KB at level 9, and reads back
-as fast (0.21-0.25 ms). Lower levels are no faster to write and miss the
-repeated scanlines of a scaled-up module row: levels 1 and 2 write 7.8-8.2
-KB and read slower, as does a run-length-only deflate (7.9 KB, 0.4 ms).
-An Up filter would shrink the file but move the cost to the reader, which
-unfilters it row by row.
+50-byte locator (2 vCPU Xeon, Python 3.11, zlib 1.2.13) level 3 writes
+5.5 KB in 0.7-0.8 ms, against 1.6 KB in 5-7 ms at level 9, and the file
+reads back about 0.05 ms slower (0.31 against 0.26 ms median). Levels 1
+and 2 save at most 0.1 ms but write 7.8-8.2 KB that read slower still, as
+does a run-length-only deflate (7.9 KB). An Up filter would shrink the
+file but move the cost to the reader, which unfilters Up row by row.
 
 The reader understands filter types 0-4 so externally produced grayscale
 files load too. Filter types 0 and 1 unfilter as whole-array numpy
