@@ -16,7 +16,7 @@ from .errors import (CapacityExceeded, CodecError, DecodeFailure,
 from .models import (DARK_THRESHOLD, MEDIA_IMAGE, MEDIA_TEXT,
                      IndirectionPayload, NotIndirection, PseudoImage,
                      QrConfig, validate_locator)
-from .png import PNGError, read_png, write_png
+from .png import PNGError, PNGTooLarge, read_png, write_png
 
 TEXT_SUFFIX = "#r2o"
 
@@ -80,9 +80,10 @@ def upscale(image: PseudoImage, factor: int) -> PseudoImage:
 __all__ = [
     "CapacityExceeded", "CodecError", "DARK_THRESHOLD", "DecodeFailure",
     "FragmentConflict", "IndirectionPayload", "InvalidPayload", "MEDIA_IMAGE",
-    "MEDIA_TEXT", "NotAQrSymbol", "NotIndirection", "PNGError", "PseudoImage",
-    "QrConfig", "TEXT_SUFFIX", "TargetTooSmall", "decode_matrix", "decode_qr",
-    "decode_text_indirection", "encode_qr", "encode_symbol",
-    "encode_text_indirection", "pad_with_border", "read_png",
-    "serialize_payload", "upscale", "validate_locator", "write_png",
+    "MEDIA_TEXT", "NotAQrSymbol", "NotIndirection", "PNGError", "PNGTooLarge",
+    "PseudoImage", "QrConfig", "TEXT_SUFFIX", "TargetTooSmall",
+    "decode_matrix", "decode_qr", "decode_text_indirection", "encode_qr",
+    "encode_symbol", "encode_text_indirection", "pad_with_border",
+    "read_png", "serialize_payload", "upscale", "validate_locator",
+    "write_png",
 ]

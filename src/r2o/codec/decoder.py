@@ -3,10 +3,14 @@
 Geometry recovery leans on the render model: the symbol is the tight bounding
 box of all dark pixels, module pitch is uniform, and the three finder
 patterns anchor plausibility scoring. Error correction repairs bounded
-corruption; format information is recovered by nearest-codeword search.
+corruption; format information is recovered by nearest-codeword search,
+looked up in a table over all 15-bit words.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -25,6 +29,27 @@ FINDER_MIN_SCORE = 45
 
 _ALL_FORMATS = [(tables.format_info(lvl, m), lvl, m)
                 for lvl in tables.EC_LEVELS for m in range(8)]
+_FAR = 0xFF  # a word more than 3 bits from every format word
+
+
+def _format_table() -> np.ndarray:
+    """15-bit word -> distance << 5 | index in _ALL_FORMATS of the format
+    word within 3 bits of it, else _FAR.
+
+    BCH(15,5) has distance 7, so the radius-3 balls around the 32 format
+    words are disjoint and each word within 3 bits has one nearest entry.
+    """
+    errors = [(d, sum(1 << b for b in bits)) for d in range(4)
+              for bits in itertools.combinations(range(15), d)]
+    dist, pattern = np.array(errors, dtype=np.intp).T
+    words = np.array([w for w, _, _ in _ALL_FORMATS], dtype=np.intp)
+    table = np.full(1 << 15, _FAR, dtype=np.uint8)
+    index = np.arange(len(words))[:, None]
+    table[words[:, None] ^ pattern] = dist << 5 | index
+    return table
+
+
+_FORMAT_TABLE = _format_table()
 
 
 def _candidate_grids(pixels: np.ndarray):
@@ -59,34 +84,55 @@ def _candidate_grids(pixels: np.ndarray):
     return found
 
 
+def _nearest_format(word_a: int, word_b: int) -> tuple[str, int]:
+    """(ec_level, mask_id) of the format word nearest either copy.
+
+    The smaller distance wins, and on a tie the earlier entry of
+    _ALL_FORMATS, which is the order of the table's packed values.
+    """
+    best = min(int(_FORMAT_TABLE[word_a]), int(_FORMAT_TABLE[word_b]))
+    if best == _FAR:
+        raise DecodeFailure("format information unreadable")
+    _, lvl, mask_id = _ALL_FORMATS[best & 0x1F]
+    return lvl, mask_id
+
+
 def _read_format(grid: np.ndarray) -> tuple[str, int]:
     """Recover (ec_level, mask_id) by nearest codeword over both copies."""
-    word_a, word_b = matrix.read_format_words(grid)
-    best = None
-    for word, lvl, mask_id in _ALL_FORMATS:
-        d = min(bin(word ^ word_a).count("1"), bin(word ^ word_b).count("1"))
-        if best is None or d < best[0]:
-            best = (d, lvl, mask_id)
-    if best[0] > 3:
-        raise DecodeFailure("format information unreadable")
-    return best[1], best[2]
+    return _nearest_format(*matrix.read_format_words(grid))
 
 
-def _deinterleave(codewords: list[int], version: int,
-                  ec_level: str) -> tuple[list[list[int]], list[list[int]], int]:
+@functools.cache
+def _block_layout(version: int,
+                  ec_level: str) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """(order, data codewords per block, EC codewords per block).
+
+    order holds the interleaved stream positions of block 0's data and EC
+    codewords, then block 1's, and so on.
+    """
     ec_per_block, groups = tables.BLOCKS[(version, ec_level)]
-    ks = [k for count, k in groups for _ in range(count)]
-    data_blocks: list[list[int]] = [[] for _ in ks]
-    ec_blocks: list[list[int]] = [[] for _ in ks]
-    it = iter(codewords)
+    ks = tuple(k for count, k in groups for _ in range(count))
+    blocks: list[list[int]] = [[] for _ in ks]
+    pos = itertools.count()
     for j in range(max(ks)):
         for i, k in enumerate(ks):
             if j < k:
-                data_blocks[i].append(next(it))
+                blocks[i].append(next(pos))
     for _ in range(ec_per_block):
-        for i in range(len(ks)):
-            ec_blocks[i].append(next(it))
-    return data_blocks, ec_blocks, ec_per_block
+        for block in blocks:
+            block.append(next(pos))
+    order = np.array([p for block in blocks for p in block], dtype=np.intp)
+    return order, ks, ec_per_block
+
+
+def _deinterleave(codewords: list[int], version: int,
+                  ec_level: str) -> tuple[list[bytes], tuple[int, ...], int]:
+    """(blocks, data codewords per block, EC codewords per block); each
+    block is its data codewords followed by its EC codewords."""
+    order, ks, nsym = _block_layout(version, ec_level)
+    stream = np.asarray(codewords, dtype=np.uint8)[order].tobytes()
+    ends = itertools.accumulate(k + nsym for k in ks)
+    return [stream[end - k - nsym:end] for k, end in zip(ks, ends)], ks, nsym
 
 
 def _parse_byte_mode(data: bytes, version: int) -> bytes:
@@ -118,14 +164,14 @@ def decode_matrix(grid: np.ndarray) -> bytes:
     version = (n - 17) // 4
     ec_level, mask_id = _read_format(grid)
     codewords = matrix.read_codewords(grid, version, mask_id)
-    data_blocks, ec_blocks, nsym = _deinterleave(codewords, version, ec_level)
+    blocks, ks, nsym = _deinterleave(codewords, version, ec_level)
     data = bytearray()
-    for db, eb in zip(data_blocks, ec_blocks):
+    for block, k in zip(blocks, ks):
         try:
-            fixed = gf256.rs_correct(bytes(db + eb), nsym)
+            fixed = gf256.rs_correct(block, nsym)
         except gf256.CorrectionError as exc:
             raise DecodeFailure(f"error correction failed: {exc}") from None
-        data.extend(fixed[:len(db)])
+        data.extend(fixed[:k])
     return _parse_byte_mode(bytes(data), version)
 
 

@@ -99,12 +99,15 @@ def enlarge(pixels: np.ndarray, factor: int) -> np.ndarray:
 
 def render(modules: np.ndarray, config: QrConfig,
            quiet_zone: int = 4) -> PseudoImage:
-    """Rasterize a module matrix to grayscale pixels per the config."""
+    """Rasterize a module matrix to black and white pixels per the config.
+
+    The image keeps its bool raster as `light`, so it is written as a
+    1-bit PNG.
+    """
     n = modules.shape[0]
     edge = n + 2 * quiet_zone
-    shade = np.full((edge, edge), 255, dtype=np.uint8)  # dark modules: 0
-    shade[quiet_zone:quiet_zone + n, quiet_zone:quiet_zone + n] = np.where(
-        modules, 0, 255)
+    light = np.ones((edge, edge), dtype=bool)  # dark modules: False
+    light[quiet_zone:quiet_zone + n, quiet_zone:quiet_zone + n] = modules == 0
 
     if config.target_size is not None:
         scale = config.target_size // edge
@@ -117,14 +120,16 @@ def render(modules: np.ndarray, config: QrConfig,
         scale = config.module_scale
         canvas_edge = edge * scale
 
-    pix = enlarge(shade, scale)
-    if canvas_edge == pix.shape[0]:
-        return PseudoImage(pixels=pix, quiet_zone=quiet_zone)
-    canvas = np.full((canvas_edge, canvas_edge), 255, dtype=np.uint8)
-    off = (canvas_edge - pix.shape[0]) // 2
-    canvas[off:off + pix.shape[0], off:off + pix.shape[1]] = pix
-    return PseudoImage(pixels=canvas, quiet_zone=quiet_zone,
-                       inner_bounds=(off, off, pix.shape[0], pix.shape[1]))
+    big = enlarge(light, scale)
+    bounds = None
+    if canvas_edge != big.shape[0]:
+        canvas = np.ones((canvas_edge, canvas_edge), dtype=bool)
+        off = (canvas_edge - big.shape[0]) // 2
+        canvas[off:off + big.shape[0], off:off + big.shape[1]] = big
+        bounds = (off, off, big.shape[0], big.shape[1])
+        big = canvas
+    return PseudoImage(pixels=big * np.uint8(255), quiet_zone=quiet_zone,
+                       inner_bounds=bounds, light=big)
 
 
 def encode_qr(payload: IndirectionPayload,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,11 +67,16 @@ class PseudoImage:
 
     inner_bounds tracks where the original symbol sits after border padding,
     as (top, left, height, width) in pixels; None means the full image.
+    light is the same raster as bools, True where white, when it is known
+    to be pure black and white (the encoder's render sets it); to_png then
+    writes a 1-bit PNG. Code that edits pixels in place must drop it.
     """
 
     pixels: np.ndarray
     quiet_zone: int = 4
     inner_bounds: tuple[int, int, int, int] | None = None
+    light: np.ndarray | None = field(default=None, repr=False,
+                                     compare=False)
 
     @property
     def width(self) -> int:
@@ -82,11 +87,15 @@ class PseudoImage:
         return int(self.pixels.shape[0])
 
     def to_png(self) -> bytes:
-        return png.write_png(self.pixels)
+        return png.write_png(self.pixels if self.light is None
+                             else self.light)
 
     @classmethod
-    def from_png(cls, data: bytes, quiet_zone: int = 4) -> "PseudoImage":
-        return cls(pixels=png.read_png(data), quiet_zone=quiet_zone)
+    def from_png(cls, data: bytes, quiet_zone: int = 4,
+                 max_edge: int = png.MAX_EDGE) -> "PseudoImage":
+        """Read a PNG; a width or height above max_edge raises
+        png.PNGTooLarge before anything is inflated."""
+        return cls(pixels=png.read_png(data, max_edge), quiet_zone=quiet_zone)
 
 
 @dataclass(frozen=True)

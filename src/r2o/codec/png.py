@@ -1,22 +1,35 @@
-"""Minimal grayscale PNG writer/reader (8-bit, single channel).
+"""Minimal grayscale PNG writer/reader (single channel, bit depth 1 or 8).
 
-Writes filter-0 scanlines at zlib level 3. On a 512 px symbol with a
-50-byte locator (2 vCPU Xeon, Python 3.11, zlib 1.2.13) level 3 writes
-5.5 KB in 0.7-0.8 ms, against 1.6 KB in 5-7 ms at level 9, and the file
-reads back about 0.05 ms slower (0.31 against 0.26 ms median). Levels 1
-and 2 save at most 0.1 ms but write 7.8-8.2 KB that read slower still, as
-does a run-length-only deflate (7.9 KB). An Up filter would shrink the
-file but move the cost to the reader, which unfilters Up row by row.
+The writer picks the bit depth from the array: a bool array is written at
+depth 1, eight pixels to a byte with white as 1, and a uint8 array at
+depth 8. QR stand-ins are pure black and white, so `encoder.render` hands
+the writer its bool raster and every stand-in is a 1-bit file; any other
+raster (a padded or upscaled symbol, a file read back) is written at
+depth 8. On a 512 px symbol with a 66-byte locator (2 vCPU Xeon, Python
+3.11, numpy 2.4, zlib 1.2.13) depth 1 writes 1.2 KB, against 6.1 KB at
+depth 8; `to_png` falls from about 0.9 to 0.15 ms and `from_png` from 0.28
+to 0.1 ms, because the reader inflates 33 KB of scanlines instead of 262 KB.
 
-The reader understands filter types 0-4 so externally produced grayscale
-files load too. Filter types 0 and 1 unfilter as whole-array numpy
-operations and type 2 as one numpy add per row; Average and Paeth (3, 4)
-depend on the pixel to their left, so they keep a per-pixel loop, and only
-external files use them.
+Scanlines are written with filter 0 at zlib level 3. At depth 8 that
+wrote 5.5 KB in 0.7-0.8 ms, against 1.6 KB in 5-7 ms at level 9, and
+read back about 0.05 ms slower; levels 1 and 2 saved at most 0.1 ms but
+wrote 7.8-8.2 KB. At depth 1 level 3 is also the knee: 1.2 KB in 0.05 ms,
+where level 6 writes 0.8 KB in 0.2 ms and level 9 the same in 2 ms.
 
-The reader treats its input as untrusted: dimensions above MAX_EDGE are
-rejected before anything is inflated, and the IDAT stream is inflated no
-further than the declared dimensions need.
+The reader accepts depths 1 and 8, because stand-ins published before the
+1-bit writer, and externally produced grayscale files, are 8-bit. It
+understands filter types 0-4 on bytes, with one byte per pixel step at
+both depths, as the PNG spec rounds a sub-byte pixel up to one byte.
+Filter types 0 and 1 unfilter as whole-array numpy operations and type 2
+as one numpy add per row; Average and Paeth (3, 4) depend on the byte to
+their left, so they keep a per-byte loop, and only external files use
+them. A depth-1 image is expanded to 0/255 pixels with `np.unpackbits`,
+and the padding bits at the end of each row are ignored.
+
+The reader treats its input as untrusted: dimensions above its edge limit
+(MAX_EDGE, or a smaller one the caller passes) are rejected before
+anything is inflated, and the IDAT stream is inflated no further than the
+declared dimensions need.
 """
 
 from __future__ import annotations
@@ -42,19 +55,28 @@ class PNGError(ValueError):
     pass
 
 
+class PNGTooLarge(PNGError):
+    """The declared width or height is above the reader's edge limit."""
+
+
 def _chunk(tag: bytes, payload: bytes) -> bytes:
     return (struct.pack(">I", len(payload)) + tag + payload
             + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
 
 
 def write_png(pixels: np.ndarray) -> bytes:
-    """Encode a HxW uint8 array as an 8-bit grayscale PNG."""
+    """Encode a HxW array as a grayscale PNG: a bool array at bit depth 1
+    (True is white), a uint8 array at bit depth 8."""
     if pixels.ndim != 2:
         raise PNGError("expected a 2-D grayscale array")
     h, w = pixels.shape
-    raw = np.zeros((h, w + 1), dtype=np.uint8)  # column 0: filter type 0
-    raw[:, 1:] = pixels
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
+    if pixels.dtype == np.bool_:
+        depth, rows = 1, np.packbits(pixels, axis=1)
+    else:
+        depth, rows = 8, pixels
+    raw = np.zeros((h, rows.shape[1] + 1), dtype=np.uint8)  # filter 0
+    raw[:, 1:] = rows
+    ihdr = struct.pack(">IIBBBBB", w, h, depth, 0, 0, 0, 0)
     return (_SIGNATURE
             + _chunk(b"IHDR", ihdr)
             + _chunk(b"IDAT", zlib.compress(raw.tobytes(), _LEVEL))
@@ -62,7 +84,7 @@ def write_png(pixels: np.ndarray) -> bytes:
 
 
 def _unfilter_row(kind: int, line: bytearray, prev: bytes) -> None:
-    """Average (3) and Paeth (4), in place, one scanline."""
+    """Average (3) and Paeth (4), in place, one scanline of bytes."""
     n = len(line)
     if kind == 3:
         line[0] = (line[0] + prev[0] // 2) & 0xFF
@@ -85,7 +107,7 @@ def _unfilter_row(kind: int, line: bytearray, prev: bytes) -> None:
 
 
 def _unfilter(kinds: np.ndarray, out: np.ndarray) -> None:
-    """Reconstruct pixels in place from filtered scanlines."""
+    """Reconstruct scanline bytes in place from filtered ones."""
     if not kinds.any():
         return  # filter 0 rows are already final
     if int(kinds.max()) > 4:
@@ -105,16 +127,17 @@ def _unfilter(kinds: np.ndarray, out: np.ndarray) -> None:
             out[r] = np.frombuffer(line, dtype=np.uint8)
 
 
-def _inflate(idat: bytes, width: int,
+def _inflate(idat: bytes, row_bytes: int,
              height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inflate scanlines in bounded steps, straight into the pixel array.
+    """Inflate scanlines in bounded steps, straight into one byte array.
 
-    Returns (filter types, pixels); no more than the declared size is ever
-    inflated, and a stream that is short, long or unterminated is refused.
+    Returns (filter types, scanline bytes); no more than the declared size
+    is ever inflated, and a stream that is short, long or unterminated is
+    refused.
     """
-    stride = width + 1
+    stride = row_bytes + 1
     kinds = np.empty(height, dtype=np.uint8)
-    out = np.empty((height, width), dtype=np.uint8)
+    out = np.empty((height, row_bytes), dtype=np.uint8)
     step = max(1, _INFLATE_STEP // stride)  # rows per step
     inflater = zlib.decompressobj()
     try:
@@ -146,13 +169,21 @@ def read_ihdr(data: bytes) -> tuple[int, int, int, int, int, int, int]:
     return struct.unpack(">IIBBBBB", data[len(_IHDR_HEAD):_IHDR_END])
 
 
-def read_png(data: bytes) -> np.ndarray:
-    """Decode an 8-bit grayscale PNG back to a HxW uint8 array."""
+def read_png(data: bytes, max_edge: int = MAX_EDGE) -> np.ndarray:
+    """Decode a 1-bit or 8-bit grayscale PNG to a HxW uint8 array; 1-bit
+    pixels read as 0 and 255.
+
+    A width or height above max_edge (never above MAX_EDGE) raises
+    PNGTooLarge before anything is inflated.
+    """
     width, height, depth, color, comp, filt, interlace = read_ihdr(data)
-    if not (0 < width <= MAX_EDGE and 0 < height <= MAX_EDGE):
-        raise PNGError(f"dimensions {width}x{height} outside 1..{MAX_EDGE}")
-    if depth != 8 or color != 0:
-        raise PNGError("only 8-bit grayscale is supported")
+    limit = min(max_edge, MAX_EDGE)
+    if width == 0 or height == 0:
+        raise PNGError(f"dimensions {width}x{height} are empty")
+    if width > limit or height > limit:
+        raise PNGTooLarge(f"dimensions {width}x{height} exceed {limit}")
+    if depth not in (1, 8) or color != 0:
+        raise PNGError("only 1-bit and 8-bit grayscale are supported")
     if comp != 0 or filt != 0 or interlace != 0:
         raise PNGError("unsupported IHDR settings")
     pos = _IHDR_END + 4  # past the IHDR's CRC
@@ -170,6 +201,11 @@ def read_png(data: bytes) -> np.ndarray:
         pos += 12 + length
     if not idat:
         raise PNGError("missing IDAT")
-    kinds, out = _inflate(b"".join(idat), width, height)
+    row_bytes = width if depth == 8 else (width + 7) // 8
+    kinds, out = _inflate(b"".join(idat), row_bytes, height)
     _unfilter(kinds, out)
-    return out
+    if depth == 8:
+        return out
+    pixels = np.unpackbits(out, axis=1, count=width)
+    pixels *= 255
+    return pixels

@@ -235,7 +235,8 @@ def _io_executor() -> ThreadPoolExecutor:
 
 
 def _resolve_one(e: ElementDescriptor, cache: MappingsCache, fetcher,
-                 decode_gate: threading.Semaphore) -> Resolution:
+                 decode_gate: threading.Semaphore,
+                 max_edge: int) -> Resolution:
     cached = cache.lookup(e.source_url)
     if cached is not None:
         try:
@@ -251,7 +252,11 @@ def _resolve_one(e: ElementDescriptor, cache: MappingsCache, fetcher,
         return Resolution(e, OUTCOME_FAILED, reason=str(exc))
     with decode_gate:
         try:
-            image = codec.PseudoImage.from_png(pseudo_item.data)
+            image = codec.PseudoImage.from_png(pseudo_item.data,
+                                               max_edge=max_edge)
+        except codec.PNGTooLarge:
+            return Resolution(e, OUTCOME_NOT_INDIRECTION,
+                              reason=f"pseudo-image edge above {max_edge}")
         except codec.PNGError:
             return Resolution(e, OUTCOME_NOT_INDIRECTION,
                               reason="not a PNG pseudo-object")
@@ -281,7 +286,10 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
 
     `parallelism` bounds concurrent PNG reads and decodes (the CPU stage);
     network fetches for distinct elements overlap freely up to an internal
-    fan-out cap, so k independent elements cost about one round trip.
+    fan-out cap, so k independent elements cost about one round trip. A
+    stand-in whose PNG header declares an edge above `filter_cfg.max_edge`
+    is refused before its pixels are inflated, whatever the page's
+    width and height attributes said.
     """
     filter_cfg = filter_cfg or FilterConfig()
     elements = list(elements)
@@ -298,7 +306,7 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
         gate = threading.Semaphore(max(1, parallelism))
         pool = _io_executor()
         futures = {i: pool.submit(_resolve_one, elements[i], cache, fetcher,
-                                  gate)
+                                  gate, filter_cfg.max_edge)
                    for i in candidates}
         wait(futures.values())  # no element outlives the call, even on error
         for i, fut in futures.items():

@@ -53,13 +53,14 @@ def _unfilter_reference(raw: bytes, width: int, height: int) -> np.ndarray:
     return out
 
 
-def _png_from_raw(raw: bytes, width: int, height: int) -> bytes:
+def _png_from_raw(raw: bytes, width: int, height: int,
+                  depth: int = 8) -> bytes:
     def chunk(tag, payload):
         return (len(payload).to_bytes(4, "big") + tag + payload
                 + zlib.crc32(tag + payload).to_bytes(4, "big"))
 
     ihdr = (width.to_bytes(4, "big") + height.to_bytes(4, "big")
-            + bytes((8, 0, 0, 0, 0)))
+            + bytes((depth, 0, 0, 0, 0)))
     return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
             + chunk(b"IDAT", zlib.compress(raw)) + chunk(b"IEND", b""))
 
@@ -75,6 +76,79 @@ def test_mixed_filter_rows_match_row_loop(seed, height, width):
     raw = rows.tobytes()
     assert np.array_equal(read_png(_png_from_raw(raw, width, height)),
                           _unfilter_reference(raw, width, height))
+
+
+def _filter_reference(rows: np.ndarray, kind: int) -> bytes:
+    """Filter byte rows with one type, one byte at a time (bpp = 1)."""
+    raw = bytearray()
+    prev = [0] * rows.shape[1]
+    for row in rows.tolist():
+        out = []
+        for i, x in enumerate(row):
+            a = row[i - 1] if i else 0
+            b = prev[i]
+            c = prev[i - 1] if i else 0
+            if kind == 0:
+                pred = 0
+            elif kind == 1:
+                pred = a
+            elif kind == 2:
+                pred = b
+            elif kind == 3:
+                pred = (a + b) // 2
+            else:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+            out.append((x - pred) & 0xFF)
+        raw.append(kind)
+        raw.extend(out)
+        prev = row
+    return bytes(raw)
+
+
+def _bits_reference(raw: bytes, width: int, height: int) -> np.ndarray:
+    """A 1-bit reader, one bit at a time: unfilter the byte rows, then
+    pixel x is bit 7 - x % 8 of byte x // 8, white when set."""
+    rows = _unfilter_reference(raw, (width + 7) // 8, height)
+    out = np.empty((height, width), dtype=np.uint8)
+    for r in range(height):
+        for x in range(width):
+            bit = (int(rows[r, x >> 3]) >> (7 - (x & 7))) & 1
+            out[r, x] = 255 if bit else 0
+    return out
+
+
+@pytest.mark.parametrize("width", [*range(1, 18), 63, 65, 512])
+@pytest.mark.parametrize("kind", [0, 1, 2, 3, 4])
+def test_one_bit_rows_match_bit_reader(width, kind):
+    gen = np.random.default_rng(width * 10 + kind)
+    height = 9
+    light = gen.random((height, width)) < 0.5
+    want = np.where(light, 255, 0).astype(np.uint8)
+    pad = -width % 8
+    for pad_bits in (0, (1 << pad) - 1):  # padding all 0, then all 1
+        rows = np.packbits(light, axis=1)
+        rows[:, -1] |= pad_bits
+        raw = _filter_reference(rows, kind)
+        got = read_png(_png_from_raw(raw, width, height, depth=1))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, _bits_reference(raw, width, height))
+
+
+@pytest.mark.parametrize("seed,height,width", [(5, 3, 13), (6, 40, 300),
+                                               (7, 900, 600)])
+def test_one_bit_mixed_filter_rows_match_bit_reader(seed, height, width):
+    # arbitrary filtered bytes, so padding bits come out arbitrary too;
+    # 900 rows of 76 bytes take more than one inflate step
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(0, 256, (height, (width + 7) // 8 + 1),
+                        dtype=np.uint8)
+    rows[:, 0] = gen.integers(0, 5, height)
+    raw = rows.tobytes()
+    assert np.array_equal(
+        read_png(_png_from_raw(raw, width, height, depth=1)),
+        _bits_reference(raw, width, height))
 
 
 # -- codeword placement ------------------------------------------------------
@@ -340,6 +414,86 @@ def test_byte_mode_parse_matches_bit_reader(version):
                 decoder._parse_byte_mode(data, version)
             continue
         assert decoder._parse_byte_mode(data, version) == want
+
+
+# -- format information and deinterleaving -------------------------------
+
+def _nearest_format_reference(word_a, word_b):
+    best = None
+    for word, lvl, mask_id in decoder._ALL_FORMATS:
+        d = min(bin(word ^ word_a).count("1"), bin(word ^ word_b).count("1"))
+        if best is None or d < best[0]:
+            best = (d, lvl, mask_id)
+    if best[0] > 3:
+        raise codec.DecodeFailure("format information unreadable")
+    return best[1], best[2]
+
+
+def _same_outcome(word_a, word_b):
+    try:
+        want = _nearest_format_reference(word_a, word_b)
+    except codec.DecodeFailure:
+        with pytest.raises(codec.DecodeFailure):
+            decoder._nearest_format(word_a, word_b)
+        return
+    assert decoder._nearest_format(word_a, word_b) == want
+
+
+def test_format_table_matches_nearest_of_32_for_every_word():
+    r = random.Random(15)
+    words = [w for w, _, _ in decoder._ALL_FORMATS]
+    for word_a in range(1 << 15):
+        # an arbitrary second copy, and one near a format word
+        near = r.choice(words) ^ 1 << r.randrange(15) ^ 1 << r.randrange(15)
+        _same_outcome(word_a, r.randrange(1 << 15))
+        _same_outcome(word_a, near)
+
+
+def test_format_table_breaks_ties_like_the_loop():
+    r = random.Random(16)
+    words = [w for w, _, _ in decoder._ALL_FORMATS]
+    for _ in range(2000):
+        i, j = r.sample(range(len(words)), 2)
+        d = r.randrange(4)
+        flips_a = r.sample(range(15), d)
+        flips_b = r.sample(range(15), d)
+        word_a = words[i] ^ sum(1 << b for b in flips_a)
+        word_b = words[j] ^ sum(1 << b for b in flips_b)
+        # both copies at distance d from different formats: the earlier
+        # entry of _ALL_FORMATS wins, whichever copy holds it
+        _same_outcome(word_a, word_b)
+        _same_outcome(word_b, word_a)
+        assert decoder._nearest_format(word_a, word_b) == \
+            decoder._ALL_FORMATS[min(i, j)][1:]
+
+
+def _deinterleave_reference(codewords, version, ec_level):
+    ec_per_block, groups = tables.BLOCKS[(version, ec_level)]
+    ks = [k for count, k in groups for _ in range(count)]
+    data_blocks = [[] for _ in ks]
+    ec_blocks = [[] for _ in ks]
+    it = iter(codewords)
+    for j in range(max(ks)):
+        for i, k in enumerate(ks):
+            if j < k:
+                data_blocks[i].append(next(it))
+    for _ in range(ec_per_block):
+        for i in range(len(ks)):
+            ec_blocks[i].append(next(it))
+    return data_blocks, ec_blocks, ec_per_block
+
+
+@pytest.mark.parametrize("key", sorted(tables.BLOCKS))
+def test_deinterleave_matches_loop(key):
+    version, ec_level = key
+    r = random.Random(str(key))
+    codewords = [r.randrange(256)
+                 for _ in range(tables.TOTAL_CODEWORDS[version])]
+    data_blocks, ec_blocks, nsym = _deinterleave_reference(codewords, *key)
+    blocks, ks, got_nsym = decoder._deinterleave(codewords, *key)
+    assert got_nsym == nsym
+    assert [list(b[:k]) for b, k in zip(blocks, ks)] == data_blocks
+    assert [list(b[k:]) for b, k in zip(blocks, ks)] == ec_blocks
 
 
 # -- golden encoder output ---------------------------------------------------

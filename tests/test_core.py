@@ -1,7 +1,9 @@
 """Write path, read path, and page resolution wiring."""
 
+import struct
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -208,6 +210,60 @@ def test_read_path_non_png_pseudo_is_not_indirection():
     assert res.reason == "not a PNG pseudo-object"
 
 
+def _paeth_png(edge):
+    """An edge x edge 8-bit PNG whose every row uses the Paeth filter."""
+    z = zlib.compressobj(9)
+    row = b"\x04" + bytes(edge)
+    idat = b"".join(z.compress(row) for _ in range(edge)) + z.flush()
+
+    def chunk(tag, payload):
+        return (struct.pack(">I", len(payload)) + tag + payload
+                + struct.pack(">I", zlib.crc32(tag + payload)))
+
+    ihdr = struct.pack(">IIBBBBB", edge, edge, 8, 0, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
+
+
+def test_read_path_refuses_stand_in_above_edge_limit():
+    bomb = ContentItem(data=_paeth_png(4096), media_type="image/png")
+
+    class BombFetcher:
+        def fetch(self, url):
+            return bomb
+
+    # the page claims 512 x 512, which passes the filter; the PNG header
+    # says 4096 x 4096, above FilterConfig().max_edge
+    elem = ElementDescriptor(source_url="http://fp.example/fp/photos/x.png",
+                             width=512, height=512, media_subtype="png",
+                             caption="r2o:1 bomb")
+    t0 = time.perf_counter()
+    (res,) = read_path([elem], None, MappingsCache(), BombFetcher())
+    assert time.perf_counter() - t0 < 0.5
+    assert res.outcome == OUTCOME_NOT_INDIRECTION
+    assert res.reason == "pseudo-image edge above 1024"
+    (res,) = read_path([elem], FilterConfig(max_edge=600), MappingsCache(),
+                       BombFetcher())
+    assert res.reason == "pseudo-image edge above 600"
+
+
+def test_read_path_resolves_eight_bit_stand_in():
+    # stand-ins written before the 1-bit writer are 8-bit grayscale
+    w = World()
+    locator = w.store.upload(png_item(5))
+    image = codec.encode_qr(codec.IndirectionPayload(locator=locator))
+    old = ContentItem(data=write_png(image.pixels), media_type="image/png")
+    assert old.data[24] == 8  # the IHDR's bit depth
+    _, static_url = w.service.upload_photo(w.album, old, "r2o:1 old")
+    elem = ElementDescriptor(source_url=w.client.base_url + static_url,
+                             width=512, height=512, media_subtype="png",
+                             caption="r2o:1 old")
+    (res,) = read_path([elem], None, MappingsCache(), w.fetcher)
+    assert res.outcome == OUTCOME_REPLACED
+    assert res.via == VIA_DECODED
+    assert res.content.data == png_item(5).data
+
+
 def test_read_path_parallelism_bounds_png_reads(monkeypatch):
     w = World()
     elements = [w.element(w.publish(seed=i)) for i in range(4)]
@@ -216,14 +272,14 @@ def test_read_path_parallelism_bounds_png_reads(monkeypatch):
     active = [0]
     peak = [0]
 
-    def gated_from_png(cls, data):
+    def gated_from_png(cls, data, **kwargs):
         with lock:
             active[0] += 1
             peak[0] = max(peak[0], active[0])
         time.sleep(0.02)  # hold the stage so overlapping calls would show
         with lock:
             active[0] -= 1
-        return inner(data)
+        return inner(data, **kwargs)
 
     monkeypatch.setattr(codec.PseudoImage, "from_png",
                         classmethod(gated_from_png))

@@ -1,4 +1,5 @@
-"""Grayscale PNG carrier: writer output, reader filters, error paths."""
+"""Grayscale PNG carrier: writer output at bit depths 1 and 8, reader
+filters, error paths and bounds."""
 
 import struct
 import time
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from r2o.codec.png import MAX_EDGE, PNGError, read_png, write_png
+from r2o import codec
+from r2o.codec.png import (MAX_EDGE, PNGError, PNGTooLarge, read_png,
+                          write_png)
 
 try:
     from PIL import Image
@@ -43,7 +46,7 @@ def test_reader_rejects_junk():
 
 
 def test_reader_rejects_unsupported_color_type():
-    # hand-build an RGB IHDR; the reader only speaks 8-bit grayscale
+    # hand-build an RGB IHDR; the reader only speaks grayscale
     ihdr = struct.pack(">IIBBBBB", 4, 4, 8, 2, 0, 0, 0)
     chunk = struct.pack(">I", len(ihdr)) + b"IHDR" + ihdr
     chunk += struct.pack(">I", zlib.crc32(b"IHDR" + ihdr))
@@ -51,21 +54,60 @@ def test_reader_rejects_unsupported_color_type():
         read_png(b"\x89PNG\r\n\x1a\n" + chunk)
 
 
+@pytest.mark.parametrize("depth", [2, 4, 16])
+def test_reader_rejects_other_bit_depths(depth):
+    row_bytes = 4 * depth // 8
+    blob = _png(4, 4, zlib.compress(bytes((row_bytes + 1) * 4)), depth)
+    with pytest.raises(PNGError, match="1-bit and 8-bit"):
+        read_png(blob)
+
+
+def _depth(blob):
+    return blob[24]  # the IHDR's bit depth byte
+
+
+def test_bool_arrays_are_written_at_depth_one(rng):
+    for shape in ((1, 1), (7, 3), (3, 9), (64, 64), (120, 37)):
+        gen = np.random.default_rng(rng.randrange(2 ** 31))
+        light = gen.random(shape) < 0.5
+        blob = write_png(light)
+        assert _depth(blob) == 1
+        assert np.array_equal(read_png(blob),
+                              np.where(light, 255, 0).astype(np.uint8))
+    assert _depth(write_png(np.zeros((4, 4), dtype=np.uint8))) == 8
+
+
+def test_stand_ins_are_one_bit_and_small():
+    locator = "https://i.imgur.example/v1/objects/" + "a" * 31
+    image = codec.encode_qr(codec.IndirectionPayload(locator=locator))
+    blob = image.to_png()
+    assert _depth(blob) == 1
+    assert len(blob) <= 2048
+    assert np.array_equal(read_png(blob), image.pixels)
+    # rasters that are not the encoder's own stay 8-bit
+    for other in (codec.pad_with_border(image, 600, 600),
+                  codec.upscale(image, 2),
+                  codec.PseudoImage.from_png(blob)):
+        assert _depth(other.to_png()) == 8
+        assert np.array_equal(read_png(other.to_png()), other.pixels)
+
+
 def _chunk(tag, payload):
     return (struct.pack(">I", len(payload)) + tag + payload
             + struct.pack(">I", zlib.crc32(tag + payload)))
 
 
-def _png(width, height, idat):
-    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+def _png(width, height, idat, depth=8):
+    ihdr = struct.pack(">IIBBBBB", width, height, depth, 0, 0, 0, 0)
     return (b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr)
             + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
 
 
-def _png_with_filter(pix, filter_type):
+def _png_with_filter(pix, filter_type, width=None, depth=8):
     """Encode rows with fixed filter types; exercises the unfilterer.
 
     filter_type is one type for every row, or a sequence with one per row.
+    At depth 1, pix holds the packed rows and width the pixels per row.
     """
     h, w = pix.shape
     kinds = [filter_type] * h if isinstance(filter_type, int) else filter_type
@@ -94,7 +136,7 @@ def _png_with_filter(pix, filter_type):
         raw.append(kind)
         raw.extend((out % 256).astype(np.uint8).tobytes())
         prev = row
-    return _png(w, h, zlib.compress(bytes(raw)))
+    return _png(width or w, h, zlib.compress(bytes(raw)), depth)
 
 
 @pytest.mark.parametrize("filter_type", [0, 1, 2, 3, 4])
@@ -120,11 +162,34 @@ def _zeros_stream(n_bytes):
 
 
 def test_reader_rejects_bomb_dimensions_before_inflating():
-    bomb = _png(20000, 20000, _zeros_stream(16 << 20))
+    for depth in (1, 8):
+        bomb = _png(20000, 20000, _zeros_stream(16 << 20), depth)
+        t0 = time.perf_counter()
+        with pytest.raises(PNGError, match="dimensions"):
+            read_png(bomb)
+        assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("depth", [1, 8])
+@pytest.mark.parametrize("width,height", [(1025, 8), (8, 1025),
+                                          (4096, 4096)])
+def test_edge_limit_is_checked_before_inflating(depth, width, height):
+    blob = _png(width, height, _zeros_stream(16 << 20), depth)
+    tracemalloc.start()
     t0 = time.perf_counter()
-    with pytest.raises(PNGError, match="dimensions"):
-        read_png(bomb)
+    try:
+        with pytest.raises(PNGTooLarge, match="exceed 1024"):
+            read_png(blob, max_edge=1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - t0 < 0.5
+    assert peak < 1 << 16
+    with pytest.raises(PNGTooLarge):  # a caller cannot lift MAX_EDGE
+        read_png(_png(MAX_EDGE + 1, 8, b"", depth), max_edge=10 ** 6)
+    if max(width, height) <= MAX_EDGE:  # the limit is the caller's
+        with pytest.raises(PNGError, match="does not match"):
+            read_png(_png(width, height, zlib.compress(b"\0"), depth))
 
 
 @pytest.mark.parametrize("width,height", [(0, 8), (8, 0),
@@ -135,30 +200,33 @@ def test_reader_rejects_out_of_range_dimensions(width, height):
 
 
 def test_reader_stops_inflating_an_oversized_stream():
-    blob = _png(64, 64, _zeros_stream(16 << 20))
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    try:
-        with pytest.raises(PNGError, match="does not match"):
-            read_png(blob)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert time.perf_counter() - t0 < 0.5
-    assert peak < 1 << 20  # inflated no further than 65 x 64 bytes + 1
+    for depth in (1, 8):
+        blob = _png(64, 64, _zeros_stream(16 << 20), depth)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(PNGError, match="does not match"):
+                read_png(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 0.5
+        assert peak < 1 << 20  # inflated no further than 65 x 64 bytes + 1
 
 
 def test_reader_rejects_short_stream():
-    with pytest.raises(PNGError, match="does not match"):
-        read_png(_png(8, 8, zlib.compress(bytes(9 * 7))))
+    for depth, stride in ((1, 2), (8, 9)):  # 8 pixels: 1 or 8 bytes + 1
+        with pytest.raises(PNGError, match="does not match"):
+            read_png(_png(8, 8, zlib.compress(bytes(stride * 7)), depth))
 
 
 def test_reader_rejects_unterminated_stream():
-    z = zlib.compressobj()
-    body = z.compress(bytes(9 * 8)) + z.flush(zlib.Z_SYNC_FLUSH)  # no end
-    assert len(zlib.decompressobj().decompress(body)) == 9 * 8
-    with pytest.raises(PNGError, match="does not match"):
-        read_png(_png(8, 8, body))
+    for depth, stride in ((1, 2), (8, 9)):
+        z = zlib.compressobj()
+        body = z.compress(bytes(stride * 8)) + z.flush(zlib.Z_SYNC_FLUSH)
+        assert len(zlib.decompressobj().decompress(body)) == stride * 8
+        with pytest.raises(PNGError, match="does not match"):
+            read_png(_png(8, 8, body, depth))  # no end of stream
 
 
 _images = st.tuples(st.integers(1, 12), st.integers(1, 12),
@@ -199,6 +267,65 @@ def test_property_bad_filter_bytes_fail_typed(h, w, body, data):
     raw[row * stride] = data.draw(st.integers(5, 255))
     with pytest.raises(PNGError, match="filter type"):
         read_png(_png(w, h, zlib.compress(bytes(raw))))
+
+
+_bilevel = st.tuples(st.integers(1, 12), st.integers(1, 20),
+                     st.integers(0, 2 ** 32 - 1))
+
+
+def _bilevel_png(shape, data):
+    """A random 1-bit image with drawn filter types and padding bits."""
+    h, w, seed = shape
+    light = np.random.default_rng(seed).random((h, w)) < 0.5
+    rows = np.packbits(light, axis=1)
+    rows[:, -1] |= data.draw(st.integers(0, (1 << (-w % 8)) - 1))
+    kinds = data.draw(st.lists(st.integers(0, 4), min_size=h, max_size=h))
+    blob = _png_with_filter(rows, kinds, width=w, depth=1)
+    return blob, rows, np.where(light, 255, 0).astype(np.uint8)
+
+
+@given(_bilevel, st.data())
+def test_property_one_bit_mixed_filters_decode(shape, data):
+    blob, _, want = _bilevel_png(shape, data)
+    assert np.array_equal(read_png(blob), want)
+
+
+@given(_bilevel, st.data())
+def test_property_one_bit_truncated_streams_fail_typed(shape, data):
+    blob, _, want = _bilevel_png(shape, data)
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    try:
+        out = read_png(blob[:cut])
+    except PNGError:
+        return
+    assert np.array_equal(out, want)  # the cut fell inside IEND
+
+
+@given(_bilevel, st.integers(1, 300), st.booleans())
+def test_property_one_bit_long_or_unterminated_streams_fail_typed(
+        shape, extra, sync):
+    h, w, _ = shape
+    raw = bytes(((w + 7) // 8 + 1) * h + extra)
+    if sync:  # the declared rows, then no end of stream
+        z = zlib.compressobj()
+        body = z.compress(raw[:len(raw) - extra]) + z.flush(zlib.Z_SYNC_FLUSH)
+    else:
+        body = zlib.compress(raw)
+    with pytest.raises(PNGError, match="does not match"):
+        read_png(_png(w, h, body, depth=1))
+
+
+@given(_bilevel, st.binary(min_size=1), st.data())
+def test_property_one_bit_bad_filter_bytes_fail_typed(shape, body, data):
+    h, w, _ = shape
+    stride = (w + 7) // 8 + 1
+    raw = bytearray((body * (stride * h))[:stride * h])
+    for r in range(h):
+        raw[r * stride] %= 5
+    row = data.draw(st.integers(0, h - 1))
+    raw[row * stride] = data.draw(st.integers(5, 255))
+    with pytest.raises(PNGError, match="filter type"):
+        read_png(_png(w, h, zlib.compress(bytes(raw)), depth=1))
 
 
 @given(st.binary(max_size=200))

@@ -1,6 +1,9 @@
 """Scan extraction exactness and splice-only rewriting."""
 
+import time
+
 import pytest
+from hypothesis import given, strategies as st
 
 from r2o.rewriter import SpanMismatch, rewrite_html, scan_html
 
@@ -168,3 +171,197 @@ def test_rewrite_growth_and_shrink_keep_structure():
     shorter = rewrite_html(doc, [(el.src_span, "/t")])
     assert longer.startswith(b"<p>a</p>") and longer.endswith(b"<p>b</p>")
     assert shorter == b'<p>a</p><img src="/t"><p>b</p>'
+
+
+# -- tokenizer fidelity ------------------------------------------------------
+
+REAL = b"/fp/photos/0a1b2c3d4e5f6071.png"
+
+
+def _srcs(doc):
+    return [el.descriptor.source_url for el in scan_html(doc)]
+
+
+@pytest.mark.parametrize("doc", [
+    b'<img alt="a>b" src="/fp/photos/0a1b2c3d4e5f6071.png">',
+    b"<img alt='>' title=\"'>\" src=/fp/photos/0a1b2c3d4e5f6071.png>",
+    b'<img alt = "x"src="/fp/photos/0a1b2c3d4e5f6071.png">',
+    b'<img/src="/fp/photos/0a1b2c3d4e5f6071.png"/>',
+])
+def test_scan_keeps_quoted_gt_inside_the_tag(doc):
+    (el,) = scan_html(doc)
+    assert el.descriptor.source_url == REAL.decode()
+    start, end = el.src_span
+    assert doc[start:end] == REAL
+    assert rewrite_html(doc, [(el.src_span, "/x.png")]) == \
+        doc.replace(REAL, b"/x.png")
+
+
+@pytest.mark.parametrize("hidden", [
+    b'<!-- <img src="/fp/photos/dead.png"> -->',
+    b'<!--x--!><!-- -- <img src="/fp/photos/dead.png"> -->',
+    b'<script>var s = "<img src=/fp/photos/dead.png>";</script>',
+    b"<SCRIPT type=x>'</scriptx><img src=/fp/photos/dead.png>'</Script >",
+    b'<script><!--<script></script><img src=/fp/photos/dead.png>'
+    b'--></script>',
+    b'<style>a::after { content: "<img src=/fp/photos/dead.png>" }</style>',
+    b'<textarea><img src="/fp/photos/dead.png"></TEXTAREA>',
+    b'<title><img src="/fp/photos/dead.png"></title>',
+    b'<xmp><img src=/fp/photos/dead.png></xmp>',
+    b'<noembed><img src=/fp/photos/dead.png></noembed>',
+    b'<a title="<img src=/fp/photos/dead.png>">x</a>',
+    b"<div data-x='<img src=\"/fp/photos/dead.png\">'></div>",
+    b'<img alt="<img src=/fp/photos/dead.png>" src=/fp/photos/x.png>',
+    b'<? <img src=/fp/photos/dead.png>',
+    b'<!x <img src=/fp/photos/dead.png>',
+    b'</ <img src=/fp/photos/dead.png>',
+])
+def test_scan_skips_tags_browsers_do_not_make(hidden):
+    doc = hidden + b'<p>text</p><img src="' + REAL + b'">'
+    assert [s for s in _srcs(doc) if "dead" in s] == []
+    assert _srcs(doc)[-1] == REAL.decode()
+
+
+@pytest.mark.parametrize("doc", [
+    b'<img src="/fp/photos/a.png"',  # no ">" before the end
+    b'<img alt="x> src=/fp/photos/a.png>',  # the quote never closes
+    b'<a title="<img src=/fp/photos/a.png>',
+    b'<!-- <img src=/fp/photos/a.png>',
+    b'<script><img src=/fp/photos/a.png></scrip>',
+    b'<plaintext></plaintext><img src=/fp/photos/a.png>',
+    b'<imgx src=/fp/photos/a.png>',
+    b'<img a= src=/fp/photos/a.png>',  # src= is a's bare value
+    b'<img ="a>" src="/fp/photos/a.png">',  # the name is ="a
+])
+def test_scan_finds_no_element(doc):
+    assert scan_html(doc).elements == ()
+
+
+def test_scan_script_escapes_end_where_browsers_do():
+    # "<!-->" opens and closes at once, so the end tag ends the script
+    doc = b"<script><!--></script><img src=/fp/photos/a.png>"
+    assert _srcs(doc) == ["/fp/photos/a.png"]
+    # an escaped end tag still ends the script
+    doc = b"<script><!-- x </script><img src=/fp/photos/a.png>"
+    assert _srcs(doc) == ["/fp/photos/a.png"]
+    # a double-escaped one does not, until "-->" leaves the escape
+    doc = (b"<script><!--<script>x</script>--></script>"
+           b"<img src=/fp/photos/a.png>")
+    assert _srcs(doc) == ["/fp/photos/a.png"]
+
+
+@pytest.mark.parametrize("doc", [
+    b"<img " * 50000,
+    b"<p a='x>y' b=\">\">" * 20000,
+    b'<a b="' + b"x" * 500000,
+    b"<!--" * 100000,
+    b"<script><!--<script>" * 20000,
+    b"< " * 200000,
+])
+def test_scan_is_linear_on_hostile_pages(doc):
+    t0 = time.perf_counter()
+    scan_html(doc)
+    assert time.perf_counter() - t0 < 0.5
+
+
+# -- fuzzing -----------------------------------------------------------------
+
+_TEXT = st.sampled_from([
+    b"a", b" ", b"\n", b"&amp;", b"1 < 2", b">", b"'", b'"', b"=", b"-->",
+    b"--", b"</p>", b"<p>", b'<p class="a>b">', b"<br/>", b"<!DOCTYPE html>",
+    b"</>", b"<figure>", b"</script>", b"</textarea>"])
+# inside a quoted value: anything but that quote
+_VALUE_BITS = st.sampled_from([
+    b"x", b" ", b">", b"<", b"=", b"/", b"-->", b"<!--", b"<script>",
+    b"src=", b'<img src="/fp/photos/dead.png">',
+    b"<img src=/fp/photos/dead.png>", b"'", b'"'])
+_NAMES = st.sampled_from([b"alt", b"title", b"data-src", b"srcset",
+                          b"width", b"class", b"a\"b", b"x'", b"SRCX"])
+_SPACE = st.sampled_from([b" ", b"\n", b"\t", b"  ", b"/", b" / "])
+
+
+@st.composite
+def _attribute(draw):
+    name = draw(_NAMES)
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return name
+    eq = draw(st.sampled_from([b"=", b" = ", b"=\n"]))
+    if kind == 3:
+        bare = draw(st.sampled_from([b"x", b"1", b"a=b", b"p\"q", b"<i"]))
+        return name + eq + bare
+    quote = b'"' if kind == 1 else b"'"
+    value = b"".join(v for v in draw(st.lists(_VALUE_BITS, max_size=4))
+                     if quote not in v)
+    return name + eq + quote + value + quote
+
+
+@st.composite
+def _real_img(draw):
+    """(tag, offset of the src value in it) for an img with one src."""
+    attrs = draw(st.lists(_attribute(), max_size=3))
+    at = draw(st.integers(0, len(attrs)))
+    quote = draw(st.sampled_from([b'"', b"'", b""]))
+    tag = b"<" + draw(st.sampled_from([b"img", b"IMG", b"iMg"]))
+    offset = None
+    for i in range(len(attrs) + 1):
+        tag += draw(_SPACE)
+        if i == at:
+            tag += draw(st.sampled_from([b"src", b"SRC"])) + b"=" + quote
+            offset = len(tag)
+            tag += REAL + quote
+            if not quote:
+                tag += b" "  # a bare value ends at whitespace
+        if i < len(attrs):
+            tag += attrs[i]
+            if not attrs[i].endswith((b'"', b"'")):
+                tag += b" "  # a bare value would take a "/" that follows
+    return tag + draw(st.sampled_from([b">", b"/>", b" >"])), offset
+
+
+_DECOY = b'<img src="/fp/photos/dead.png">'
+_HIDING = st.sampled_from([
+    b"<!--" + _DECOY + b"-->", b"<!---->" + b"<!--" + _DECOY + b"--!>",
+    b"<script>" + _DECOY + b"</script>",
+    b"<script><!--" + _DECOY + b"--></script>",
+    b"<script><!--<script>" + _DECOY + b"</script>" + _DECOY
+    + b"--></script>",
+    b"<style>" + _DECOY + b"</style >", b"<textarea>" + _DECOY
+    + b"</TEXTAREA>", b"<title>" + _DECOY + b"</title>",
+    b'<a title="' + _DECOY + b'">', b"<b x='" + _DECOY + b"'>",
+    b"<?" + _DECOY, b"<!x" + _DECOY])
+
+
+@given(st.lists(st.one_of(_TEXT, _HIDING, _real_img()), max_size=12))
+def test_property_scan_finds_exactly_the_real_imgs(pieces):
+    doc = b""
+    want = []
+    for piece in pieces:
+        if isinstance(piece, tuple):
+            tag, offset = piece
+            want.append((len(doc) + offset, len(doc) + offset + len(REAL)))
+            piece = tag
+        doc += piece
+    result = scan_html(doc)
+    assert [el.src_span for el in result] == want
+    assert all(el.descriptor.source_url == REAL.decode() for el in result)
+
+
+@given(st.lists(st.one_of(_TEXT, _HIDING, _real_img().map(lambda t: t[0]),
+                          st.binary(max_size=8),
+                          st.sampled_from([b"<img", b"<img src=", b'"',
+                                           b"'", b"<!--", b"<script>"])),
+                max_size=16))
+def test_property_spans_are_exact_on_any_page(pieces):
+    doc = b"".join(pieces)
+    result = scan_html(doc)
+    spans = [el.src_span for el in result]
+    assert spans == sorted(spans)
+    for el in result:
+        start, end = el.src_span
+        assert 0 <= start < end <= len(doc)
+        assert doc[start:end].decode("utf-8", errors="replace") == \
+            el.descriptor.source_url
+    # replacing every src keeps every tag, so a rescan finds the same
+    out = rewrite_html(doc, [(s, "/r.png") for s in spans])
+    assert len(scan_html(out)) == len(result)
