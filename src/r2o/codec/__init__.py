@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decoder import decode_matrix, decode_qr
-from .encoder import encode_qr, encode_symbol, enlarge, serialize_payload
+from .encoder import encode_qr, encode_symbol, serialize_payload
 from .errors import (CapacityExceeded, CodecError, DecodeFailure,
                      FragmentConflict, InvalidPayload, NotAQrSymbol,
                      TargetTooSmall)
@@ -68,7 +68,7 @@ def upscale(image: PseudoImage, factor: int) -> PseudoImage:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return image
-    pix = enlarge(image.pixels, factor)
+    pix = image.pixels.repeat(factor, axis=0).repeat(factor, axis=1)
     bounds = None
     if image.inner_bounds is not None:
         t, l, h, w = image.inner_bounds

@@ -92,22 +92,17 @@ def encode_symbol(data: bytes, ec_level: str = "M",
     return candidates[mask_id].copy(), version, mask_id
 
 
-def enlarge(pixels: np.ndarray, factor: int) -> np.ndarray:
-    """Nearest-neighbour scale: each pixel becomes a factor x factor block."""
-    return pixels.repeat(factor, axis=0).repeat(factor, axis=1)
-
-
 def render(modules: np.ndarray, config: QrConfig,
            quiet_zone: int = 4) -> PseudoImage:
     """Rasterize a module matrix to black and white pixels per the config.
 
     The image keeps its bool raster as `light`, so it is written as a
-    1-bit PNG.
+    1-bit PNG. Each distinct canvas row is drawn once, enlarged across and
+    padded, and the canvas rows are gathered from those: copying whole rows
+    is cheaper than enlarging or placing the full raster.
     """
     n = modules.shape[0]
     edge = n + 2 * quiet_zone
-    light = np.ones((edge, edge), dtype=bool)  # dark modules: False
-    light[quiet_zone:quiet_zone + n, quiet_zone:quiet_zone + n] = modules == 0
 
     if config.target_size is not None:
         scale = config.target_size // edge
@@ -119,17 +114,21 @@ def render(modules: np.ndarray, config: QrConfig,
     else:
         scale = config.module_scale
         canvas_edge = edge * scale
+    size = edge * scale
+    off = (canvas_edge - size) // 2
 
-    big = enlarge(light, scale)
-    bounds = None
-    if canvas_edge != big.shape[0]:
-        canvas = np.ones((canvas_edge, canvas_edge), dtype=bool)
-        off = (canvas_edge - big.shape[0]) // 2
-        canvas[off:off + big.shape[0], off:off + big.shape[1]] = big
-        bounds = (off, off, big.shape[0], big.shape[1])
-        big = canvas
-    return PseudoImage(pixels=big * np.uint8(255), quiet_zone=quiet_zone,
-                       inner_bounds=bounds, light=big)
+    # each module row drawn across the canvas, then an all-white row for
+    # the padding; dark modules are False
+    rows = np.ones((edge + 1, canvas_edge), dtype=bool)
+    left = off + quiet_zone * scale
+    rows[quiet_zone:quiet_zone + n, left:left + n * scale] = (
+        modules == 0).repeat(scale, axis=1)
+    row_of = np.full(canvas_edge, edge, dtype=np.intp)
+    row_of[off:off + size] = np.arange(size) // scale
+    bounds = None if size == canvas_edge else (off, off, size, size)
+    return PseudoImage(pixels=(rows * np.uint8(255))[row_of],
+                       quiet_zone=quiet_zone, inner_bounds=bounds,
+                       light=rows[row_of])
 
 
 def encode_qr(payload: IndirectionPayload,
