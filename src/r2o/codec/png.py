@@ -6,15 +6,17 @@ depth 8. QR stand-ins are pure black and white, so `encoder.render` hands
 the writer its bool raster and every stand-in is a 1-bit file; any other
 raster (a padded or upscaled symbol, a file read back) is written at
 depth 8. On a 512 px symbol with a 66-byte locator (2 vCPU Xeon, Python
-3.11, numpy 2.4, zlib 1.2.13) depth 1 writes 1.2 KB, against 6.1 KB at
-depth 8; `to_png` falls from about 0.9 to 0.15 ms and `from_png` from 0.28
-to 0.1 ms, because the reader inflates 33 KB of scanlines instead of 262 KB.
+3.11, numpy 2.4, zlib 1.2.13, single-threaded) depth 1 writes 1280 bytes
+against 6063 at depth 8; `to_png` falls from about 1.1 to 0.12 ms and
+`from_png` from 0.33 to 0.11 ms, as the reader inflates 33 KB of
+scanlines instead of 262 KB.
 
 Scanlines are written with filter 0 at zlib level 3. At depth 8 that
 wrote 5.5 KB in 0.7-0.8 ms, against 1.6 KB in 5-7 ms at level 9, and
 read back about 0.05 ms slower; levels 1 and 2 saved at most 0.1 ms but
-wrote 7.8-8.2 KB. At depth 1 level 3 is also the knee: 1.2 KB in 0.05 ms,
-where level 6 writes 0.8 KB in 0.2 ms and level 9 the same in 2 ms.
+wrote 7.8-8.2 KB. At depth 1 level 3 is also the knee: its deflate stream
+is 1.2 KB in 0.05 ms, where level 6 gives 0.8 KB in 0.2 ms and level 9
+the same in 2 ms.
 
 The reader accepts depths 1 and 8, because stand-ins published before the
 1-bit writer, and externally produced grayscale files, are 8-bit. It
