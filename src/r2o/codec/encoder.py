@@ -5,18 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import gf256, matrix, tables
-from .errors import CapacityExceeded, InvalidPayload, TargetTooSmall
-from .models import MEDIA_IMAGE, IndirectionPayload, PseudoImage, QrConfig
+from .errors import CapacityExceeded, TargetTooSmall
+from .models import IndirectionPayload, PseudoImage, QrConfig
 
 PAD_BYTES = (0xEC, 0x11)
+QUIET_ZONE = 4  # light modules around the symbol on every side
 
 
 def serialize_payload(payload: IndirectionPayload) -> bytes:
     """A pseudo-image carries exactly the locator, nothing else."""
-    payload.validate()
-    if payload.media_class != MEDIA_IMAGE:
-        raise InvalidPayload("QR schemata carry image-class payloads only")
-    return payload.locator.encode("ascii")
+    return payload.validate().locator.encode("ascii")
 
 
 def choose_version(n_bytes: int, ec_level: str, min_version: int = 1) -> int:
@@ -92,8 +90,7 @@ def encode_symbol(data: bytes, ec_level: str = "M",
     return candidates[mask_id].copy(), version, mask_id
 
 
-def render(modules: np.ndarray, config: QrConfig,
-           quiet_zone: int = 4) -> PseudoImage:
+def render(modules: np.ndarray, config: QrConfig) -> PseudoImage:
     """Rasterize a module matrix to black and white pixels per the config.
 
     The image keeps its bool raster as `light`, so it is written as a
@@ -102,7 +99,7 @@ def render(modules: np.ndarray, config: QrConfig,
     is cheaper than enlarging or placing the full raster.
     """
     n = modules.shape[0]
-    edge = n + 2 * quiet_zone
+    edge = n + 2 * QUIET_ZONE
 
     if config.target_size is not None:
         scale = config.target_size // edge
@@ -120,14 +117,12 @@ def render(modules: np.ndarray, config: QrConfig,
     # each module row drawn across the canvas, then an all-white row for
     # the padding; dark modules are False
     rows = np.ones((edge + 1, canvas_edge), dtype=bool)
-    left = off + quiet_zone * scale
-    rows[quiet_zone:quiet_zone + n, left:left + n * scale] = (
+    left = off + QUIET_ZONE * scale
+    rows[QUIET_ZONE:QUIET_ZONE + n, left:left + n * scale] = (
         modules == 0).repeat(scale, axis=1)
     row_of = np.full(canvas_edge, edge, dtype=np.intp)
     row_of[off:off + size] = np.arange(size) // scale
-    bounds = None if size == canvas_edge else (off, off, size, size)
     return PseudoImage(pixels=(rows * np.uint8(255))[row_of],
-                       quiet_zone=quiet_zone, inner_bounds=bounds,
                        light=rows[row_of])
 
 

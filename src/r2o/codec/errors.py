@@ -21,9 +21,5 @@ class DecodeFailure(CodecError):
     """A symbol was found but could not be decoded to a payload."""
 
 
-class FragmentConflict(CodecError, ValueError):
-    """Locator already carries a fragment identifier."""
-
-
 class TargetTooSmall(CodecError, ValueError):
     """Requested canvas is smaller than the content to place on it."""

@@ -8,6 +8,8 @@ alpha^0 .. alpha^(nsym-1).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -66,9 +68,7 @@ def _generator_poly(nsym: int) -> list[int]:
     return g
 
 
-_PARITY_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _unit_parity_logs(k: int, nsym: int) -> np.ndarray:
     """LOG of the parity of each unit data word, as a (k, nsym) table.
 
@@ -96,31 +96,23 @@ def rs_encode(data: bytes, nsym: int) -> list[int]:
     its unit word's parity, one table gather and one reduction.
     """
     d = np.frombuffer(bytes(data), dtype=np.uint8)
-    logs = _PARITY_CACHE.get((d.size, nsym))
-    if logs is None:
-        logs = _PARITY_CACHE[(d.size, nsym)] = _unit_parity_logs(d.size,
-                                                                 nsym)
-    terms = _EXP_NP[logs + _LOG_NP[d][:, None]]
+    terms = _EXP_NP[_unit_parity_logs(d.size, nsym) + _LOG_NP[d][:, None]]
     return np.bitwise_xor.reduce(terms, axis=0).tolist()
 
 
-_SYND_CACHE: dict[tuple[int, int], np.ndarray] = {}
+@functools.cache
+def _syndrome_powers(n: int, nsym: int) -> np.ndarray:
+    """The (nsym, n) exponents i * (n-1-j) mod 255, built once per shape."""
+    return (np.arange(nsym)[:, None] * np.arange(n - 1, -1, -1)[None, :]) % 255
 
 
 def _syndromes(codeword: list[int], nsym: int) -> list[int]:
     """S_i = codeword(alpha^i) for i < nsym, as one table lookup.
 
-    Coefficient j (of n, most significant first) meets alpha^(i * (n-1-j));
-    the (nsym, n) matrix of those exponents is built once per shape.
+    Coefficient j (of n, most significant first) meets alpha^(i * (n-1-j)).
     """
     c = np.frombuffer(bytes(codeword), dtype=np.uint8)
-    n = c.size
-    powers = _SYND_CACHE.get((n, nsym))
-    if powers is None:
-        powers = (np.arange(nsym)[:, None]
-                  * np.arange(n - 1, -1, -1)[None, :]) % 255
-        _SYND_CACHE[(n, nsym)] = powers
-    terms = _EXP_NP[powers + _LOG_NP[c]]
+    terms = _EXP_NP[_syndrome_powers(c.size, nsym) + _LOG_NP[c]]
     return np.bitwise_xor.reduce(terms, axis=1).tolist()
 
 

@@ -154,27 +154,18 @@ def placement_order(version: int) -> list[tuple[int, int]]:
     return order
 
 
-_ORDER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _order_arrays(version: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column index arrays of placement_order, built once."""
-    order = _ORDER_CACHE.get(version)
-    if order is None:
-        rr, cc = np.array(placement_order(version), dtype=np.intp).T
-        order = _ORDER_CACHE[version] = (rr, cc)
-    return order
+    rr, cc = np.array(placement_order(version), dtype=np.intp).T
+    return rr, cc
 
 
+@functools.cache
 def _mask_bits(version: int, mask_id: int) -> np.ndarray:
     """The mask's bit at every placement slot, in placement order."""
-    bits = _MASK_CACHE.get((version, mask_id))
-    if bits is None:
-        rr, cc = _order_arrays(version)
-        bits = MASK_FUNCS[mask_id](rr, cc).astype(np.uint8)
-        _MASK_CACHE[(version, mask_id)] = bits
-    return bits
+    rr, cc = _order_arrays(version)
+    return MASK_FUNCS[mask_id](rr, cc).astype(np.uint8)
 
 
 def place_codewords(m: np.ndarray, version: int, codewords: list[int],

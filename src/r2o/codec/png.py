@@ -3,11 +3,11 @@
 The writer picks the bit depth from the array: a bool array is written at
 depth 1, eight pixels to a byte with white as 1, and a uint8 array at
 depth 8. QR stand-ins are pure black and white, so `encoder.render` hands
-the writer its bool raster and every stand-in is a 1-bit file; any other
-raster (a padded or upscaled symbol, a file read back) is written at
-depth 8. On a 512 px symbol with a 66-byte locator (2 vCPU Xeon, Python
-3.11, numpy 2.4, zlib 1.2.13, single-threaded) depth 1 writes 1280 bytes
-against 6063 at depth 8; `to_png` falls from about 1.1 to 0.12 ms and
+the writer its bool raster and every stand-in is a 1-bit file; a uint8
+raster, such as a file read back, is written at depth 8. On a 512 px
+symbol with a 66-byte locator (2 vCPU Xeon, Python 3.11, numpy 2.4,
+zlib 1.2.13, single-threaded) depth 1 writes 1280 bytes against 6063 at
+depth 8; `to_png` falls from about 1.1 to 0.12 ms and
 `from_png` from 0.33 to 0.11 ms, as the reader inflates 33 KB of
 scanlines instead of 262 KB.
 

@@ -210,8 +210,7 @@ def write_path(image: ContentItem, caption: str | None, album_id: str,
         raise
     if cache is not None:
         cache.record_created(MappingEntry(
-            pseudo_locator=pseudo_locator, offsite_locator=offsite_locator,
-            media_class=codec.MEDIA_IMAGE))
+            pseudo_locator=pseudo_locator, offsite_locator=offsite_locator))
     return WriteReceipt(offsite_locator=offsite_locator,
                         pseudo_locator=pseudo_locator,
                         photo_id=photo_id, album_id=album_id)
@@ -269,7 +268,7 @@ def _resolve_one(e: ElementDescriptor, cache: MappingsCache, fetcher,
             return Resolution(e, OUTCOME_FAILED, reason=str(exc))
     cache.record_resolved(MappingEntry(
         pseudo_locator=e.source_url, offsite_locator=payload.locator,
-        media_class=payload.media_class, hit_count=1))
+        hit_count=1))
     try:
         content = fetcher.fetch(payload.locator)
     except FetchError as exc:

@@ -192,11 +192,6 @@ class FirstPartyService:
             photo.comments.append(comment)
         return comment
 
-    def generate_preview_comment(self, photo_id: str,
-                                 offsite_locator: str) -> Comment:
-        return self.add_comment(photo_id, "r2o",
-                                f"original: {offsite_locator}")
-
     # -- rendering ---------------------------------------------------------
 
     def _render_comment(self, c: Comment) -> str:

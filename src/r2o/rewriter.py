@@ -64,9 +64,13 @@ _SCRIPT_MARK = re.compile(rb"<!--(-*>)?|-->|<(/?)script(?=[%s/>])" % _WS,
 _ATTR = re.compile(rb'(%s)(?:[%s]*=[%s]*(?:"([^"]*)"|\'([^\']*)\''
                    rb'|([^%s>"\'][^%s>]*)|(?=>)))?'
                    % (_NAME, _WS, _WS, _WS, _WS))
-_FIGCAPTION = re.compile(
-    rb"\A\s*<figcaption\b[^>]*>(.*?)</figcaption>",
-    re.IGNORECASE | re.DOTALL)
+# a figcaption start tag, read with the scanner's tag grammar (group 1:
+# its closing ">"), and the caption text after it. The start tag ends in
+# ">" or at the end of the text, so it matches without backtracking into
+# _TAG_REST, whose attribute names can split in exponentially many ways.
+_FIGCAPTION = re.compile(rb"\s*<figcaption(?=[%s/>])%s(?:(>)|\Z)"
+                         % (_WS, _TAG_REST), re.IGNORECASE)
+_CAPTION_TEXT = re.compile(rb"(.*?)</figcaption>", re.IGNORECASE | re.DOTALL)
 
 
 class SpanMismatch(ValueError):
@@ -123,7 +127,11 @@ def _subtype_of(src: str) -> str:
 
 
 def _caption_after(document: bytes, tag_end: int) -> str | None:
-    m = _FIGCAPTION.match(document[tag_end:tag_end + 4096])
+    end = tag_end + 4096
+    start = _FIGCAPTION.match(document, tag_end, end)
+    if not start or not start.group(1):
+        return None
+    m = _CAPTION_TEXT.match(document, start.end(), end)
     if not m:
         return None
     text = m.group(1).decode("utf-8", errors="replace")

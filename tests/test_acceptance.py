@@ -38,6 +38,7 @@ from r2o.store import LATENCY_PRESETS, ContentItem, MemoryStore, preset_store
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from cache_reference import ReferenceCache  # noqa: E402
 from recording_fetcher import RecordingFetcher  # noqa: E402
+from resize import pad_with_border, upscale  # noqa: E402
 
 URL_CHARS = ("abcdefghijklmnopqrstuvwxyz"
              "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~/")
@@ -80,12 +81,12 @@ def test_criterion_01_codec_round_trip(verdict):
             if codec.decode_qr(image).locator != url:
                 failures.append(f"direct decode mismatch for {url!r}")
                 continue
-            padded = codec.pad_with_border(
+            padded = pad_with_border(
                 image, image.width + rng.randrange(1, 81),
                 image.height + rng.randrange(1, 81))
             if codec.decode_qr(padded).locator != url:
                 failures.append(f"padded decode mismatch for {url!r}")
-            scaled = codec.upscale(image, 2 + i % 3)
+            scaled = upscale(image, 2 + i % 3)
             if codec.decode_qr(scaled).locator != url:
                 failures.append(f"upscaled decode mismatch for {url!r}")
         elapsed = time.perf_counter() - started

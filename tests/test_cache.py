@@ -175,6 +175,17 @@ def test_import_round_trip():
         assert sink.lookup(P(i)) == O(i)
 
 
+def test_wire_format_keeps_image_and_text_lines():
+    # the codec makes image stand-ins only, but r2o-map/1 still carries
+    # both media classes: a shared blob comes back out byte for byte
+    blob = (f"{MAP_HEADER}\n{P(1)}\t{O(1)}\timage\n"
+            f"{P(2)}\t{O(2)}\ttext\n").encode()
+    cache = MappingsCache()
+    assert cache.import_mappings(blob) == 2
+    assert cache.skipped_on_last_import == 0
+    assert cache.export_mappings() == blob
+
+
 def test_imported_entries_start_unproven():
     # imports land in the recent segment with zero hits: shared mappings
     # must not displace locally created ones on frequency grounds

@@ -14,6 +14,8 @@ import pytest
 import qr_oracle
 from r2o import codec
 from r2o.codec import tables
+from r2o.codec.encoder import QUIET_ZONE
+from resize import pad_with_border, upscale
 
 try:
     import cv2
@@ -48,7 +50,7 @@ def test_oracle_accepts_encoder_output():
 
 def test_oracle_accepts_upscaled_output():
     url = "http://a.example/up.png"
-    image = codec.upscale(_encode(url), 3)
+    image = upscale(_encode(url), 3)
     assert qr_oracle.oracle_decode_pixels(image.pixels) == url.encode()
 
 
@@ -57,7 +59,7 @@ def test_oracle_rejects_tampered_format_info():
     pix = image.pixels.copy()
     # both format copies live inside the symbol; breaking four modules of
     # one copy must fail the oracle's agreement check
-    qz = image.quiet_zone
+    qz = QUIET_ZONE
     for c in (0, 1, 2, 3):
         pix[qz + 8, qz + c] ^= 255
     with pytest.raises(qr_oracle.OracleReject):
@@ -67,7 +69,7 @@ def test_oracle_rejects_tampered_format_info():
 def test_oracle_rejects_broken_timing():
     image = _encode("http://a.example/t2.png")
     pix = image.pixels.copy()
-    qz = image.quiet_zone
+    qz = QUIET_ZONE
     pix[qz + 6, qz + 8] ^= 255  # timing row module
     with pytest.raises(qr_oracle.OracleReject):
         qr_oracle.oracle_decode_pixels(pix)
@@ -94,7 +96,7 @@ def test_opencv_reads_encoder_output():
             if len(url) > tables.byte_capacity(tables.MAX_VERSION, level):
                 continue
             # the vision pipeline needs several pixels per module
-            image = codec.upscale(_encode(url, level), 8)
+            image = upscale(_encode(url, level), 8)
             text, _, _ = detector.detectAndDecode(image.pixels)
             assert text == url, (url, level)
 
@@ -109,7 +111,7 @@ def test_decoder_reads_opencv_output():
             rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(length))
         raw = enc.encode(url)  # 0 = dark, tight 2-module quiet zone
         pix = np.where(raw > 0, 255, 0).astype(np.uint8)
-        image = codec.pad_with_border(
+        image = pad_with_border(
             codec.PseudoImage(pixels=pix),
             pix.shape[1] + 8, pix.shape[0] + 8)
         assert codec.decode_qr(image).locator == url

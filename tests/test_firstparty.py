@@ -91,7 +91,7 @@ def test_comments_and_preview(svc):
     assert comment.preview_locator is None
 
     target = "http://off.example/v1/objects/aaaaaaaaaaaaaaaa"
-    svc.generate_preview_comment(photo_id, target)
+    svc.add_comment(photo_id, "r2o", f"original: {target}")
     comment = svc.get_photo(photo_id).comments[1]
     assert comment.author == "r2o"
     assert target in comment.body
@@ -102,8 +102,8 @@ def test_album_page_is_deterministic_and_escaped(svc):
     album = svc.create_album("summer <2020>")
     photo_id, static_url = svc.upload_photo(
         album, png_item(), 'r2o:1 "quoted" & <tagged>')
-    svc.generate_preview_comment(
-        photo_id, "http://off.example/v1/objects/" + "b" * 16)
+    svc.add_comment(photo_id, "r2o",
+                    "original: http://off.example/v1/objects/" + "b" * 16)
     page_one = svc.render_album_page(album)
     page_two = svc.render_album_page(album)
     assert page_one == page_two

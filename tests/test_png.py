@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from r2o import codec
 from r2o.codec.png import (MAX_EDGE, PNGError, PNGTooLarge, read_png,
                           write_png)
+from resize import pad_with_border, upscale
 
 try:
     from PIL import Image
@@ -85,8 +86,8 @@ def test_stand_ins_are_one_bit_and_small():
     assert len(blob) <= 2048
     assert np.array_equal(read_png(blob), image.pixels)
     # rasters that are not the encoder's own stay 8-bit
-    for other in (codec.pad_with_border(image, 600, 600),
-                  codec.upscale(image, 2),
+    for other in (pad_with_border(image, 600, 600),
+                  upscale(image, 2),
                   codec.PseudoImage.from_png(blob)):
         assert _depth(other.to_png()) == 8
         assert np.array_equal(read_png(other.to_png()), other.pixels)

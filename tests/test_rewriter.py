@@ -108,6 +108,15 @@ def test_scan_caption_requires_adjacency():
     assert el.descriptor.caption is None
 
 
+def test_scan_caption_start_tag_is_read_like_any_tag():
+    img = b'<img src=/fp/photos/0a1b2c3d4e5f6071.png width=512 height=512>'
+    (el,) = scan_html(img + b'<figcaption title="a>b">r2o:1 beach'
+                      b'</figcaption>')
+    assert el.descriptor.caption == "r2o:1 beach"
+    (el,) = scan_html(img + b"<figcaptionx>r2o:1 beach</figcaption>")
+    assert el.descriptor.caption is None
+
+
 # -- rewriting ---------------------------------------------------------------
 
 def test_rewrite_empty_list_is_byte_identical():
@@ -257,6 +266,9 @@ def test_scan_script_escapes_end_where_browsers_do():
     b"<!--" * 100000,
     b"<script><!--<script>" * 20000,
     b"< " * 200000,
+    # a figcaption with no end tag: its 40-byte attribute name splits
+    # into names in 2^39 ways, should the start tag ever backtrack
+    b"<img src=/a.png><figcaption " + b"a" * 40 + b">" + b"x" * 4000,
 ])
 def test_scan_is_linear_on_hostile_pages(doc):
     t0 = time.perf_counter()
