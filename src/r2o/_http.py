@@ -1,25 +1,46 @@
-"""The one HTTP layer under r2o's clients and servers.
+"""The one HTTP layer under r2o's clients and servers: HTTP/1.1 wire code.
+
+One head reader, `_read_head`, parses the start line and header fields of
+every request and response (RFC 9112 §2-5) from a buffered socket file. A
+line ends in LF (a CR before it is dropped) and holds at most `MAX_LINE`
+bytes; a head holds at most `MAX_FIELDS` fields, whose names must be
+tokens. Names are lowercased, and a repeated field's values are joined with
+", " (RFC 9110 §5.3). A `Content-Length` is all digits, and duplicates must
+agree. Anything else is a `HttpError`.
 
 Clients send every request through a `ConnectionPool`: a per-host set of
-idle keep-alive HTTP/1.1 connections over `http.client` (RFC 9112 §9), so
-a page's fetches reuse sockets instead of paying a TCP handshake each.
-Response bodies are capped before they are read.
+idle keep-alive connections (RFC 9112 §9), so a page's fetches reuse
+sockets instead of paying a TCP handshake each. A request goes out in one
+write. Interim 1xx responses are skipped and redirects are not followed. A
+response body is `chunked` (no other transfer coding is accepted), delimited
+by `Content-Length`, or runs to the connection's close, and is capped
+before it is read.
 
-Servers are a `ThreadingHTTPServer` whose handlers derive from `Handler`.
-It speaks HTTP/1.1 with Nagle's algorithm off: a keep-alive response sent
-as separate header and body writes otherwise waits out the peer's delayed
-ACK, about 40 ms per response (RFC 896, RFC 1122 §4.2.3.2). `serve` runs
-one on a background thread and returns a `Server` handle.
+Servers are a `socketserver.ThreadingTCPServer` whose handlers derive from
+`Handler`. Each connection runs a keep-alive loop and gets each response in
+one write, with Nagle's algorithm off: a kept-alive response otherwise can
+wait out the peer's delayed ACK, about 40 ms (RFC 896, RFC 1122
+§4.2.3.2). `serve` runs one on a background thread and returns a `Server`
+handle.
+
+CPU per kept-alive GET of a 1.3 KB object from `serve_store` in another
+process, kernel time included, one request at a time on a 2 vCPU Xeon
+with Python 3.11.7 (median of 5 alternating processes): 59 µs in the
+client against 166 µs through `http.client`, and 60 µs in the server
+against 130 µs through `http.server`.
 """
 
 from __future__ import annotations
 
-import http.client
+import re
 import socket
+import socketserver
+import ssl
 import sys
 import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from urllib.parse import urlsplit
 
 MAX_PAYLOAD_DEFAULT = 16 * 1024 * 1024
@@ -28,14 +49,30 @@ MAX_PAYLOAD_DEFAULT = 16 * 1024 * 1024
 MAX_IDLE_PER_HOST = 64
 # a server handler drops a connection that sends nothing for this long
 IDLE_TIMEOUT_S = 30.0
+# head limits, the same as http.client's: bytes per line, fields per head
+MAX_LINE = 65536
+MAX_FIELDS = 100
+# interim (1xx) responses a client skips before it gives up on a final one
+_MAX_INTERIM = 8
 
-# errors of a reused connection that the peer closed while it sat idle;
-# RemoteDisconnected is a ConnectionResetError
-_STALE = (ConnectionResetError, BrokenPipeError)
+_TOKEN = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+_URL_CONTROLS = re.compile(r"[\x00-\x20\x7f]")
 
 
 class HttpError(Exception):
     """The request got no complete, acceptable response."""
+
+
+class _Malformed(HttpError):
+    """A message outside the wire rules; `status` is the server's answer."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+# errors of a reused connection that the peer closed while it sat idle
+_STALE = (ConnectionResetError, BrokenPipeError)
 
 
 @dataclass(frozen=True)
@@ -45,20 +82,92 @@ class Response:
     body: bytes
 
 
+# -- message heads ------------------------------------------------------------
+
+def _line(rfile, too_long: int) -> bytes:
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise _Malformed(too_long, f"line over {MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise _Malformed(400, "message cut short")
+    return line
+
+
+def _read_fields(rfile) -> dict[str, str]:
+    """Header (or trailer) fields up to and including the blank line."""
+    fields: dict[str, str] = {}
+    for _ in range(MAX_FIELDS + 1):
+        line = _line(rfile, 431)
+        if line == b"\r\n" or line == b"\n":
+            return fields
+        name, sep, value = line.partition(b":")
+        if not sep or not _TOKEN.fullmatch(name):
+            raise _Malformed(400, f"bad field line {line[:40]!r}")
+        key = name.decode("ascii").lower()
+        value = value.strip(b" \t\r\n").decode("latin-1")
+        fields[key] = f"{fields[key]}, {value}" if key in fields else value
+    raise _Malformed(431, f"more than {MAX_FIELDS} fields")
+
+
+def _read_head(rfile) -> tuple[bytes, dict[str, str]] | None:
+    """The start line and fields of one message; None at EOF before it."""
+    if not rfile.peek(1):
+        return None
+    return _line(rfile, 414), _read_fields(rfile)
+
+
+def _content_length(fields: dict[str, str], cap: int) -> int | None:
+    """The declared body length, or None when the message declares none.
+
+    Raises _Malformed with 400 for a value that is not all digits or
+    duplicates that differ, and with 413 for a length over `cap`.
+    """
+    raw = fields.get("content-length")
+    if raw is None:
+        return None
+    values = {v.strip() for v in raw.split(",")}
+    value = values.pop()
+    if values or not (value.isascii() and value.isdigit()):
+        raise _Malformed(400, f"bad Content-Length {raw[:40]!r}")
+    if len(value) > 18 or int(value) > cap:
+        raise _Malformed(413, f"declared length {value[:40]} is over "
+                              f"the {cap}-byte cap")
+    return int(value)
+
+
+def _closes(fields: dict[str, str]) -> bool:
+    """Whether a message's Connection field holds `close`."""
+    return "close" in (token.strip() for token in
+                       fields.get("connection", "").lower().split(","))
+
+
 # -- client -----------------------------------------------------------------
+
+class _Connection:
+    """A connected socket and the buffered file its responses are read from."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
 
 class ConnectionPool:
     """Keep-alive connections per (scheme, host, port); thread-safe.
 
-    A connection is used by one request at a time and returns to the pool
-    only after its response was read to the end. A reused connection that
-    fails before any response byte is retried once on a fresh connection;
-    any other failure raises HttpError.
+    A connection is used by one request at a time. It returns to the pool
+    only when the response was HTTP/1.1 without `Connection: close` and a
+    delimited body was read to its end; requests never ask to close. A
+    reused connection that fails before any response byte is retried once
+    on a fresh connection; any other failure raises HttpError.
     """
 
     def __init__(self, timeout: float):
         self.timeout = timeout
-        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+        self._idle: dict[tuple, list[_Connection]] = {}
         self._lock = threading.Lock()
 
     def request(self, method: str, url: str, body: bytes | None = None,
@@ -70,47 +179,62 @@ class ConnectionPool:
             key = (parts.scheme, parts.hostname, parts.port)
         except ValueError as exc:
             raise HttpError(f"bad URL {url!r}: {exc}") from None
-        if parts.scheme not in ("http", "https") or not parts.hostname:
+        if (parts.scheme not in ("http", "https") or not parts.hostname
+                or _URL_CONTROLS.search(url)):
             raise HttpError(f"unsupported URL {url!r}")
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query
                                         else "")
+        lines = [f"{method} {target} HTTP/1.1",
+                 f"Host: {parts.netloc.rpartition('@')[2]}"]
+        lines += [f"{k}: {v}" for k, v in (headers or {}).items()]
+        if body is not None:
+            lines.append(f"Content-Length: {len(body)}")
+        if any("\r" in line or "\n" in line for line in lines):
+            raise ValueError("CR or LF in a request header")
+        data = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+        if body:
+            data += body
         with self._lock:
             idle = self._idle.get(key)
             conn = idle.pop() if idle else None
         reused = conn is not None
-        if conn is None:
-            conn = self._new(key)
-        headers = headers or {}
         try:
+            if conn is None:
+                conn = self._new(key)
             try:
-                conn.request(method, target, body=body, headers=headers)
-                resp = conn.getresponse()
+                _send(conn, data)
             except _STALE:
                 conn.close()
                 if not reused:
                     raise
                 conn = self._new(key)
-                conn.request(method, target, body=body, headers=headers)
-                resp = conn.getresponse()
-            data = _read_body(resp, max_body)
-        except (OSError, http.client.HTTPException, HttpError) as exc:
-            conn.close()
+                _send(conn, data)
+            resp, keep = _read_response(conn.rfile, method, max_body)
+        except (OSError, HttpError) as exc:
+            if conn is not None:
+                conn.close()
             raise HttpError(str(exc) or type(exc).__name__) from None
-        if resp.will_close or not resp.isclosed():
-            conn.close()
-        else:
+        if keep:
             self._put(key, conn)
-        return Response(resp.status,
-                        resp.getheader("Content-Type",
-                                       "application/octet-stream"), data)
+        else:
+            conn.close()
+        return resp
 
-    def _new(self, key: tuple) -> http.client.HTTPConnection:
+    def _new(self, key: tuple) -> _Connection:
         scheme, host, port = key
-        cls = (http.client.HTTPSConnection if scheme == "https"
-               else http.client.HTTPConnection)
-        return cls(host, port, timeout=self.timeout)
+        sock = socket.create_connection(
+            (host, port or (443 if scheme == "https" else 80)), self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                sock = ssl.create_default_context().wrap_socket(
+                    sock, server_hostname=host)
+        except OSError:
+            sock.close()
+            raise
+        return _Connection(sock)
 
-    def _put(self, key: tuple, conn: http.client.HTTPConnection) -> None:
+    def _put(self, key: tuple, conn: _Connection) -> None:
         with self._lock:
             idle = self._idle.setdefault(key, [])
             if len(idle) < MAX_IDLE_PER_HOST:
@@ -131,76 +255,175 @@ class ConnectionPool:
         self.close()
 
 
-def _read_body(resp: http.client.HTTPResponse, max_body: int) -> bytes:
-    """The whole body, or HttpError past max_body bytes.
+def _send(conn: _Connection, data: bytes) -> None:
+    """Write a request and wait for the first byte of its response."""
+    conn.sock.sendall(data)
+    if not conn.rfile.peek(1):
+        raise ConnectionResetError("connection closed before the response")
 
-    A declared length over the cap fails before any body byte is read; an
-    undeclared one (chunked, or delimited by close) reads at most cap + 1.
+
+def _read_response(rfile, method: str,
+                   max_body: int) -> tuple[Response, bool]:
+    """The final response, and whether its connection can be reused."""
+    for _ in range(_MAX_INTERIM + 1):
+        head = _read_head(rfile)
+        if head is None:
+            raise HttpError("connection closed after an interim response")
+        start, fields = head
+        version, _, rest = start.partition(b" ")
+        code = rest[:3]
+        status = int(code) if code.isdigit() else 0
+        if (version not in (b"HTTP/1.1", b"HTTP/1.0") or status < 100
+                or rest[3:4] not in (b" ", b"\r", b"\n")):
+            raise HttpError(f"bad status line {start[:40]!r}")
+        if status >= 200:
+            break
+    else:
+        raise HttpError(f"more than {_MAX_INTERIM} interim responses")
+    body, delimited = _read_body(rfile, method, status, fields, max_body)
+    keep = version == b"HTTP/1.1" and delimited and not _closes(fields)
+    return Response(status, fields.get("content-type",
+                                       "application/octet-stream"),
+                    body), keep
+
+
+def _read_body(rfile, method: str, status: int, fields: dict[str, str],
+               max_body: int) -> tuple[bytes, bool]:
+    """The whole body, and whether its end was delimited (not by close).
+
+    A declared length over the cap fails before any body byte is read, a
+    chunked body once its total passes the cap, and an undeclared one reads
+    at most cap + 1 bytes.
     """
-    if resp.length is not None:
-        if resp.length > max_body:
-            raise HttpError(f"response declares {resp.length} bytes, "
-                            f"over the {max_body}-byte cap")
-        return resp.read()
-    data = resp.read(max_body + 1)
-    if len(data) > max_body:
-        raise HttpError(f"response body exceeds the {max_body}-byte cap")
-    return data
+    if method == "HEAD" or status in (204, 304):
+        return b"", True
+    coding = fields.get("transfer-encoding")
+    if coding is not None:
+        if coding.lower() != "chunked":
+            raise HttpError(f"unsupported Transfer-Encoding {coding[:40]!r}")
+        # a Content-Length beside it may have framed the body differently
+        # for some other reader on the path (RFC 9112 §6.3)
+        return _read_chunked(rfile, max_body), "content-length" not in fields
+    length = _content_length(fields, max_body)
+    if length is None:
+        data = rfile.read(max_body + 1)
+        if len(data) > max_body:
+            raise HttpError(f"response body exceeds the {max_body}-byte cap")
+        return data, False
+    data = rfile.read(length)
+    if len(data) < length:
+        raise HttpError(f"body cut short at {len(data)} of {length} bytes")
+    return data, True
+
+
+def _read_chunked(rfile, max_body: int) -> bytes:
+    parts = []
+    total = 0
+    while True:
+        line = _line(rfile, 400)
+        size = line.split(b";", 1)[0].strip()
+        if not size or size.strip(b"0123456789abcdefABCDEF"):
+            raise HttpError(f"bad chunk size line {line[:40]!r}")
+        if len(size) > 16 or total + int(size, 16) > max_body:
+            raise HttpError(f"chunked body exceeds the {max_body}-byte cap")
+        n = int(size, 16)
+        if n == 0:
+            break
+        chunk = rfile.read(n)
+        if len(chunk) < n or rfile.read(2) != b"\r\n":
+            raise HttpError("chunk cut short")
+        parts.append(chunk)
+        total += n
+    _read_fields(rfile)  # trailers, ignored
+    return b"".join(parts)
 
 
 # -- server -----------------------------------------------------------------
 
-class Handler(BaseHTTPRequestHandler):
-    """Request handler base: HTTP/1.1 keep-alive, no Nagle, bounded bodies."""
+class Handler(socketserver.StreamRequestHandler):
+    """Request handler base: HTTP/1.1 keep-alive, no Nagle, bounded bodies.
 
-    protocol_version = "HTTP/1.1"
+    A subclass defines `do_<METHOD>` for each method it serves; it sees the
+    request as `path` and `headers` (a dict keyed by lowercased name).
+    """
+
+    server_version = "r2o"
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT_S
 
-    def log_message(self, fmt, *args):
-        pass
-
-    def parse_request(self) -> bool:
-        self._body_read = False
-        return super().parse_request()
+    def handle(self) -> None:
+        self._close = False
+        while not self._close:
+            self.headers: dict[str, str] = {}
+            self._body_read = False
+            try:
+                head = _read_head(self.rfile)
+                if head is None:
+                    return
+                start, self.headers = head
+                parts = start.split()
+                if (len(parts) != 3 or not _TOKEN.fullmatch(parts[0])
+                        or parts[2] not in (b"HTTP/1.1", b"HTTP/1.0")):
+                    raise _Malformed(400, "bad request line")
+            except _Malformed as exc:
+                self._close = True
+                self._reply(exc.status, f"{exc}\n".encode())
+                return
+            method, target, version = parts
+            self.path = target.decode("latin-1")
+            self._close = version != b"HTTP/1.1" or _closes(self.headers)
+            serve_method = getattr(self, "do_" + method.decode(), None)
+            if serve_method is None:
+                self._close = True
+                self._reply(501, b"unsupported method\n")
+                return
+            serve_method()
 
     def _body(self, limit: int = MAX_PAYLOAD_DEFAULT) -> bytes | None:
         """The request body; None after replying 400 or 413 instead."""
-        raw = self.headers.get("Content-Length", "").strip()
-        if not (raw.isascii() and raw.isdigit()):  # missing, bad, negative
-            self._reply(400, b"bad or missing Content-Length\n")
+        try:
+            length = _content_length(self.headers, limit)
+        except _Malformed as exc:
+            self._reply(exc.status, f"{exc}\n".encode())
             return None
-        if len(raw) > 18 or int(raw) > limit:
-            self._reply(413, b"payload too large\n")
+        if length is None:
+            self._reply(400, b"missing Content-Length\n")
             return None
         self._body_read = True
-        return self.rfile.read(int(raw))
+        body = self.rfile.read(length)
+        if len(body) < length:  # the peer went away mid-body
+            self._close = True
+            return None
+        return body
 
     def _reply(self, status: int, body: bytes = b"",
                content_type: str = "text/plain",
                extra: dict[str, str] | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for k, v in (extra or {}).items():
-            self.send_header(k, v)
         if not self._body_read and (
-                self.headers.get("Content-Length", "0") != "0"
-                or "Transfer-Encoding" in self.headers):
+                self.headers.get("content-length", "0") != "0"
+                or "transfer-encoding" in self.headers):
             # unread request bytes would be parsed as the next request
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
+            self._close = True
+        lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+                 f"Server: {self.server_version}",
+                 f"Date: {formatdate(usegmt=True)}",
+                 f"Content-Type: {content_type}",
+                 f"Content-Length: {len(body)}"]
+        lines += [f"{k}: {v}" for k, v in (extra or {}).items()]
+        if self._close:
+            lines.append("Connection: close")
+        self.wfile.write("\r\n".join(lines).encode("latin-1")
+                         + b"\r\n\r\n" + body)
 
 
-class _Httpd(ThreadingHTTPServer):
+class _Httpd(socketserver.ThreadingTCPServer):
     """Threaded server that tracks its live connections.
 
     The listen backlog is sized for a page's burst of connects; the default
     of 5 drops SYNs, which then wait out a 1 s retransmit.
     """
 
+    allow_reuse_address = True
     request_queue_size = 128
     daemon_threads = True
 

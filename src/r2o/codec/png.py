@@ -25,8 +25,11 @@ both depths, as the PNG spec rounds a sub-byte pixel up to one byte.
 Filter types 0 and 1 unfilter as whole-array numpy operations and type 2
 as one numpy add per row; Average and Paeth (3, 4) depend on the byte to
 their left, so they keep a per-byte loop, and only external files use
-them. A depth-1 image is expanded to 0/255 pixels with `np.unpackbits`,
-and the padding bits at the end of each row are ignored.
+them. That loop costs about 0.5 µs a byte, so a stream whose Average and
+Paeth rows hold more than 256 KiB (one 512x512 8-bit image) is refused:
+a 2.4 KB 1024x1024 Paeth file took 0.46 s to unfilter. A depth-1 image
+is expanded to 0/255 pixels with `np.unpackbits`, and the padding bits
+at the end of each row are ignored.
 
 The reader treats its input as untrusted: dimensions above its edge limit
 (MAX_EDGE, or a smaller one the caller passes) are rejected before
@@ -48,6 +51,8 @@ _IHDR_END = len(_IHDR_HEAD) + 13
 
 _LEVEL = 3  # zlib level of written files; see the module docstring
 MAX_EDGE = 4096  # largest width or height the reader accepts
+# most scanline bytes read in Average and Paeth rows; see the docstring
+_SLOW_FILTER_BYTES = 256 * 1024
 # bytes of scanlines inflated per step: small steps keep the inflater's
 # transient buffers small, which lowers peak RSS when many threads decode
 _INFLATE_STEP = 64 * 1024
@@ -115,6 +120,10 @@ def _unfilter(kinds: np.ndarray, out: np.ndarray) -> None:
     if int(kinds.max()) > 4:
         bad = int(kinds[kinds > 4][0])
         raise PNGError(f"unsupported filter type {bad}")
+    slow = int(np.count_nonzero(kinds >= 3)) * out.shape[1]
+    if slow > _SLOW_FILTER_BYTES:
+        raise PNGError(f"{slow} bytes of Average or Paeth rows exceed "
+                       f"{_SLOW_FILTER_BYTES}")
     sub = kinds == 1  # Sub depends only on its own row
     if sub.any():
         out[sub] = np.cumsum(out[sub], axis=1, dtype=np.uint8)

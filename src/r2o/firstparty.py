@@ -253,7 +253,7 @@ class _FirstPartyHandler(Handler):
                 return
             m = re.fullmatch(r"/fp/albums/([0-9a-f]+)/photos", self.path)
             if m:
-                caption = self.headers.get("X-Caption", "")
+                caption = self.headers.get("x-caption", "")
                 item = ContentItem(data=body, media_type="image/png")
                 photo_id, static_url = svc.upload_photo(m.group(1), item,
                                                         caption)
@@ -261,7 +261,7 @@ class _FirstPartyHandler(Handler):
                 return
             m = re.fullmatch(r"/fp/photos/([0-9a-f]+)/comments", self.path)
             if m:
-                author = self.headers.get("X-Author", "")
+                author = self.headers.get("x-author", "")
                 comment = svc.add_comment(m.group(1), author,
                                           body.decode("utf-8"))
                 photo = svc.get_photo(m.group(1))

@@ -3,9 +3,9 @@
 Three interchangeable providers (in-memory, filesystem, HTTP client) speak
 one locator shape: <base_url>/<16-hex-id>. The HTTP pieces implement the v1
 object protocol on r2o's one HTTP layer (`_http`): a keep-alive server
-scaffold and a pooled `http.client` client, so desk-scale measurements
-cross a real socket. Latency floors are a pre-response sleep of exactly the
-configured duration.
+scaffold and a pooled client over r2o's own HTTP/1.1 wire code, so
+desk-scale measurements cross a real socket. Latency floors are a
+pre-response sleep of exactly the configured duration.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ class _StoreHandler(Handler):
         body = self._body(self.backing.max_payload)
         if body is None:
             return
-        media_type = self.headers.get("Content-Type",
+        media_type = self.headers.get("content-type",
                                       "application/octet-stream")
         try:
             locator = self.backing.upload(

@@ -247,6 +247,25 @@ def test_read_path_refuses_stand_in_above_edge_limit():
     assert res.reason == "pseudo-image edge above 600"
 
 
+def test_read_path_refuses_paeth_stand_in_fast():
+    # 1024 px passes the edge limit, but unfiltering its Paeth rows one
+    # byte at a time would hold the decode gate for about half a second
+    bomb = ContentItem(data=_paeth_png(1024), media_type="image/png")
+
+    class BombFetcher:
+        def fetch(self, url):
+            return bomb
+
+    elem = ElementDescriptor(source_url="http://fp.example/fp/photos/x.png",
+                             width=512, height=512, media_subtype="png",
+                             caption="r2o:1 bomb")
+    t0 = time.perf_counter()
+    (res,) = read_path([elem], None, MappingsCache(), BombFetcher())
+    assert time.perf_counter() - t0 < 0.1
+    assert res.outcome == OUTCOME_NOT_INDIRECTION
+    assert res.reason == "not a PNG pseudo-object"
+
+
 def test_read_path_resolves_eight_bit_stand_in():
     # stand-ins written before the 1-bit writer are 8-bit grayscale
     w = World()

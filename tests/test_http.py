@@ -1,13 +1,16 @@
 """The shared HTTP layer: kept-alive connections, request and response bounds."""
 
+import ast
 import http.client
 import socket
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from r2o import _http
 from r2o.cache import MappingsCache
@@ -39,15 +42,15 @@ def png_item(seed=0, edge=210):
 
 @pytest.fixture
 def connects(monkeypatch):
-    """Every HTTPConnection.connect made while the test runs."""
+    """Every connection the HTTP client opens while the test runs."""
     calls = []
-    connect = http.client.HTTPConnection.connect
+    create_connection = _http.socket.create_connection
 
-    def counting(self):
-        calls.append((self.host, self.port))
-        return connect(self)
+    def counting(address, *args, **kwargs):
+        calls.append(address)
+        return create_connection(address, *args, **kwargs)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    monkeypatch.setattr(_http.socket, "create_connection", counting)
     return calls
 
 
@@ -76,15 +79,15 @@ def raw_server(reply: bytes, close_after: bool):
         conn, _ = listener.accept()
         with conn:
             conn.settimeout(5)
-            conn.recv(65536)
-            conn.sendall(reply)
-            if close_after:
-                conn.shutdown(socket.SHUT_WR)
             try:
+                conn.recv(65536)
+                conn.sendall(reply)
+                if close_after:
+                    conn.shutdown(socket.SHUT_WR)
                 while conn.recv(65536):
                     pass
             except OSError:
-                pass
+                pass  # the client hung up first
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
@@ -194,6 +197,11 @@ def test_fresh_connection_is_not_retried(connects):
     with pytest.raises(FetchError):
         HttpFetcher(timeout=3).fetch(f"http://127.0.0.1:{port}/x")
     assert len(connects) == 1
+    # nor is one whose server hangs up before answering
+    with raw_server(b"", close_after=True) as base:
+        with pytest.raises(FetchError):
+            HttpFetcher(timeout=3).fetch(base + "/x")
+    assert len(connects) == 2
 
 
 def test_idle_connection_is_dropped(store_server, monkeypatch):
@@ -216,7 +224,7 @@ def test_idle_connection_is_dropped(store_server, monkeypatch):
 
 # -- request bodies -----------------------------------------------------------
 
-@pytest.mark.parametrize("length", [None, "abc", "-1", "1e3"])
+@pytest.mark.parametrize("length", [None, "abc", "-1", "1e3", "5, 6"])
 def test_bad_content_length_answers_400(store_server, fp_server, length):
     server, backing = store_server
     for base, path in ((server.base_url, "/v1/objects"),
@@ -286,3 +294,165 @@ def test_undeclared_response_reads_at_most_the_cap(size, ok):
         else:
             with pytest.raises(StoreUnavailable, match="cap"):
                 client.fetch(locator)
+
+
+_HOSTILE = {
+    "status line over 64 KiB":
+        (b"HTTP/1.1 200 " + b"x" * 70_000 + b"\r\n\r\n", "line over"),
+    "101 fields":
+        (b"HTTP/1.1 200 OK\r\n" + b"X-F: v\r\n" * 101 + b"\r\n", "fields"),
+    "negative length":
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "Content-Length"),
+    "exponent length":
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n", "Content-Length"),
+    "differing lengths":
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n"
+         b"hello", "Content-Length"),
+    "gzip coding":
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\nxx",
+         "Transfer-Encoding"),
+    "garbage chunk size":
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nxx\r\n",
+         "chunk size"),
+    "chunk without its CRLF":
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nokXX"
+         b"0\r\n\r\n", "chunk cut short"),
+    "chunked over the cap":
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"258\r\n" + b"c" * 600 + b"\r\n258\r\n" + b"c" * 600
+         + b"\r\n0\r\n\r\n", "cap"),
+    "body cut short":
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello", "cut short"),
+    "HTTP/2 status line": (b"HTTP/2 200\r\n\r\n", "status line"),
+    "endless interim responses":
+        (b"HTTP/1.1 100 Continue\r\n\r\n" * (_http._MAX_INTERIM + 1),
+         "interim responses"),
+}
+
+
+@pytest.mark.parametrize("reply, match", _HOSTILE.values(), ids=_HOSTILE)
+def test_hostile_response_fails_fast(reply, match):
+    with raw_server(reply, close_after=True) as base:
+        client = HttpStoreClient(base + "/v1/objects", timeout=3,
+                                 max_payload=1000)
+        t0 = time.perf_counter()
+        with pytest.raises(StoreUnavailable, match=match):
+            client.fetch(base + "/v1/objects/" + "0" * 16)
+        assert time.perf_counter() - t0 < 1.0
+        client.close()
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+    b"\r\nok",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1;x=y\r\no\r\n"
+    b"1\r\nk\r\n0\r\nTrailer: t\r\n\r\n",
+])
+def test_interim_and_chunked_responses_are_read(reply):
+    with raw_server(reply, close_after=False) as base:
+        fetcher = HttpFetcher(timeout=3)
+        assert fetcher.fetch(base + "/x").data == b"ok"
+        fetcher.close()
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+    b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
+])
+def test_closing_response_is_not_reused(reply):
+    # the raw server waits for the client to hang up; a pooled connection
+    # would keep it waiting until the pool closes
+    with raw_server(reply, close_after=False) as base:
+        fetcher = HttpFetcher(timeout=3)
+        assert fetcher.fetch(base + "/x").data == b"ok"
+        t0 = time.perf_counter()
+    assert time.perf_counter() - t0 < 1.0
+    fetcher.close()
+
+
+_LINES = st.sampled_from([
+    b"HTTP/1.1 200 OK", b"HTTP/1.0 204 No", b"HTTP/1.1 100 Continue",
+    b"HTTP/1.1 304 x", b"HTTP/1.1 99 x", b"Content-Length: 3",
+    b"Content-Length: 5, 6", b"Content-Length: -1", b"content-length:007",
+    b"Transfer-Encoding: chunked", b"Transfer-Encoding: gzip",
+    b"Connection: close", b"3", b"0", b"ffffffffffffffffff", b"", b"x: y",
+    b": v", b" folded", b"\xff\xfe: \x80",
+])
+
+
+@given(st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.one_of(_LINES, st.binary(max_size=12)),
+             max_size=14).map(b"\r\n".join)))
+def test_property_any_response_bytes_give_response_or_http_error(reply):
+    with raw_server(reply, close_after=True) as base:
+        pool = _http.ConnectionPool(timeout=3)
+        try:
+            resp = pool.request("GET", base + "/x", max_body=100)
+        except _http.HttpError:
+            pass
+        else:
+            assert isinstance(resp, _http.Response)
+            assert len(resp.body) <= 100
+        finally:
+            pool.close()
+
+
+def test_request_head_cannot_be_forged():
+    pool = _http.ConnectionPool(timeout=1)
+    with pytest.raises(ValueError, match="CR or LF"):
+        pool.request("POST", "http://127.0.0.1:9/fp/albums", body=b"x",
+                     headers={"X-Caption": "r2o:1 a\r\nX-Author: mallory"})
+    with pytest.raises(_http.HttpError, match="unsupported URL"):
+        pool.request("GET", "http://127.0.0.1:9/a b HTTP/1.1\r\nX: y")
+
+
+def _send_raw(base_url: str, data: bytes) -> bytes:
+    """Send bytes to a server and read what it answers until it closes."""
+    host, port = base_url.split("//")[1].split("/")[0].split(":")
+    with socket.create_connection((host, int(port)), timeout=3) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+_MALFORMED = {
+    "bad request line": (b"GARBAGE\r\n\r\n", 400),
+    "four words": (b"GET /v1/objects HTTP/1.1 extra\r\n\r\n", 400),
+    "request line over 64 KiB":
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+    "101 fields": (b"GET / HTTP/1.1\r\n" + b"X-F: v\r\n" * 101 + b"\r\n", 431),
+    "field without a colon": (b"GET / HTTP/1.1\r\nbad field\r\n\r\n", 400),
+    "unknown method": (b"BREW /v1/objects HTTP/1.1\r\n\r\n", 501),
+    "HTTP/1.0": (b"GET /v1/objects/" + b"0" * 16 + b" HTTP/1.0\r\n\r\n", 404),
+}
+
+
+@pytest.mark.parametrize("request_bytes, status", _MALFORMED.values(),
+                         ids=_MALFORMED)
+def test_server_answers_malformed_requests_and_closes(store_server,
+                                                      request_bytes, status):
+    server, _ = store_server
+    reply = _send_raw(server.base_url, request_bytes)
+    head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+    assert head[0].startswith(b"HTTP/1.1 %d " % status)
+    assert b"Connection: close" in head
+
+
+def test_no_module_imports_the_stdlib_http_client_or_server():
+    # one HTTP path: r2o's own wire code is the only client and server
+    found = []
+    for path in sorted(Path(_http.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name in ("http.client", "http.server")]
+    assert found == []

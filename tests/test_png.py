@@ -154,6 +154,19 @@ def test_reader_rejects_unknown_filter_type():
         read_png(_png(4, 2, zlib.compress(raw)))
 
 
+def test_average_and_paeth_rows_are_budgeted():
+    # their per-byte loop reads at most 256 KiB, one 512x512 8-bit image
+    def blob(slow_rows, height=300, width=1024):
+        raw = b"".join(bytes([3 + r % 2]) + bytes(width)
+                       for r in range(slow_rows))
+        raw += (b"\x00" + bytes(width)) * (height - slow_rows)
+        return _png(width, height, zlib.compress(raw))
+
+    assert not read_png(blob(256)).any()
+    with pytest.raises(PNGError, match="Average or Paeth"):
+        read_png(blob(257))
+
+
 def _zeros_stream(n_bytes):
     """A deflate stream of n_bytes zeros, built without holding them all."""
     z = zlib.compressobj(9)
