@@ -44,8 +44,8 @@ from http import HTTPStatus
 from urllib.parse import urlsplit
 
 MAX_PAYLOAD_DEFAULT = 16 * 1024 * 1024
-# idle keep-alive connections kept per host; matches the widest fan-out a
-# page makes (core._IO_FANOUT_MAX), so a repeated page opens no socket
+# idle keep-alive connections kept per host; core's fan-out pool has this
+# many threads, so a repeated page opens no socket
 MAX_IDLE_PER_HOST = 64
 # a server handler drops a connection that sends nothing for this long
 IDLE_TIMEOUT_S = 30.0
@@ -407,8 +407,9 @@ class Handler(socketserver.StreamRequestHandler):
         lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
                  f"Server: {self.server_version}",
                  f"Date: {formatdate(usegmt=True)}",
-                 f"Content-Type: {content_type}",
-                 f"Content-Length: {len(body)}"]
+                 f"Content-Type: {content_type}"]
+        if status != 204:  # a 204 carries no Content-Length (RFC 9110 §8.6)
+            lines.append(f"Content-Length: {len(body)}")
         lines += [f"{k}: {v}" for k, v in (extra or {}).items()]
         if self._close:
             lines.append("Connection: close")
@@ -433,6 +434,21 @@ class _Httpd(socketserver.ThreadingTCPServer):
         self.base_url = f"http://{host}:{port}{base_path}"
         self._live: set[socket.socket] = set()
         self._live_lock = threading.Lock()
+        self._stopping = False
+
+    def serve(self) -> None:
+        """Accept connections, waiting without a poll, until `stop`."""
+        while not self._stopping:
+            self.handle_request()
+
+    def stop(self) -> None:
+        """End `serve` now: a listening socket that is shut down wakes the
+        wait for the next connection, whose accept then fails."""
+        self._stopping = True
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
     def process_request(self, request, client_address):
         with self._live_lock:
@@ -463,8 +479,6 @@ class _Httpd(socketserver.ThreadingTCPServer):
 class Server:
     """A running HTTP server; context manager with graceful shutdown."""
 
-    service = None  # the FirstPartyService behind a first-party server
-
     def __init__(self, httpd: _Httpd, thread: threading.Thread):
         self._httpd = httpd
         self._thread = thread
@@ -472,10 +486,10 @@ class Server:
 
     def shutdown(self) -> None:
         """Stop accepting, end kept-alive connections, release the port."""
-        self._httpd.shutdown()
+        self._httpd.stop()
+        self._thread.join(timeout=5)
         self._httpd.close_connections()
         self._httpd.server_close()
-        self._thread.join(timeout=5)
 
     def __enter__(self) -> "Server":
         return self
@@ -494,7 +508,7 @@ def serve(bind_address: tuple[str, int], handler: type[Handler],
         httpd = _Httpd(bind_address, bound, base_path)
     except OSError as exc:
         raise BindFailure(f"cannot bind {bind_address}: {exc}") from None
-    thread = threading.Thread(target=httpd.serve_forever,
+    thread = threading.Thread(target=httpd.serve,
                               name=f"{name}-{httpd.server_address[1]}",
                               daemon=True)
     thread.start()

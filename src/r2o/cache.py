@@ -77,21 +77,19 @@ class MappingsCache:
     def record_created(self, entry: MappingEntry) -> None:
         """Insert a mapping the user just created into the frequent segment.
 
-        Over capacity, the lowest-hit-count entry goes; ties break toward
-        the least recently used, then the smallest pseudo_locator.
+        last_used is stamped fresh. Over capacity, the lowest-hit-count
+        entry goes; ties break toward the least recently used, then the
+        smallest pseudo_locator.
         """
         entry.validate()
         with self._lock:
             stored = replace(entry)
-            if stored.last_used is None:
-                stored.last_used = self._now()
-            else:
-                self._clock = max(self._clock, stored.last_used)
+            stored.last_used = self._now()
             self._frequent[stored.pseudo_locator] = stored
             while len(self._frequent) > self.config.n_frequent:
                 victim = min(
                     self._frequent.values(),
-                    key=lambda e: (e.hit_count, e.last_used or 0,
+                    key=lambda e: (e.hit_count, e.last_used,
                                    e.pseudo_locator))
                 del self._frequent[victim.pseudo_locator]
 

@@ -65,7 +65,6 @@ class Config:
     providers: dict[str, ProviderDescriptor] = field(
         default_factory=default_providers)
     firstparty_url: str = DEFAULT_FIRSTPARTY_URL
-    parallelism: int = core.DEFAULT_PARALLELISM
     filesystem_roots: dict[str, str] = field(default_factory=dict)
 
     def provider(self, name: str) -> ProviderDescriptor:
@@ -75,30 +74,48 @@ class Config:
         return self.providers[name]
 
 
-def _get(section, key, cast, current):
-    if key not in section:
-        return current
-    raw = section[key]
-    try:
-        if cast is bool:
-            return section.getboolean(key)
-        return cast(raw)
-    except (ValueError, AttributeError):
-        raise UsageError(f"bad config value {key} = {raw!r}") from None
-
-
 def _csv_tuple(raw: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in raw.split(",") if p.strip())
 
 
-def _provider_from_section(name: str, section) -> tuple[ProviderDescriptor,
-                                                        str | None]:
-    kind = section.get("kind", "memory").strip()
-    latency = _get(section, "latency", float, None)
-    base_url = section.get("base_url", "").strip()
-    root = section.get("root", "").strip() or None
+def _flag(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+# the keys each section may set, with the cast that reads each value
+_SECTIONS = {
+    "r2o": {"firstparty_url": str},
+    "filter": {"path_prefixes": _csv_tuple, "min_edge": int, "max_edge": int,
+               "require_square": _flag, "excluded_subtypes": _csv_tuple,
+               "caption_marker": str},
+    "cache": {"n_frequent": int, "m_recent": int},
+    "qr": {"ec_level": str, "min_version": int, "target_size": int},
+}
+_PROVIDER_KEYS = {"kind": str, "latency": float, "base_url": str,
+                  "root": str, "preset": str}
+
+
+def _read_section(parser, name: str, casts: dict) -> dict:
+    """A section's values, cast; an unknown key or bad value is refused."""
+    values = {}
+    for key, raw in parser[name].items():
+        if key not in casts:
+            raise UsageError(f"unknown config key {key!r} in [{name}]")
+        try:
+            values[key] = casts[key](raw)
+        except (ValueError, KeyError):
+            raise UsageError(f"bad config value {key} = {raw!r}") from None
+    return values
+
+
+def _provider_from_section(name: str, s: dict) -> tuple[ProviderDescriptor,
+                                                         str | None]:
+    kind = s.get("kind", "memory")
+    latency = s.get("latency")
+    base_url = s.get("base_url", "")
+    root = s.get("root") or None
     if kind == "preset":
-        preset = section.get("preset", name).strip()
+        preset = s.get("preset", name)
         if preset not in LATENCY_PRESETS:
             raise UsageError(f"provider {name!r}: unknown preset {preset!r}")
         kind = "memory"
@@ -116,7 +133,10 @@ def _provider_from_section(name: str, section) -> tuple[ProviderDescriptor,
 
 
 def load_config(path: str | None) -> Config:
-    """Parse the INI config file; missing path means built-in defaults."""
+    """Parse the INI config file; missing path means built-in defaults.
+
+    An unknown section or key is a UsageError that names it.
+    """
     cfg = Config()
     if path is None:
         return cfg
@@ -125,51 +145,30 @@ def load_config(path: str | None) -> Config:
     if not read:
         raise UsageError(f"config file not found: {path}")
 
-    fc, cc, qc = cfg.filter, cfg.cache, cfg.qr
-    firstparty_url = cfg.firstparty_url
-    parallelism = cfg.parallelism
-    if parser.has_section("r2o"):
-        s = parser["r2o"]
-        firstparty_url = s.get("firstparty_url", firstparty_url).strip()
-        parallelism = _get(s, "parallelism", int, parallelism)
-    if parser.has_section("filter"):
-        s = parser["filter"]
-        fc = FilterConfig(
-            path_prefixes=_get(s, "path_prefixes", _csv_tuple,
-                               fc.path_prefixes),
-            min_edge=_get(s, "min_edge", int, fc.min_edge),
-            max_edge=_get(s, "max_edge", int, fc.max_edge),
-            require_square=_get(s, "require_square", bool, fc.require_square),
-            excluded_subtypes=frozenset(_get(s, "excluded_subtypes",
-                                             _csv_tuple,
-                                             tuple(fc.excluded_subtypes))),
-            caption_marker=s.get("caption_marker", fc.caption_marker))
-    if parser.has_section("cache"):
-        s = parser["cache"]
-        cc = CacheConfig(n_frequent=_get(s, "n_frequent", int, cc.n_frequent),
-                         m_recent=_get(s, "m_recent", int, cc.m_recent))
-    if parser.has_section("qr"):
-        s = parser["qr"]
-        qc = codec.QrConfig(
-            ec_level=s.get("ec_level", qc.ec_level).strip(),
-            min_version=_get(s, "min_version", int, qc.min_version),
-            module_scale=_get(s, "module_scale", int, qc.module_scale),
-            target_size=_get(s, "target_size", int, qc.target_size))
-
-    providers = default_providers()
+    values: dict[str, dict] = {name: {} for name in _SECTIONS}
+    providers: dict[str, ProviderDescriptor] = {}
     roots: dict[str, str] = {}
-    declared = [s for s in parser.sections() if s.startswith("provider:")]
-    if declared:
-        providers = {}
-        for section_name in declared:
+    for section_name in parser.sections():
+        if section_name.startswith("provider:"):
             name = section_name.split(":", 1)[1]
-            desc, root = _provider_from_section(name, parser[section_name])
+            desc, root = _provider_from_section(
+                name, _read_section(parser, section_name, _PROVIDER_KEYS))
             providers[name] = desc
             if root is not None:
                 roots[name] = root
+        elif section_name in _SECTIONS:
+            values[section_name] = _read_section(parser, section_name,
+                                                 _SECTIONS[section_name])
+        else:
+            raise UsageError(f"unknown config section [{section_name}]")
     try:
-        return Config(filter=fc, cache=cc, qr=qc, providers=providers,
-                      firstparty_url=firstparty_url, parallelism=parallelism,
+        # declared providers replace the preset defaults entirely
+        return Config(filter=replace(cfg.filter, **values["filter"]),
+                      cache=replace(cfg.cache, **values["cache"]),
+                      qr=replace(cfg.qr, **values["qr"]),
+                      providers=providers or cfg.providers,
+                      firstparty_url=values["r2o"].get("firstparty_url",
+                                                       cfg.firstparty_url),
                       filesystem_roots=roots)
     except ValueError as exc:
         raise UsageError(f"bad config: {exc}") from None
@@ -291,11 +290,9 @@ def _cmd_upload(args, cfg: Config, rng) -> int:
 
 def _cmd_resolve(args, cfg: Config, rng) -> int:
     cache = _load_cache_file(cfg, args.cache_file)
-    parallelism = args.parallelism or cfg.parallelism
     with closing(core.HttpFetcher()) as fetcher:
         html_bytes = core.resolve_page(args.page, fetcher,
                                        filter_cfg=cfg.filter, cache=cache,
-                                       parallelism=parallelism,
                                        inline=args.inline)
     if args.out == "-":
         sys.stdout.buffer.write(html_bytes)
@@ -357,8 +354,7 @@ def _cmd_cache_stats(args, cfg: Config, rng) -> int:
 
 
 def _cmd_bench_decode(args, cfg: Config, rng) -> int:
-    report = bench.bench_decode(args.count, qr_config=cfg.qr, rng=rng,
-                                repetitions=args.repetitions)
+    report = bench.bench_decode(args.count, qr_config=cfg.qr, rng=rng)
     _emit_report(args, [report])
     violations = (bench.check_decode_bounds(report, args.max_ms)
                   if args.check else [])
@@ -372,8 +368,7 @@ def _cmd_bench_providers(args, cfg: Config, rng) -> int:
     else:
         providers = None
     rows = bench.bench_providers(providers, item_size=args.item_size,
-                                 repetitions=args.repetitions,
-                                 interval=args.interval)
+                                 repetitions=args.repetitions)
     print(bench.render_table(["provider", "median_ms"], rows))
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -417,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=f"INI config path (or ${ENV_CONFIG})")
     p.add_argument("--seed", type=int, metavar="U64",
                    help="seed object ids and bench URLs for reproducibility")
-    p.add_argument("--parallelism", type=int,
-                   help="decode-stage concurrency for resolve")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("serve-store", help="run an object-store server")
@@ -492,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = s.add_subparsers(dest="bench_command", required=True)
     b = bench_sub.add_parser("decode", help="decode-time distribution")
     b.add_argument("--count", type=int, default=500)
-    b.add_argument("--repetitions", type=int, default=None)
     b.add_argument("--max-ms", type=float, default=bench.DECODE_CEILING_MS)
     b.add_argument("--check", action="store_true",
                    help="fail the run on violated bounds")
@@ -504,8 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "(default: all latency presets)")
     b.add_argument("--item-size", type=int, default=bench.DEFAULT_ITEM_SIZE)
     b.add_argument("--repetitions", type=int, default=10)
-    b.add_argument("--interval", type=float, default=0.0,
-                   help="seconds between fetches")
     b.add_argument("--tolerance", type=float,
                    default=bench.PROVIDER_TOLERANCE_MS)
     b.add_argument("--check", action="store_true")
@@ -541,8 +531,6 @@ def run(argv) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
     try:
         cfg = load_config(args.config or os.environ.get(ENV_CONFIG))
-        if args.parallelism:
-            cfg = replace(cfg, parallelism=args.parallelism)
         return args.handler(args, cfg, rng)
     except UsageError as exc:
         print(f"r2o: {exc}", file=sys.stderr)

@@ -6,6 +6,8 @@ mapping. The read path walks page elements the other way: filter gate,
 cache lookup, pseudo fetch, decode, off-site fetch. Candidate elements are
 resolved concurrently; the decode stage is bounded separately from IO
 fan-out so a page costs about one network round trip, not one per element.
+One decode gate serves the whole process, so the memory held by PNG reads
+in flight is bounded however many pages resolve at once.
 """
 
 from __future__ import annotations
@@ -17,14 +19,11 @@ from dataclasses import dataclass
 from urllib.parse import urljoin
 
 from . import codec, rewriter
-from ._http import ConnectionPool, HttpError
+from ._http import MAX_IDLE_PER_HOST, ConnectionPool, HttpError
 from .cache import MappingEntry, MappingsCache
 from .filter import ElementDescriptor, FilterConfig, is_candidate, make_caption
 from .firstparty import FirstPartyError, FirstPartyService, album_page_path
 from .store import ContentItem
-
-DEFAULT_PARALLELISM = 8
-_IO_FANOUT_MAX = 64
 
 OUTCOME_REPLACED = "replaced"
 OUTCOME_NOT_INDIRECTION = "not_indirection"
@@ -219,22 +218,26 @@ def write_path(image: ContentItem, caption: str | None, album_id: str,
 # -- read path --------------------------------------------------------------
 
 # fan-out threads shared by every page view and created on first use, so a
-# page view starts and joins no threads of its own
+# page view starts and joins no threads of its own; one per idle connection
+# the HTTP layer keeps for a host
 _io_pool: ThreadPoolExecutor | None = None
 _io_pool_lock = threading.Lock()
+
+# PNG reads and decodes (the CPU stage) in flight across every page view
+_DECODE_SLOTS = 8
+_decode_gate = threading.BoundedSemaphore(_DECODE_SLOTS)
 
 
 def _io_executor() -> ThreadPoolExecutor:
     global _io_pool
     with _io_pool_lock:
         if _io_pool is None:
-            _io_pool = ThreadPoolExecutor(max_workers=_IO_FANOUT_MAX,
+            _io_pool = ThreadPoolExecutor(max_workers=MAX_IDLE_PER_HOST,
                                           thread_name_prefix="r2o-io")
         return _io_pool
 
 
 def _resolve_one(e: ElementDescriptor, cache: MappingsCache, fetcher,
-                 decode_gate: threading.Semaphore,
                  max_edge: int) -> Resolution:
     cached = cache.lookup(e.source_url)
     if cached is not None:
@@ -249,7 +252,7 @@ def _resolve_one(e: ElementDescriptor, cache: MappingsCache, fetcher,
         pseudo_item = fetcher.fetch(e.source_url)
     except FetchError as exc:
         return Resolution(e, OUTCOME_FAILED, reason=str(exc))
-    with decode_gate:
+    with _decode_gate:
         try:
             image = codec.PseudoImage.from_png(pseudo_item.data,
                                                max_edge=max_edge)
@@ -280,15 +283,16 @@ def _resolve_one(e: ElementDescriptor, cache: MappingsCache, fetcher,
 
 
 def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
-              fetcher, parallelism: int = DEFAULT_PARALLELISM) -> list[Resolution]:
+              fetcher) -> list[Resolution]:
     """Resolve page elements to real content; order-preserving.
 
-    `parallelism` bounds concurrent PNG reads and decodes (the CPU stage);
-    network fetches for distinct elements overlap freely up to an internal
-    fan-out cap, so k independent elements cost about one round trip. A
-    stand-in whose PNG header declares an edge above `filter_cfg.max_edge`
-    is refused before its pixels are inflated, whatever the page's
-    width and height attributes said.
+    At most 8 PNG reads and decodes (the CPU stage) run at once in the
+    process, however many calls run concurrently; network fetches for
+    distinct elements overlap freely up to the shared fan-out pool's size,
+    so k independent elements cost about one round trip. A stand-in whose
+    PNG header declares an edge above `filter_cfg.max_edge` is refused
+    before its pixels are inflated, whatever the page's width and height
+    attributes said.
     """
     filter_cfg = filter_cfg or FilterConfig()
     elements = list(elements)
@@ -302,10 +306,9 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
             results[i] = Resolution(e, OUTCOME_NOT_INDIRECTION,
                                     reason=decision.reason)
     if candidates:
-        gate = threading.Semaphore(max(1, parallelism))
         pool = _io_executor()
         futures = {i: pool.submit(_resolve_one, elements[i], cache, fetcher,
-                                  gate, filter_cfg.max_edge)
+                                  filter_cfg.max_edge)
                    for i in candidates}
         wait(futures.values())  # no element outlives the call, even on error
         for i, fut in futures.items():
@@ -316,12 +319,13 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
 def resolve_page(album_page_url: str, fetcher,
                  filter_cfg: FilterConfig | None = None,
                  cache: MappingsCache | None = None,
-                 parallelism: int = DEFAULT_PARALLELISM,
                  inline: bool = False) -> bytes:
     """Fetch a page, resolve its schemata, and rewrite their srcs.
 
-    With inline=True the replacement src is a data: URL embedding the
-    fetched bytes; otherwise it is the off-site locator.
+    Elements resolve through `read_path`, under the process-wide decode
+    gate. With inline=True the replacement src is a data: URL embedding the
+    fetched bytes; otherwise it is the off-site locator. Each rewrite
+    checks that its span still holds the src that was scanned.
     """
     cache = cache if cache is not None else MappingsCache()
     try:
@@ -336,8 +340,7 @@ def resolve_page(album_page_url: str, fetcher,
         descriptors.append(ElementDescriptor(
             source_url=absolute, width=d.width, height=d.height,
             media_subtype=d.media_subtype, caption=d.caption))
-    resolutions = read_path(descriptors, filter_cfg, cache, fetcher,
-                            parallelism)
+    resolutions = read_path(descriptors, filter_cfg, cache, fetcher)
     replacements = []
     for el, res in zip(scan, resolutions):
         if not res.replaced:

@@ -288,9 +288,6 @@ class _FirstPartyHandler(Handler):
 
 def serve_firstparty(bind_address: tuple[str, int],
                      service: FirstPartyService | None = None) -> Server:
-    """Serve the /fp API over HTTP; returns a handle with .service."""
-    service = service or FirstPartyService()
-    server = serve(bind_address, _FirstPartyHandler, {"service": service},
-                   name="fp")
-    server.service = service
-    return server
+    """Serve the /fp API over HTTP, backed by `service` or a fresh one."""
+    return serve(bind_address, _FirstPartyHandler,
+                 {"service": service or FirstPartyService()}, name="fp")

@@ -211,18 +211,12 @@ def scan_html(document: bytes) -> ScanResult:
 def rewrite_html(document: bytes, replacements) -> bytes:
     """Substitute src spans; every byte outside the spans is untouched.
 
-    Each replacement is (span, new_src) or (span, new_src, expected_src);
-    when the third member is given, the span's current content must equal
-    it. Spans must be sorted, in-bounds, and non-overlapping.
+    Each replacement is (span, new_src, expected_src): the span's current
+    content must equal expected_src. Spans must be sorted, in-bounds, and
+    non-overlapping.
     """
-    normalized = []
-    for rep in replacements:
-        if len(rep) == 2:
-            (start, end), new_src = rep
-            expected = None
-        else:
-            (start, end), new_src, expected = rep
-        normalized.append((int(start), int(end), new_src, expected))
+    normalized = [(int(start), int(end), new_src, expected)
+                  for (start, end), new_src, expected in replacements]
     prev_end = 0
     for start, end, _, _ in normalized:
         if start < prev_end or end < start or end > len(document):
@@ -234,7 +228,7 @@ def rewrite_html(document: bytes, replacements) -> bytes:
     cursor = 0
     for start, end, new_src, expected in normalized:
         current = document[start:end]
-        if expected is not None and current != expected.encode("utf-8"):
+        if current != expected.encode("utf-8"):
             raise SpanMismatch(
                 f"span ({start}, {end}) holds {current!r}, "
                 f"expected {expected!r}")

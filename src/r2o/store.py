@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import secrets
-import statistics
 import threading
 import time
 from dataclasses import dataclass
@@ -67,15 +66,8 @@ class BindFailure(StoreError):
 class ContentItem:
     data: bytes
     media_type: str = "application/octet-stream"
-    declared_length: int | None = None
-
-    def __post_init__(self):
-        if self.declared_length is None:
-            self.declared_length = len(self.data)
 
     def validate(self) -> "ContentItem":
-        if self.declared_length != len(self.data):
-            raise ValueError("declared_length disagrees with payload size")
         if not self.media_type:
             raise ValueError("media_type must be non-empty")
         return self
@@ -364,31 +356,3 @@ def preset_store(name: str, **kwargs) -> MemoryStore:
     return MemoryStore(name=name, simulated_latency=LATENCY_PRESETS[name],
                        **kwargs)
 
-
-def measure_store(provider, item_size: int, repetitions: int,
-                  interval: float = 0.0) -> list[float]:
-    """Upload one random item, fetch it repeatedly; per-fetch times in ms.
-
-    The spacing interval may be zero for desk-scale runs. Callers report the
-    median of the samples.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    payload = secrets.token_bytes(item_size)
-    locator = provider.upload(ContentItem(data=payload,
-                                          media_type="application/octet-stream"))
-    samples: list[float] = []
-    for i in range(repetitions):
-        if i and interval:
-            time.sleep(interval)
-        t0 = time.perf_counter()
-        item = provider.fetch(locator)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        if item.data != payload:
-            raise StoreError("fetched bytes differ from uploaded bytes")
-        samples.append(elapsed_ms)
-    return samples
-
-
-def median_ms(samples: list[float]) -> float:
-    return float(statistics.median(samples))

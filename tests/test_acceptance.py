@@ -242,12 +242,11 @@ def test_criterion_07_parallel_resolution(verdict):
 
         t0 = time.perf_counter()
         (single,) = read_path(elements[:1], None, MappingsCache(),
-                              w.fetcher, parallelism=8)
+                              w.fetcher)
         single_wall = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        results = read_path(elements, None, MappingsCache(), w.fetcher,
-                            parallelism=8)
+        results = read_path(elements, None, MappingsCache(), w.fetcher)
         full_wall = (time.perf_counter() - t0) * 1000.0
 
         if not single.replaced:

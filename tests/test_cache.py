@@ -120,14 +120,12 @@ def test_key_in_both_segments_prefers_frequent():
     assert recent[P(1)].offsite_locator == O(2)
 
 
-def test_provided_last_used_is_honored():
+def test_created_entries_are_stamped_by_the_clock():
     cache = MappingsCache()
     cache.record_created(entry(1, used=500))
+    cache.record_created(entry(2))
     frequent, _ = cache.snapshot()
-    assert frequent[P(1)].last_used == 500
-    cache.record_created(entry(2))  # stamps after the imported clock
-    frequent, _ = cache.snapshot()
-    assert frequent[P(2)].last_used > 500
+    assert frequent[P(1)].last_used < frequent[P(2)].last_used < 500
 
 
 # -- wire format ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Command-line surface: exits, config handling, subcommand flows."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,6 @@ def test_load_config_sections(tmp_path):
     path.write_text(
         "[r2o]\n"
         "firstparty_url = http://fp.example:9\n"
-        "parallelism = 3\n"
         "[filter]\n"
         "path_prefixes = /fp/photos/, /mirror/\n"
         "min_edge = 32\n"
@@ -141,7 +142,6 @@ def test_load_config_sections(tmp_path):
         "latency = 4\n")
     cfg = cli.load_config(str(path))
     assert cfg.firstparty_url == "http://fp.example:9"
-    assert cfg.parallelism == 3
     assert cfg.filter.path_prefixes == ("/fp/photos/", "/mirror/")
     assert cfg.filter.min_edge == 32
     assert cfg.filter.excluded_subtypes == frozenset({"gif", "bmp"})
@@ -167,6 +167,36 @@ def test_load_config_rejects_bad_values(tmp_path):
     path.write_text("[provider:x]\nkind = carrier-pigeon\n")
     with pytest.raises(cli.UsageError):
         cli.load_config(str(path))
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[r2o]\nparallelism = 3\n", "'parallelism' in [r2o]"),
+    ("[qr]\nmodule_scale = 2\n", "'module_scale' in [qr]"),
+    ("[qrr]\nec_level = H\n", "[qrr]"),
+    ("[provider:lab]\nkind = memory\nlatancy = 4\n",
+     "'latancy' in [provider:lab]"),
+])
+def test_load_config_names_unknown_sections_and_keys(tmp_path, text, named):
+    path = tmp_path / "unknown.ini"
+    path.write_text(text)
+    with pytest.raises(cli.UsageError, match=re.escape(named)):
+        cli.load_config(str(path))
+
+
+def test_load_config_reads_provider_sections(tmp_path):
+    path = tmp_path / "providers.ini"
+    path.write_text("[provider:lab]\nkind = http\n"
+                    "base_url = http://127.0.0.1:9/v1/objects\n"
+                    "[provider:slow]\nkind = preset\npreset = flickr\n")
+    cfg = cli.load_config(str(path))
+    assert cfg.providers["lab"].base_url == "http://127.0.0.1:9/v1/objects"
+    assert cfg.providers["slow"].simulated_latency == 147.0
+
+
+def test_removed_parallelism_flag_is_a_usage_error(capsys):
+    assert cli.run(["--parallelism", "3", "cache", "stats", "--cache",
+                    "none.tsv"]) == cli.EXIT_USAGE
+    capsys.readouterr()
 
 
 def test_default_providers_follow_presets():

@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from r2o import codec
+from r2o import codec, core
 from r2o.cache import MappingsCache
 from r2o.codec.png import write_png
 from r2o.core import (
@@ -283,9 +283,8 @@ def test_read_path_resolves_eight_bit_stand_in():
     assert res.content.data == png_item(5).data
 
 
-def test_read_path_parallelism_bounds_png_reads(monkeypatch):
-    w = World()
-    elements = [w.element(w.publish(seed=i)) for i in range(4)]
+def _peak_png_reads(monkeypatch):
+    """Patch from_png to hold its stage; returns the running peak count."""
     inner = codec.PseudoImage.from_png
     lock = threading.Lock()
     active = [0]
@@ -295,15 +294,45 @@ def test_read_path_parallelism_bounds_png_reads(monkeypatch):
         with lock:
             active[0] += 1
             peak[0] = max(peak[0], active[0])
-        time.sleep(0.02)  # hold the stage so overlapping calls would show
+        time.sleep(0.05)  # hold the stage so overlapping calls would show
         with lock:
             active[0] -= 1
         return inner(data, **kwargs)
 
     monkeypatch.setattr(codec.PseudoImage, "from_png",
                         classmethod(gated_from_png))
-    results = read_path(elements, None, MappingsCache(), w.fetcher,
-                        parallelism=1)
+    return peak
+
+
+def test_read_path_parallelism_bounds_png_reads(monkeypatch):
+    # the gate is shared: two pages resolving at once, each with fewer
+    # stand-ins than the gate admits, together stay under its count
+    w = World()
+    pages = [[w.element(w.publish(seed=10 * p + i)) for i in range(6)]
+             for p in range(2)]
+    peak = _peak_png_reads(monkeypatch)
+    results = [None, None]
+
+    def resolve(p):
+        results[p] = read_path(pages[p], None, MappingsCache(), w.fetcher)
+
+    threads = [threading.Thread(target=resolve, args=(p,)) for p in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    for page in results:
+        assert all(r.outcome == OUTCOME_REPLACED for r in page)
+    assert 1 < peak[0] <= core._DECODE_SLOTS
+
+
+def test_read_path_gate_of_one_serialises_png_reads(monkeypatch):
+    w = World()
+    elements = [w.element(w.publish(seed=i)) for i in range(4)]
+    peak = _peak_png_reads(monkeypatch)
+    monkeypatch.setattr(core, "_decode_gate", threading.BoundedSemaphore(1))
+    results = read_path(elements, None, MappingsCache(), w.fetcher)
     assert all(r.outcome == OUTCOME_REPLACED for r in results)
     assert peak[0] == 1
 
@@ -359,7 +388,7 @@ def test_read_path_overlaps_independent_fetches():
     receipts = [w.publish(seed=i) for i in range(8)]
     elements = [w.element(r) for r in receipts]
     start = time.perf_counter()
-    results = read_path(elements, None, w.cache, w.fetcher, parallelism=8)
+    results = read_path(elements, None, w.cache, w.fetcher)
     wall_ms = (time.perf_counter() - start) * 1000.0
     assert all(r.outcome == OUTCOME_REPLACED for r in results)
     # serial cost would be >= 8 x 30 ms

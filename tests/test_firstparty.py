@@ -240,9 +240,9 @@ def test_upload_refuses_png_without_leading_ihdr(svc, served):
         assert err.code == 415
 
 
-def test_in_process_and_http_reads_share_one_route(served):
+def test_in_process_and_http_reads_share_one_route():
     """The same URLs give the same bytes and media type, or fail, on both."""
-    svc = served.service
+    svc = FirstPartyService(response_delay_ms=0)
     album = svc.create_album("parity")
     _, photo = svc.upload_photo(album, png_item(), "")
     page = album_page_path(album)
@@ -251,17 +251,18 @@ def test_in_process_and_http_reads_share_one_route(served):
              (f"/fp/photos/{'0' * 16}.png", False),
              (album_page_path("0" * 16), False)]
     fetchers = (InProcessFetcher(firstparty=svc), HttpFetcher(timeout=5))
-    try:
-        for path, found in cases:
-            got = []
-            for fetcher in fetchers:
-                try:
-                    item = fetcher.fetch(served.base_url + path)
-                except FetchError:
-                    got.append(None)
-                else:
-                    got.append((item.data, item.media_type))
-            assert got[0] == got[1], path
-            assert (got[0] is not None) == found, path
-    finally:
-        fetchers[1].close()
+    with serve_firstparty(("127.0.0.1", 0), svc) as served:
+        try:
+            for path, found in cases:
+                got = []
+                for fetcher in fetchers:
+                    try:
+                        item = fetcher.fetch(served.base_url + path)
+                    except FetchError:
+                        got.append(None)
+                    else:
+                        got.append((item.data, item.media_type))
+                assert got[0] == got[1], path
+                assert (got[0] is not None) == found, path
+        finally:
+            fetchers[1].close()

@@ -172,6 +172,20 @@ def test_fetch_after_shutdown_fails_cleanly():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_served_store_shuts_down_at_once():
+    # shutdown wakes the accept loop; it does not wait out a poll interval
+    server = serve_store(("127.0.0.1", 0), MemoryStore(name="quick"))
+    client = HttpStoreClient(server.base_url)
+    try:
+        client.upload(ContentItem(data=b"x"))  # leaves a kept-alive socket
+        time.sleep(0.05)
+        t0 = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - t0 < 0.1
+    finally:
+        client.close()
+
+
 def test_restarted_server_is_reached_through_the_retry(connects):
     backing = MemoryStore(name="restart")
     server = serve_store(("127.0.0.1", 0), backing)
@@ -439,6 +453,25 @@ def test_server_answers_malformed_requests_and_closes(store_server,
     head = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
     assert head[0].startswith(b"HTTP/1.1 %d " % status)
     assert b"Connection: close" in head
+
+
+def test_204_has_no_content_length_and_keeps_the_connection(store_server):
+    server, backing = store_server
+    oid = backing.upload(ContentItem(data=b"x")).rsplit("/", 1)[1]
+    host, port = server.base_url.split("//")[1].split("/")[0].split(":")
+    target = f"/v1/objects/{oid} HTTP/1.1\r\nHost: {host}\r\n\r\n"
+    with socket.create_connection((host, int(port)), timeout=3) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(f"DELETE {target}".encode())
+        start, fields = _http._read_head(rfile)
+        assert start.startswith(b"HTTP/1.1 204 ")
+        assert "content-length" not in fields
+        assert "connection" not in fields
+        sock.sendall(f"GET {target}".encode())
+        start, fields = _http._read_head(rfile)
+        assert start.startswith(b"HTTP/1.1 404 ")
+        assert rfile.read(int(fields["content-length"])) == \
+            b"no such object\n"
 
 
 def test_no_module_imports_the_stdlib_http_client_or_server():

@@ -64,7 +64,8 @@ def test_scan_ignores_names_inside_other_names_and_values():
                             doc.index(b"/fp/photos/abc.png") + 18)
     assert el.descriptor.width == 512
     assert el.descriptor.height == 256
-    assert rewrite_html(doc, [(el.src_span, "/x.png")]) == \
+    assert rewrite_html(doc, [(el.src_span, "/x.png",
+                               "/fp/photos/abc.png")]) == \
         doc.replace(b"/fp/photos/abc.png", b"/x.png")
 
 
@@ -125,8 +126,8 @@ def test_rewrite_empty_list_is_byte_identical():
 
 def test_rewrite_replaces_only_the_spans():
     result = scan_html(PAGE)
-    reps = [(el.src_span, f"http://cdn.example/obj{i}")
-            for i, el in enumerate(result)]
+    reps = [(el.src_span, f"http://cdn.example/obj{i}",
+             el.descriptor.source_url) for i, el in enumerate(result)]
     out = rewrite_html(PAGE, reps)
     assert b'src="http://cdn.example/obj0"' in out
     assert b"src='http://cdn.example/obj1'" in out
@@ -159,25 +160,27 @@ def test_rewrite_honors_expected_src_guard():
 def test_rewrite_rejects_overlap_and_out_of_bounds():
     doc = b'<img src="/abcdef.png">'
     with pytest.raises(SpanMismatch):
-        rewrite_html(doc, [((5, 12), "x"), ((10, 14), "y")])
+        rewrite_html(doc, [((5, 12), "x", doc[5:12].decode()),
+                           ((10, 14), "y", doc[10:14].decode())])
     with pytest.raises(SpanMismatch):
-        rewrite_html(doc, [((5, len(doc) + 3), "x")])
+        rewrite_html(doc, [((5, len(doc) + 3), "x", doc[5:].decode())])
     with pytest.raises(SpanMismatch):
-        rewrite_html(doc, [((12, 5), "x")])
+        rewrite_html(doc, [((12, 5), "x", "")])
 
 
 def test_rewrite_accepts_bytes_payload():
     doc = b'<img src="/old.png">'
     (el,) = scan_html(doc)
-    out = rewrite_html(doc, [(el.src_span, b"/raw.png")])
+    out = rewrite_html(doc, [(el.src_span, b"/raw.png", "/old.png")])
     assert out == b'<img src="/raw.png">'
 
 
 def test_rewrite_growth_and_shrink_keep_structure():
     doc = b'<p>a</p><img src="/s.png"><p>b</p>'
     (el,) = scan_html(doc)
-    longer = rewrite_html(doc, [(el.src_span, "/much/longer/target.png")])
-    shorter = rewrite_html(doc, [(el.src_span, "/t")])
+    longer = rewrite_html(doc, [(el.src_span, "/much/longer/target.png",
+                                 "/s.png")])
+    shorter = rewrite_html(doc, [(el.src_span, "/t", "/s.png")])
     assert longer.startswith(b"<p>a</p>") and longer.endswith(b"<p>b</p>")
     assert shorter == b'<p>a</p><img src="/t"><p>b</p>'
 
@@ -202,7 +205,7 @@ def test_scan_keeps_quoted_gt_inside_the_tag(doc):
     assert el.descriptor.source_url == REAL.decode()
     start, end = el.src_span
     assert doc[start:end] == REAL
-    assert rewrite_html(doc, [(el.src_span, "/x.png")]) == \
+    assert rewrite_html(doc, [(el.src_span, "/x.png", REAL.decode())]) == \
         doc.replace(REAL, b"/x.png")
 
 
@@ -374,6 +377,16 @@ def test_property_spans_are_exact_on_any_page(pieces):
         assert 0 <= start < end <= len(doc)
         assert doc[start:end].decode("utf-8", errors="replace") == \
             el.descriptor.source_url
-    # replacing every src keeps every tag, so a rescan finds the same
-    out = rewrite_html(doc, [(s, "/r.png") for s in spans])
+    # replacing every src keeps every tag, so a rescan finds the same; a
+    # src that is not UTF-8 fails the expected-src check instead
+    reps = []
+    for el in result:
+        rep = (el.src_span, "/r.png", el.descriptor.source_url)
+        start, end = el.src_span
+        if doc[start:end] == el.descriptor.source_url.encode("utf-8"):
+            reps.append(rep)
+        else:
+            with pytest.raises(SpanMismatch):
+                rewrite_html(doc, [rep])
+    out = rewrite_html(doc, reps)
     assert len(scan_html(out)) == len(result)

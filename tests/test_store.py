@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from r2o import store
+from r2o import bench, store
 from r2o.store import (
     LATENCY_PRESETS,
     ContentItem,
@@ -15,8 +15,6 @@ from r2o.store import (
     MemoryStore,
     NotFound,
     PayloadTooLarge,
-    measure_store,
-    median_ms,
     preset_store,
     serve_store,
 )
@@ -66,12 +64,6 @@ def test_payload_cap(provider):
     provider.upload(ContentItem(data=b"x" * 1024))
 
 
-def test_declared_length_mismatch_rejected(provider):
-    bad = ContentItem(data=b"abc", declared_length=5)
-    with pytest.raises(ValueError):
-        provider.upload(bad)
-
-
 def test_latency_floor_applies_to_upload_and_fetch():
     slow = MemoryStore(name="slow", simulated_latency=40)
     t0 = time.perf_counter()
@@ -111,11 +103,10 @@ def test_presets_table():
 
 
 def test_measure_store_respects_floor():
-    samples = measure_store(preset_store("imgur"), item_size=2048,
-                            repetitions=6)
-    assert len(samples) == 6
-    assert all(s >= 12 for s in samples)
-    assert 12 <= median_ms(samples) <= 32
+    ((name, median),) = bench.bench_providers([preset_store("imgur")],
+                                              item_size=2048, repetitions=6)
+    assert name == "imgur"
+    assert 12 <= median <= 32
 
 
 def test_seeded_ids_are_reproducible():
