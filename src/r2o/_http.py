@@ -56,7 +56,8 @@ MAX_FIELDS = 100
 _MAX_INTERIM = 8
 
 _TOKEN = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
-_URL_CONTROLS = re.compile(r"[\x00-\x20\x7f]")
+# a request URL is printable ASCII with no space
+_URL_BAD_CHAR = re.compile(r"[^\x21-\x7e]")
 
 
 class HttpError(Exception):
@@ -180,7 +181,7 @@ class ConnectionPool:
         except ValueError as exc:
             raise HttpError(f"bad URL {url!r}: {exc}") from None
         if (parts.scheme not in ("http", "https") or not parts.hostname
-                or _URL_CONTROLS.search(url)):
+                or _URL_BAD_CHAR.search(url)):
             raise HttpError(f"unsupported URL {url!r}")
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query
                                         else "")
@@ -191,7 +192,10 @@ class ConnectionPool:
             lines.append(f"Content-Length: {len(body)}")
         if any("\r" in line or "\n" in line for line in lines):
             raise ValueError("CR or LF in a request header")
-        data = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+        try:
+            data = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+        except UnicodeEncodeError:
+            raise HttpError("request head is not latin-1") from None
         if body:
             data += body
         with self._lock:

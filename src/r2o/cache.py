@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass, field
 
 MAP_HEADER = "r2o-map/1"
 MEDIA_CLASSES = ("image", "text")
@@ -31,7 +32,8 @@ class MappingEntry:
     offsite_locator: str
     media_class: str = "image"
     hit_count: int = 0
-    last_used: int | None = None
+    # stamped by the cache's clock on every insert and hit
+    last_used: int | None = field(default=None, init=False)
 
     def validate(self) -> "MappingEntry":
         if not self.pseudo_locator or not self.offsite_locator:
@@ -83,7 +85,7 @@ class MappingsCache:
         """
         entry.validate()
         with self._lock:
-            stored = replace(entry)
+            stored = copy(entry)
             stored.last_used = self._now()
             self._frequent[stored.pseudo_locator] = stored
             while len(self._frequent) > self.config.n_frequent:
@@ -109,7 +111,7 @@ class MappingsCache:
                 existing.last_used = self._now()
                 self._recent.move_to_end(entry.pseudo_locator)
                 return
-            stored = replace(entry)
+            stored = copy(entry)
             stored.last_used = self._now()
             self._recent[stored.pseudo_locator] = stored
             while len(self._recent) > self.config.m_recent:
@@ -150,8 +152,8 @@ class MappingsCache:
     def snapshot(self) -> tuple[dict[str, MappingEntry], dict[str, MappingEntry]]:
         """Deep copies of (frequent, recent); test and debugging aid."""
         with self._lock:
-            return ({k: replace(v) for k, v in self._frequent.items()},
-                    {k: replace(v) for k, v in self._recent.items()})
+            return ({k: copy(v) for k, v in self._frequent.items()},
+                    {k: copy(v) for k, v in self._recent.items()})
 
     # -- sharing -----------------------------------------------------------
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import gf256, matrix, tables
 from .errors import DecodeFailure, NotAQrSymbol
-from .models import (DARK_THRESHOLD, IndirectionPayload, PseudoImage,
-                     validate_locator)
+from .models import IndirectionPayload, PseudoImage, validate_locator
 
 _FINDER = np.zeros((7, 7), dtype=np.uint8)
 _FINDER[:, :] = 1
@@ -52,10 +51,10 @@ def _format_table() -> np.ndarray:
 _FORMAT_TABLE = _format_table()
 
 
-def _candidate_grids(pixels: np.ndarray):
+def _candidate_grids(light: np.ndarray):
     """Yield (score, n, grid) for plausible module counts, best first."""
-    rows = np.flatnonzero(pixels.min(axis=1) < DARK_THRESHOLD)
-    cols = np.flatnonzero(pixels.min(axis=0) < DARK_THRESHOLD)
+    rows = np.flatnonzero(~light.all(axis=1))
+    cols = np.flatnonzero(~light.all(axis=0))
     if rows.size == 0:
         raise NotAQrSymbol("image contains no dark pixels")
     top, left = int(rows[0]), int(cols[0])
@@ -69,9 +68,8 @@ def _candidate_grids(pixels: np.ndarray):
         if w % n:
             continue
         s = w // n
-        grid = (pixels[top + s // 2:top + n * s:s,
-                       left + s // 2:left + n * s:s]
-                < DARK_THRESHOLD).astype(np.uint8)
+        grid = (~light[top + s // 2:top + n * s:s,
+                       left + s // 2:left + n * s:s]).view(np.uint8)
         if grid.shape != (n, n):
             continue
         agree = [int((grid[r0:r0 + 7, c0:c0 + 7] == _FINDER).sum())
@@ -176,13 +174,13 @@ def decode_matrix(grid: np.ndarray) -> bytes:
 
 
 def decode_qr(image: PseudoImage) -> IndirectionPayload:
-    """Decode a pseudo-image back to the payload encoded into it."""
-    pixels = image.pixels if isinstance(image, PseudoImage) else \
-        np.asarray(image)
-    if pixels.ndim != 2:
-        raise NotAQrSymbol("expected a 2-D grayscale raster")
+    """Decode a pseudo-image, whose light raster must be a 2-D bool
+    array, back to the payload encoded into it."""
+    light = image.light
+    if light.ndim != 2 or light.dtype != np.bool_:
+        raise NotAQrSymbol("expected a 2-D bool raster")
     last_err: DecodeFailure | None = None
-    for _, _, grid in _candidate_grids(pixels):
+    for _, _, grid in _candidate_grids(light):
         try:
             raw = decode_matrix(grid)
         except DecodeFailure as exc:

@@ -91,26 +91,21 @@ def encode_symbol(data: bytes, ec_level: str = "M",
 
 
 def render(modules: np.ndarray, config: QrConfig) -> PseudoImage:
-    """Rasterize a module matrix to black and white pixels per the config.
+    """Rasterize a module matrix to a target_size square bool raster.
 
-    The image keeps its bool raster as `light`, so it is written as a
-    1-bit PNG. Each distinct canvas row is drawn once, enlarged across and
-    padded, and the canvas rows are gathered from those: copying whole rows
-    is cheaper than enlarging or placing the full raster.
+    Each module is the largest whole number of pixels that fits, and the
+    symbol with its quiet zone is centred on a white canvas. Each distinct
+    canvas row is drawn once, enlarged across and padded, and the canvas
+    rows are gathered from those: copying whole rows is cheaper than
+    enlarging or placing the full raster.
     """
     n = modules.shape[0]
     edge = n + 2 * QUIET_ZONE
-
-    if config.target_size is not None:
-        scale = config.target_size // edge
-        if scale < 1:
-            raise TargetTooSmall(
-                f"target_size {config.target_size} cannot hold a "
-                f"{edge}-module symbol")
-        canvas_edge = config.target_size
-    else:
-        scale = config.module_scale
-        canvas_edge = edge * scale
+    canvas_edge = config.target_size
+    scale = canvas_edge // edge
+    if scale < 1:
+        raise TargetTooSmall(
+            f"target_size {canvas_edge} cannot hold a {edge}-module symbol")
     size = edge * scale
     off = (canvas_edge - size) // 2
 
@@ -122,8 +117,7 @@ def render(modules: np.ndarray, config: QrConfig) -> PseudoImage:
         modules == 0).repeat(scale, axis=1)
     row_of = np.full(canvas_edge, edge, dtype=np.intp)
     row_of[off:off + size] = np.arange(size) // scale
-    return PseudoImage(pixels=(rows * np.uint8(255))[row_of],
-                       light=rows[row_of])
+    return PseudoImage(light=rows[row_of])
 
 
 def encode_qr(payload: IndirectionPayload,
@@ -132,8 +126,6 @@ def encode_qr(payload: IndirectionPayload,
     config = config or QrConfig()
     if config.ec_level not in tables.EC_LEVELS:
         raise ValueError(f"unknown EC level {config.ec_level!r}")
-    if config.module_scale < 1:
-        raise ValueError("module_scale must be >= 1")
     data = serialize_payload(payload)
     modules, _, _ = encode_symbol(data, config.ec_level, config.min_version)
     return render(modules, config)

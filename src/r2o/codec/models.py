@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,35 +36,35 @@ class IndirectionPayload:
 
 @dataclass
 class PseudoImage:
-    """Grayscale raster holding a rendered symbol.
+    """A black-and-white raster holding a rendered symbol.
 
-    light is the same raster as bools, True where white, when it is known
-    to be pure black and white (the encoder's render sets it); to_png then
-    writes a 1-bit PNG. Code that edits pixels in place must drop it.
+    light is a 2-D bool array, True where white, as in a 1-bit PNG;
+    to_png writes it at depth 1.
     """
 
-    pixels: np.ndarray
-    light: np.ndarray | None = field(default=None, repr=False,
-                                     compare=False)
+    light: np.ndarray
 
     @property
     def width(self) -> int:
-        return int(self.pixels.shape[1])
+        return int(self.light.shape[1])
 
     @property
     def height(self) -> int:
-        return int(self.pixels.shape[0])
+        return int(self.light.shape[0])
 
     def to_png(self) -> bytes:
-        return png.write_png(self.pixels if self.light is None
-                             else self.light)
+        return png.write_png(self.light)
 
     @classmethod
     def from_png(cls, data: bytes,
                  max_edge: int = png.MAX_EDGE) -> "PseudoImage":
-        """Read a PNG; a width or height above max_edge raises
-        png.PNGTooLarge before anything is inflated."""
-        return cls(pixels=png.read_png(data, max_edge))
+        """Read a PNG; an 8-bit file is thresholded, pixel values below
+        DARK_THRESHOLD reading as dark. A width or height above max_edge
+        raises png.PNGTooLarge before anything is inflated."""
+        pixels = png.read_png(data, max_edge)
+        if pixels.dtype != np.bool_:
+            pixels = pixels >= DARK_THRESHOLD
+        return cls(light=pixels)
 
 
 @dataclass(frozen=True)
@@ -73,5 +73,4 @@ class QrConfig:
 
     ec_level: str = "M"
     min_version: int = 1
-    module_scale: int = 1
-    target_size: int | None = 512
+    target_size: int = 512

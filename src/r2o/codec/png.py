@@ -1,15 +1,16 @@
 """Minimal grayscale PNG writer/reader (single channel, bit depth 1 or 8).
 
-The writer picks the bit depth from the array: a bool array is written at
-depth 1, eight pixels to a byte with white as 1, and a uint8 array at
-depth 8. QR stand-ins are pure black and white, so `encoder.render` hands
-the writer its bool raster and every stand-in is a 1-bit file; a uint8
-raster, such as a file read back, is written at depth 8. On a 512 px
-symbol with a 66-byte locator (2 vCPU Xeon, Python 3.11, numpy 2.4,
-zlib 1.2.13, single-threaded) depth 1 writes 1280 bytes against 6063 at
-depth 8; `to_png` falls from about 1.1 to 0.12 ms and
-`from_png` from 0.33 to 0.11 ms, as the reader inflates 33 KB of
-scanlines instead of 262 KB.
+The bit depth follows the array's dtype both ways: a bool array is
+written at depth 1, eight pixels to a byte with white as 1, and a uint8
+array at depth 8; a 1-bit file reads back as bools and an 8-bit file as
+uint8. A stand-in is a bool raster from render to decode, so every
+stand-in, padded, upscaled or read back, is written as a 1-bit file;
+8-bit files are photos and stand-ins from before the 1-bit writer. On a
+512 px symbol with a 66-byte locator (2 vCPU Xeon, Python 3.11, numpy
+2.4, zlib 1.2.13, single-threaded) depth 1 writes 1280 bytes against
+6063 at depth 8; `to_png` falls from about 1.1 to 0.12 ms and `from_png`
+from 0.33 to 0.11 ms, as the reader inflates 33 KB of scanlines instead
+of 262 KB.
 
 Scanlines are written with filter 0 at zlib level 3. At depth 8 that
 wrote 5.5 KB in 0.7-0.8 ms, against 1.6 KB in 5-7 ms at level 9, and
@@ -28,8 +29,8 @@ their left, so they keep a per-byte loop, and only external files use
 them. That loop costs about 0.5 µs a byte, so a stream whose Average and
 Paeth rows hold more than 256 KiB (one 512x512 8-bit image) is refused:
 a 2.4 KB 1024x1024 Paeth file took 0.46 s to unfilter. A depth-1 image
-is expanded to 0/255 pixels with `np.unpackbits`, and the padding bits
-at the end of each row are ignored.
+is unpacked to bools with `np.unpackbits`, and the padding bits at the
+end of each row are ignored.
 
 The reader treats its input as untrusted: dimensions above its edge limit
 (MAX_EDGE, or a smaller one the caller passes) are rejected before
@@ -181,8 +182,8 @@ def read_ihdr(data: bytes) -> tuple[int, int, int, int, int, int, int]:
 
 
 def read_png(data: bytes, max_edge: int = MAX_EDGE) -> np.ndarray:
-    """Decode a 1-bit or 8-bit grayscale PNG to a HxW uint8 array; 1-bit
-    pixels read as 0 and 255.
+    """Decode a grayscale PNG to a HxW array: a 1-bit file to bools
+    (True is white), an 8-bit file to uint8.
 
     A width or height above max_edge (never above MAX_EDGE) raises
     PNGTooLarge before anything is inflated.
@@ -217,6 +218,4 @@ def read_png(data: bytes, max_edge: int = MAX_EDGE) -> np.ndarray:
     _unfilter(kinds, out)
     if depth == 8:
         return out
-    pixels = np.unpackbits(out, axis=1, count=width)
-    pixels *= 255
-    return pixels
+    return np.unpackbits(out, axis=1, count=width).view(np.bool_)

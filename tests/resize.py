@@ -1,4 +1,4 @@
-"""First-party resizing, modelled for the codec tests.
+"""Raster helpers for the codec tests, and first-party resizing modelled.
 
 A host may place a stand-in on a larger white canvas or scale it up by an
 integer factor; the symbol must decode the same either way.
@@ -9,6 +9,21 @@ from __future__ import annotations
 import numpy as np
 
 from r2o import codec
+from r2o.codec import encoder, tables
+
+
+def tight(locator: str, scale: int = 1,
+          ec_level: str = "M") -> codec.QrConfig:
+    """The config that draws the locator's symbol and quiet zone at
+    `scale` pixels a module, with no padding around them."""
+    version = encoder.choose_version(len(locator), ec_level)
+    edge = tables.size_for_version(version) + 2 * encoder.QUIET_ZONE
+    return codec.QrConfig(ec_level=ec_level, target_size=edge * scale)
+
+
+def gray(light: np.ndarray) -> np.ndarray:
+    """A bool raster as 8-bit grayscale: white 255, black 0."""
+    return light * np.uint8(255)
 
 
 def pad_with_border(image: codec.PseudoImage, target_width: int,
@@ -18,11 +33,11 @@ def pad_with_border(image: codec.PseudoImage, target_width: int,
         raise codec.TargetTooSmall(
             f"cannot pad {image.width}x{image.height} down to "
             f"{target_width}x{target_height}")
-    canvas = np.full((target_height, target_width), 255, dtype=np.uint8)
+    canvas = np.ones((target_height, target_width), dtype=bool)
     top = (target_height - image.height) // 2
     left = (target_width - image.width) // 2
-    canvas[top:top + image.height, left:left + image.width] = image.pixels
-    return codec.PseudoImage(pixels=canvas)
+    canvas[top:top + image.height, left:left + image.width] = image.light
+    return codec.PseudoImage(light=canvas)
 
 
 def upscale(image: codec.PseudoImage, factor: int) -> codec.PseudoImage:
@@ -32,4 +47,4 @@ def upscale(image: codec.PseudoImage, factor: int) -> codec.PseudoImage:
     if factor == 1:
         return image
     return codec.PseudoImage(
-        pixels=image.pixels.repeat(factor, axis=0).repeat(factor, axis=1))
+        light=image.light.repeat(factor, axis=0).repeat(factor, axis=1))

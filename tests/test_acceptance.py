@@ -38,7 +38,7 @@ from r2o.store import LATENCY_PRESETS, ContentItem, MemoryStore, preset_store
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from cache_reference import ReferenceCache  # noqa: E402
 from recording_fetcher import RecordingFetcher  # noqa: E402
-from resize import pad_with_border, upscale  # noqa: E402
+from resize import gray, pad_with_border, tight, upscale  # noqa: E402
 
 URL_CHARS = ("abcdefghijklmnopqrstuvwxyz"
              "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~/")
@@ -73,11 +73,10 @@ def test_criterion_01_codec_round_trip(verdict):
     try:
         rng = random.Random(101)
         started = time.perf_counter()
-        cfg = codec.QrConfig(target_size=None, module_scale=1)
         for i in range(500):
             url = random_url(rng)
             image = codec.encode_qr(
-                codec.IndirectionPayload(locator=url), cfg)
+                codec.IndirectionPayload(locator=url), tight(url))
             if codec.decode_qr(image).locator != url:
                 failures.append(f"direct decode mismatch for {url!r}")
                 continue
@@ -109,9 +108,8 @@ def test_criterion_02_reference_decoder_spot_check(verdict):
             level = ("M", "Q")[i % 2]
             image = codec.encode_qr(
                 codec.IndirectionPayload(locator=url),
-                codec.QrConfig(ec_level=level, target_size=None,
-                               module_scale=1))
-            got = qr_oracle.oracle_decode_pixels(image.pixels)
+                tight(url, ec_level=level))
+            got = qr_oracle.oracle_decode_pixels(gray(image.light))
             if got != url.encode("ascii"):
                 failures.append(f"oracle read {got!r}, wanted {url!r}")
     except Exception as exc:

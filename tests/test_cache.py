@@ -18,9 +18,9 @@ P = "http://fp.example/fp/photos/{}.png".format
 O = "http://off.example/v1/objects/{:016x}".format
 
 
-def entry(i, hits=0, used=None):
+def entry(i, hits=0):
     return MappingEntry(pseudo_locator=P(i), offsite_locator=O(i),
-                        hit_count=hits, last_used=used)
+                        hit_count=hits)
 
 
 # -- entry validation -------------------------------------------------------
@@ -122,10 +122,16 @@ def test_key_in_both_segments_prefers_frequent():
 
 def test_created_entries_are_stamped_by_the_clock():
     cache = MappingsCache()
-    cache.record_created(entry(1, used=500))
+    cache.record_created(entry(1))
     cache.record_created(entry(2))
     frequent, _ = cache.snapshot()
-    assert frequent[P(1)].last_used < frequent[P(2)].last_used < 500
+    assert 0 < frequent[P(1)].last_used < frequent[P(2)].last_used
+
+
+def test_last_used_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        MappingEntry("a", "b", last_used=5)
+    assert MappingEntry("a", "b").last_used is None
 
 
 # -- wire format ------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Command-line surface: exits, config handling, subcommand flows."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from r2o import cli
-from r2o.cache import MAP_HEADER, MappingsCache, MappingEntry
+from r2o import cli, codec
+from r2o.cache import MAP_HEADER, CacheConfig, MappingsCache, MappingEntry
 from r2o.codec.png import write_png
+from r2o.filter import FilterConfig
 from r2o.firstparty import FirstPartyService, serve_firstparty
 from r2o.store import ContentItem, MemoryStore, serve_store
 
@@ -181,6 +183,14 @@ def test_load_config_names_unknown_sections_and_keys(tmp_path, text, named):
     path.write_text(text)
     with pytest.raises(cli.UsageError, match=re.escape(named)):
         cli.load_config(str(path))
+
+
+@pytest.mark.parametrize("section, config", [
+    ("qr", codec.QrConfig), ("filter", FilterConfig), ("cache", CacheConfig)])
+def test_config_fields_are_exactly_the_ini_keys(section, config):
+    # a field the INI file cannot set is a knob that only tests turn
+    fields = {f.name for f in dataclasses.fields(config)}
+    assert set(cli._SECTIONS[section]) == fields
 
 
 def test_load_config_reads_provider_sections(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from r2o import codec
 from r2o.codec import decoder, encoder, matrix, tables
-from resize import pad_with_border, upscale
+from resize import gray, pad_with_border, tight, upscale
 
 URL_ALPHABET = ("abcdefghijklmnopqrstuvwxyz"
                 "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~/")
@@ -102,14 +102,14 @@ def test_property_round_trip(length, seed):
     import random
     url = make_url(random.Random(seed), length)
     image = codec.encode_qr(codec.IndirectionPayload(locator=url),
-                            codec.QrConfig(target_size=None, module_scale=2))
+                            tight(url, 2))
     assert codec.decode_qr(image).locator == url
 
 
 # -- decode failure modes ---------------------------------------------------
 
 def test_blank_image_is_not_a_symbol():
-    white = codec.PseudoImage(pixels=np.full((80, 80), 255, dtype=np.uint8))
+    white = codec.PseudoImage(light=np.ones((80, 80), dtype=bool))
     with pytest.raises(codec.NotAQrSymbol):
         codec.decode_qr(white)
 
@@ -118,7 +118,16 @@ def test_noise_is_not_a_symbol():
     noise = np.random.default_rng(11).integers(0, 256, (120, 120),
                                                dtype=np.uint8)
     with pytest.raises(codec.NotAQrSymbol):
-        codec.decode_qr(codec.PseudoImage(pixels=noise))
+        codec.decode_qr(codec.PseudoImage(light=noise >= 128))
+
+
+def test_decode_refuses_a_raster_that_is_not_2d_bool():
+    image = codec.encode_qr(codec.IndirectionPayload(
+        locator="http://a.example/g.png"))
+    # ~ on uint8 would invert bytes, so a grayscale copy is not sampled
+    for raster in (image.light[..., None], gray(image.light)):
+        with pytest.raises(codec.NotAQrSymbol, match="2-D bool"):
+            codec.decode_qr(codec.PseudoImage(light=raster))
 
 
 def test_not_a_symbol_is_not_a_decode_failure():
@@ -130,12 +139,12 @@ def test_not_a_symbol_is_not_a_decode_failure():
 def test_heavy_corruption_raises_decode_failure():
     url = "http://a.example/corrupt-me.png"
     image = codec.encode_qr(codec.IndirectionPayload(locator=url),
-                            codec.QrConfig(target_size=None, module_scale=1))
-    pix = image.pixels.copy()
-    h, w = pix.shape
-    pix[h // 2 - 4:h // 2 + 4, 10:w - 10] ^= 255  # stomp an 8-row band
+                            tight(url))
+    light = image.light.copy()
+    h, w = light.shape
+    light[h // 2 - 4:h // 2 + 4, 10:w - 10] ^= True  # stomp an 8-row band
     with pytest.raises((codec.DecodeFailure, codec.NotAQrSymbol)):
-        codec.decode_qr(codec.PseudoImage(pixels=pix))
+        codec.decode_qr(codec.PseudoImage(light=light))
 
 
 def test_valid_symbol_with_non_locator_payload_fails():
@@ -148,16 +157,16 @@ def test_valid_symbol_with_non_locator_payload_fails():
 def test_single_module_flips_are_corrected(rng):
     url = "http://a.example/flip.png"
     image = codec.encode_qr(codec.IndirectionPayload(locator=url),
-                            codec.QrConfig(target_size=None, module_scale=1))
+                            tight(url))
     edge = image.width
     for _ in range(25):
         # stay inside the quiet zone: localization relies on a clean border
         r = rng.randrange(4, edge - 4)
         c = rng.randrange(4, edge - 4)
-        pix = image.pixels.copy()
-        pix[r, c] ^= 255
+        light = image.light.copy()
+        light[r, c] ^= True
         assert codec.decode_qr(
-            codec.PseudoImage(pixels=pix)).locator == url
+            codec.PseudoImage(light=light)).locator == url
 
 
 # -- rendering, padding, upscaling ------------------------------------------
@@ -176,10 +185,10 @@ def test_target_too_small():
             codec.QrConfig(target_size=16))
 
 
-def test_module_scale_render():
+def test_tight_render_at_three_pixels_a_module():
     url = "http://a.example/s.png"
     image = codec.encode_qr(codec.IndirectionPayload(locator=url),
-                            codec.QrConfig(target_size=None, module_scale=3))
+                            tight(url, 3))
     assert image.width % 3 == 0
     assert codec.decode_qr(image).locator == url
 
@@ -187,7 +196,7 @@ def test_module_scale_render():
 def test_pad_with_border_round_trip():
     url = "http://a.example/padded.png"
     image = codec.encode_qr(codec.IndirectionPayload(locator=url),
-                            codec.QrConfig(target_size=None, module_scale=2))
+                            tight(url, 2))
     padded = pad_with_border(image, image.width + 37, image.height + 74)
     assert (padded.width, padded.height) == (image.width + 37,
                                              image.height + 74)
@@ -198,8 +207,8 @@ def test_pad_with_border_identity_and_too_small():
     image = codec.encode_qr(
         codec.IndirectionPayload(locator="http://a.example/x.png"))
     same = pad_with_border(image, image.width, image.height)
-    assert np.array_equal(same.pixels, image.pixels)
-    assert same.pixels is not image.pixels
+    assert np.array_equal(same.light, image.light)
+    assert same.light is not image.light
     with pytest.raises(codec.TargetTooSmall):
         pad_with_border(image, image.width - 1, image.height)
 
@@ -207,7 +216,7 @@ def test_pad_with_border_identity_and_too_small():
 def test_upscale_round_trip():
     url = "http://a.example/up.png"
     image = codec.encode_qr(codec.IndirectionPayload(locator=url),
-                            codec.QrConfig(target_size=None, module_scale=1))
+                            tight(url))
     for factor in (2, 3, 4):
         grown = upscale(image, factor)
         assert grown.width == image.width * factor
@@ -221,7 +230,7 @@ def test_pseudo_image_png_round_trip():
     url = "http://a.example/png.png"
     image = codec.encode_qr(codec.IndirectionPayload(locator=url))
     back = codec.PseudoImage.from_png(image.to_png())
-    assert np.array_equal(back.pixels, image.pixels)
+    assert np.array_equal(back.light, image.light)
     assert codec.decode_qr(back).locator == url
 
 

@@ -15,7 +15,7 @@ import qr_oracle
 from r2o import codec
 from r2o.codec import tables
 from r2o.codec.encoder import QUIET_ZONE
-from resize import pad_with_border, upscale
+from resize import gray, pad_with_border, tight, upscale
 
 try:
     import cv2
@@ -34,8 +34,7 @@ URLS = [
 
 def _encode(url, level="M"):
     return codec.encode_qr(codec.IndirectionPayload(locator=url),
-                           codec.QrConfig(ec_level=level, target_size=None,
-                                          module_scale=1))
+                           tight(url, ec_level=level))
 
 
 # -- in-repo oracle ---------------------------------------------------------
@@ -44,19 +43,19 @@ def test_oracle_accepts_encoder_output():
     for url in URLS:
         for level in ("M", "Q"):
             image = _encode(url, level)
-            payload = qr_oracle.oracle_decode_pixels(image.pixels)
+            payload = qr_oracle.oracle_decode_pixels(gray(image.light))
             assert payload == url.encode("ascii"), (url, level)
 
 
 def test_oracle_accepts_upscaled_output():
     url = "http://a.example/up.png"
     image = upscale(_encode(url), 3)
-    assert qr_oracle.oracle_decode_pixels(image.pixels) == url.encode()
+    assert qr_oracle.oracle_decode_pixels(gray(image.light)) == url.encode()
 
 
 def test_oracle_rejects_tampered_format_info():
     image = _encode("http://a.example/t.png")
-    pix = image.pixels.copy()
+    pix = gray(image.light)
     # both format copies live inside the symbol; breaking four modules of
     # one copy must fail the oracle's agreement check
     qz = QUIET_ZONE
@@ -68,7 +67,7 @@ def test_oracle_rejects_tampered_format_info():
 
 def test_oracle_rejects_broken_timing():
     image = _encode("http://a.example/t2.png")
-    pix = image.pixels.copy()
+    pix = gray(image.light)
     qz = QUIET_ZONE
     pix[qz + 6, qz + 8] ^= 255  # timing row module
     with pytest.raises(qr_oracle.OracleReject):
@@ -82,7 +81,7 @@ def test_oracle_matches_production_decoder_on_random_urls(rng):
             rng.choice("abcdefghijklmnopqrstuvwxyz0123456789")
             for _ in range(length))
         image = _encode(url)
-        assert (qr_oracle.oracle_decode_pixels(image.pixels)
+        assert (qr_oracle.oracle_decode_pixels(gray(image.light))
                 == codec.decode_qr(image).locator.encode())
 
 
@@ -97,7 +96,7 @@ def test_opencv_reads_encoder_output():
                 continue
             # the vision pipeline needs several pixels per module
             image = upscale(_encode(url, level), 8)
-            text, _, _ = detector.detectAndDecode(image.pixels)
+            text, _, _ = detector.detectAndDecode(gray(image.light))
             assert text == url, (url, level)
 
 
@@ -110,10 +109,10 @@ def test_decoder_reads_opencv_output():
         url = "http://cv.example/" + "".join(
             rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(length))
         raw = enc.encode(url)  # 0 = dark, tight 2-module quiet zone
-        pix = np.where(raw > 0, 255, 0).astype(np.uint8)
+        light = raw > 0
         image = pad_with_border(
-            codec.PseudoImage(pixels=pix),
-            pix.shape[1] + 8, pix.shape[0] + 8)
+            codec.PseudoImage(light=light),
+            light.shape[1] + 8, light.shape[0] + 8)
         assert codec.decode_qr(image).locator == url
 
 

@@ -17,6 +17,7 @@ import pytest
 from r2o import codec
 from r2o.codec import decoder, encoder, gf256, matrix, tables
 from r2o.codec.png import read_png
+from resize import gray, tight
 
 
 # -- PNG unfiltering ---------------------------------------------------------
@@ -111,11 +112,10 @@ def _bits_reference(raw: bytes, width: int, height: int) -> np.ndarray:
     """A 1-bit reader, one bit at a time: unfilter the byte rows, then
     pixel x is bit 7 - x % 8 of byte x // 8, white when set."""
     rows = _unfilter_reference(raw, (width + 7) // 8, height)
-    out = np.empty((height, width), dtype=np.uint8)
+    out = np.empty((height, width), dtype=bool)
     for r in range(height):
         for x in range(width):
-            bit = (int(rows[r, x >> 3]) >> (7 - (x & 7))) & 1
-            out[r, x] = 255 if bit else 0
+            out[r, x] = (int(rows[r, x >> 3]) >> (7 - (x & 7))) & 1
     return out
 
 
@@ -125,14 +125,13 @@ def test_one_bit_rows_match_bit_reader(width, kind):
     gen = np.random.default_rng(width * 10 + kind)
     height = 9
     light = gen.random((height, width)) < 0.5
-    want = np.where(light, 255, 0).astype(np.uint8)
     pad = -width % 8
     for pad_bits in (0, (1 << pad) - 1):  # padding all 0, then all 1
         rows = np.packbits(light, axis=1)
         rows[:, -1] |= pad_bits
         raw = _filter_reference(rows, kind)
         got = read_png(_png_from_raw(raw, width, height, depth=1))
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, light)
         assert np.array_equal(got, _bits_reference(raw, width, height))
 
 
@@ -330,42 +329,40 @@ def test_data_codewords_match_bit_list(version, ec_level):
 
 # -- rasterising -------------------------------------------------------------
 
-def _render_reference(modules, config, quiet_zone=4):
+def _render_reference(modules, canvas_edge, quiet_zone=4):
     n = modules.shape[0]
     edge = n + 2 * quiet_zone
     padded = np.zeros((edge, edge), dtype=np.uint8)
     padded[quiet_zone:quiet_zone + n, quiet_zone:quiet_zone + n] = modules
-    if config.target_size is not None:
-        scale, canvas_edge = config.target_size // edge, config.target_size
-    else:
-        scale = config.module_scale
-        canvas_edge = edge * scale
-    pix = np.where(np.kron(padded, np.ones((scale, scale), dtype=np.uint8)),
-                   0, 255).astype(np.uint8)
-    canvas = np.full((canvas_edge, canvas_edge), 255, dtype=np.uint8)
-    off = (canvas_edge - pix.shape[0]) // 2
-    canvas[off:off + pix.shape[0], off:off + pix.shape[1]] = pix
+    scale = canvas_edge // edge
+    light = np.kron(padded, np.ones((scale, scale), dtype=np.uint8)) == 0
+    canvas = np.ones((canvas_edge, canvas_edge), dtype=bool)
+    off = (canvas_edge - light.shape[0]) // 2
+    canvas[off:off + light.shape[0], off:off + light.shape[1]] = light
     return canvas
 
 
-@pytest.mark.parametrize("config", [
-    codec.QrConfig(),  # 512 px: padded unless the edge divides 512
-    codec.QrConfig(target_size=100),
-    codec.QrConfig(target_size=58),  # version 1 at scale 2 with no pad
-    codec.QrConfig(target_size=None, module_scale=1),
-    codec.QrConfig(target_size=None, module_scale=2),
-    codec.QrConfig(target_size=None, module_scale=3),
+# a target size, or none for a tight render at `scale` pixels a module
+@pytest.mark.parametrize("target_size,scale", [
+    pytest.param(512, None, id="config0"),  # padded unless the edge divides
+    pytest.param(100, None, id="config1"),
+    pytest.param(58, None, id="config2"),  # version 1 at scale 2, no pad
+    pytest.param(None, 1, id="config3"),
+    pytest.param(None, 2, id="config4"),
+    pytest.param(None, 3, id="config5"),
 ])
 @pytest.mark.parametrize("version", [1, 2, 5, 10])
-def test_render_matches_kron(config, version):
+def test_render_matches_kron(target_size, scale, version):
     modules, _, _ = encoder.encode_symbol(b"x" * 10, "M", version)
-    if config.target_size is not None and \
-            config.target_size < modules.shape[0] + 8:
+    edge = modules.shape[0] + 8
+    config = codec.QrConfig(target_size=target_size or edge * scale)
+    if config.target_size < edge:
         with pytest.raises(codec.TargetTooSmall):
             encoder.render(modules, config)
         return
     image = encoder.render(modules, config)
-    assert np.array_equal(image.pixels, _render_reference(modules, config))
+    assert np.array_equal(image.light,
+                          _render_reference(modules, config.target_size))
 
 
 # -- byte-mode parsing -------------------------------------------------------
@@ -494,9 +491,9 @@ def test_deinterleave_matches_loop(key):
 
 # -- golden encoder output ---------------------------------------------------
 
-# sha256 over the height, width and pixels of each symbol of the corpus
-# below, as the scalar encoder drew them; any change to mask choice,
-# placement or render shows here
+# sha256 over the height, width and 0/255 pixels of each symbol of the
+# corpus below, as the scalar encoder drew them; any change to mask
+# choice, placement or render shows here
 GOLDEN_SHA256 = \
     "b5c58a1e456d67c24832bbd1e3492e00ff57349f5e4c9d47d084cc7f5d25c872"
 MAX_PNG_BYTES = 8 * 1024  # a stored or barely compressed stream is larger
@@ -518,8 +515,7 @@ def _golden_corpus():
         if i % 5:
             config = codec.QrConfig(ec_level=ec)
         else:
-            config = codec.QrConfig(ec_level=ec, target_size=None,
-                                    module_scale=1 + i % 3)
+            config = tight(locator, 1 + i % 3, ec)
         yield locator, config
 
 
@@ -529,8 +525,8 @@ def test_golden_png_digest():
         image = codec.encode_qr(codec.IndirectionPayload(locator=locator),
                                 config)
         digest.update(struct.pack(">II", image.height, image.width))
-        digest.update(image.pixels.tobytes())
+        digest.update(gray(image.light).tobytes())
         data = image.to_png()
         assert len(data) <= MAX_PNG_BYTES, (locator, len(data))
-        assert np.array_equal(read_png(data), image.pixels)
+        assert np.array_equal(read_png(data), image.light)
     assert digest.hexdigest() == GOLDEN_SHA256

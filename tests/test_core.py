@@ -28,6 +28,7 @@ from r2o.filter import ElementDescriptor, FilterConfig
 from r2o.firstparty import FirstPartyService
 from r2o.store import ContentItem, MemoryStore, NotFound
 from recording_fetcher import RecordingFetcher
+from resize import gray
 
 
 def png_item(seed=0, edge=96):
@@ -271,7 +272,8 @@ def test_read_path_resolves_eight_bit_stand_in():
     w = World()
     locator = w.store.upload(png_item(5))
     image = codec.encode_qr(codec.IndirectionPayload(locator=locator))
-    old = ContentItem(data=write_png(image.pixels), media_type="image/png")
+    old = ContentItem(data=write_png(gray(image.light)),
+                      media_type="image/png")
     assert old.data[24] == 8  # the IHDR's bit depth
     _, static_url = w.service.upload_photo(w.album, old, "r2o:1 old")
     elem = ElementDescriptor(source_url=w.client.base_url + static_url,

@@ -16,18 +16,22 @@ from r2o import _http
 from r2o.cache import MappingsCache
 from r2o.codec.png import write_png
 from r2o.core import (
+    OUTCOME_FAILED,
     FetchError,
     HttpFetcher,
     HttpFirstPartyClient,
+    read_path,
     resolve_page,
     write_path,
 )
+from r2o.filter import ElementDescriptor
 from r2o.firstparty import FirstPartyService, serve_firstparty
 from r2o.store import (
     MAX_PAYLOAD_DEFAULT,
     ContentItem,
     HttpStoreClient,
     MemoryStore,
+    NotFound,
     PayloadTooLarge,
     StoreUnavailable,
     serve_store,
@@ -419,6 +423,42 @@ def test_request_head_cannot_be_forged():
                      headers={"X-Caption": "r2o:1 a\r\nX-Author: mallory"})
     with pytest.raises(_http.HttpError, match="unsupported URL"):
         pool.request("GET", "http://127.0.0.1:9/a b HTTP/1.1\r\nX: y")
+
+
+def test_text_outside_latin1_is_refused_before_sending(connects):
+    pool = _http.ConnectionPool(timeout=1)
+    with pytest.raises(_http.HttpError, match="unsupported URL"):
+        pool.request("GET", "http://127.0.0.1:9/fp/photos/\u00e9.png")
+    with pytest.raises(_http.HttpError, match="not latin-1"):
+        pool.request("POST", "http://127.0.0.1:9/fp/albums", body=b"x",
+                     headers={"X-Caption": "r2o:1 5\u20ac"})
+    elem = ElementDescriptor(
+        source_url="http://127.0.0.1:9/fp/photos/\u20ac.png", width=512,
+        height=512, media_subtype="png", caption="r2o:1 x")
+    (res,) = read_path([elem], None, MappingsCache(), HttpFetcher())
+    assert res.outcome == OUTCOME_FAILED
+    assert not connects
+
+
+def test_caption_outside_latin1_fails_the_write_and_deletes(fp_server):
+    fp = HttpFirstPartyClient(fp_server.base_url)
+    offsite = MemoryStore(name="offsite")
+    uploaded = []
+
+    class SpyingStore:
+        def upload(self, item):
+            uploaded.append(offsite.upload(item))
+            return uploaded[-1]
+
+        def delete(self, locator):
+            offsite.delete(locator)
+
+    album = fp.create_album("euro")
+    with pytest.raises(FetchError, match="not latin-1"):
+        write_path(png_item(3), "5\u20ac", album, SpyingStore(), fp)
+    assert len(uploaded) == 1
+    with pytest.raises(NotFound):
+        offsite.fetch(uploaded[0])
 
 
 def _send_raw(base_url: str, data: bytes) -> bytes:

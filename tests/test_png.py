@@ -73,9 +73,16 @@ def test_bool_arrays_are_written_at_depth_one(rng):
         light = gen.random(shape) < 0.5
         blob = write_png(light)
         assert _depth(blob) == 1
-        assert np.array_equal(read_png(blob),
-                              np.where(light, 255, 0).astype(np.uint8))
+        back = read_png(blob)
+        assert back.dtype == np.bool_
+        assert np.array_equal(back, light)
     assert _depth(write_png(np.zeros((4, 4), dtype=np.uint8))) == 8
+
+
+def test_from_png_thresholds_eight_bit_files_at_128():
+    pix = np.array([[0, 127, 128, 255]], dtype=np.uint8)
+    image = codec.PseudoImage.from_png(write_png(pix))
+    assert image.light.tolist() == [[False, False, True, True]]
 
 
 def test_stand_ins_are_one_bit_and_small():
@@ -84,13 +91,13 @@ def test_stand_ins_are_one_bit_and_small():
     blob = image.to_png()
     assert _depth(blob) == 1
     assert len(blob) <= 2048
-    assert np.array_equal(read_png(blob), image.pixels)
-    # rasters that are not the encoder's own stay 8-bit
+    assert np.array_equal(read_png(blob), image.light)
+    # padded, upscaled and read-back rasters are bool too
     for other in (pad_with_border(image, 600, 600),
                   upscale(image, 2),
                   codec.PseudoImage.from_png(blob)):
-        assert _depth(other.to_png()) == 8
-        assert np.array_equal(read_png(other.to_png()), other.pixels)
+        assert _depth(other.to_png()) == 1
+        assert np.array_equal(read_png(other.to_png()), other.light)
 
 
 def _chunk(tag, payload):
@@ -295,7 +302,7 @@ def _bilevel_png(shape, data):
     rows[:, -1] |= data.draw(st.integers(0, (1 << (-w % 8)) - 1))
     kinds = data.draw(st.lists(st.integers(0, 4), min_size=h, max_size=h))
     blob = _png_with_filter(rows, kinds, width=w, depth=1)
-    return blob, rows, np.where(light, 255, 0).astype(np.uint8)
+    return blob, rows, light
 
 
 @given(_bilevel, st.data())
