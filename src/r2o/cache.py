@@ -13,6 +13,8 @@ from collections import OrderedDict
 from copy import copy
 from dataclasses import dataclass, field
 
+from .codec import validate_locator
+
 MAP_HEADER = "r2o-map/1"
 MEDIA_CLASSES = ("image", "text")
 
@@ -40,6 +42,7 @@ class MappingEntry:
             raise ValueError("locators must be non-empty")
         if self.pseudo_locator == self.offsite_locator:
             raise ValueError("pseudo and offsite locators must differ")
+        validate_locator(self.offsite_locator)  # InvalidPayload, a ValueError
         if self.media_class not in MEDIA_CLASSES:
             raise ValueError(f"bad media class {self.media_class!r}")
         if self.hit_count < 0:

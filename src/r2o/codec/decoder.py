@@ -2,9 +2,11 @@
 
 Geometry recovery leans on the render model: the symbol is the tight bounding
 box of all dark pixels, module pitch is uniform, and the three finder
-patterns anchor plausibility scoring. Error correction repairs bounded
-corruption; format information is recovered by nearest-codeword search,
-looked up in a table over all 15-bit words.
+patterns anchor plausibility scoring. The image stays in its packed 1-bit
+rows: the dark bounds come from byte compares and one AND over the rows,
+and only the rows a candidate pitch samples are unpacked. Error correction
+repairs bounded corruption; format information is recovered by
+nearest-codeword search, looked up in a table over all 15-bit words.
 """
 
 from __future__ import annotations
@@ -18,10 +20,7 @@ from . import gf256, matrix, tables
 from .errors import DecodeFailure, NotAQrSymbol
 from .models import IndirectionPayload, PseudoImage, validate_locator
 
-_FINDER = np.zeros((7, 7), dtype=np.uint8)
-_FINDER[:, :] = 1
-_FINDER[1:6, 1:6] = 0
-_FINDER[2:5, 2:5] = 1
+_FINDER = matrix.base_matrix(1)[:7, :7].ravel()  # 1 = dark, row by row
 
 # per-finder agreement needed out of 49 modules; tolerates a couple of flips
 FINDER_MIN_SCORE = 45
@@ -51,15 +50,30 @@ def _format_table() -> np.ndarray:
 _FORMAT_TABLE = _format_table()
 
 
-def _candidate_grids(light: np.ndarray):
-    """Yield (score, n, grid) for plausible module counts, best first."""
-    rows = np.flatnonzero(~light.all(axis=1))
-    cols = np.flatnonzero(~light.all(axis=0))
-    if rows.size == 0:
+@functools.cache
+def _finder_cells(n: int) -> np.ndarray:
+    """Flat indices into an n x n grid of the three finder patterns'
+    modules, (3, 49): top-left, top-right, bottom-left."""
+    r, c = np.divmod(np.arange(49), 7)
+    corners = np.array([[0, 0], [0, n - 7], [n - 7, 0]])
+    return (corners[:, :1] + r) * n + corners[:, 1:] + c
+
+
+def _candidate_grids(rows: np.ndarray, width: int):
+    """Return (score, n, grid) for plausible module counts, best first.
+
+    rows are 1-bit scanline bytes, white 1, with white padding bits: a
+    row holds a dark pixel where a byte is not 0xFF, and a column where
+    its bit is clear in the AND of every row.
+    """
+    dark_rows = np.flatnonzero((rows != 0xFF).any(axis=1))
+    if dark_rows.size == 0:
         raise NotAQrSymbol("image contains no dark pixels")
-    top, left = int(rows[0]), int(cols[0])
-    h = int(rows[-1]) - top + 1
-    w = int(cols[-1]) - left + 1
+    columns = np.unpackbits(np.bitwise_and.reduce(rows, axis=0), count=width)
+    dark_cols = np.flatnonzero(columns == 0)
+    top, left = int(dark_rows[0]), int(dark_cols[0])
+    h = int(dark_rows[-1]) - top + 1
+    w = int(dark_cols[-1]) - left + 1
     if h != w:
         raise NotAQrSymbol("dark region is not square")
     found = []
@@ -68,14 +82,11 @@ def _candidate_grids(light: np.ndarray):
         if w % n:
             continue
         s = w // n
-        grid = (~light[top + s // 2:top + n * s:s,
-                       left + s // 2:left + n * s:s]).view(np.uint8)
-        if grid.shape != (n, n):
-            continue
-        agree = [int((grid[r0:r0 + 7, c0:c0 + 7] == _FINDER).sum())
-                 for r0, c0 in ((0, 0), (0, n - 7), (n - 7, 0))]
-        if min(agree) >= FINDER_MIN_SCORE:
-            found.append((sum(agree), n, grid))
+        sampled = np.unpackbits(rows[top + s // 2:top + n * s:s], axis=1)
+        grid = sampled[:, left + s // 2:left + n * s:s] ^ 1  # 1 = dark
+        agree = (grid.ravel()[_finder_cells(n)] == _FINDER).sum(axis=1)
+        if agree.min() >= FINDER_MIN_SCORE:
+            found.append((int(agree.sum()), n, grid))
     if not found:
         raise NotAQrSymbol("no finder patterns at any plausible module pitch")
     found.sort(key=lambda t: -t[0])
@@ -95,42 +106,17 @@ def _nearest_format(word_a: int, word_b: int) -> tuple[str, int]:
     return lvl, mask_id
 
 
-def _read_format(grid: np.ndarray) -> tuple[str, int]:
-    """Recover (ec_level, mask_id) by nearest codeword over both copies."""
-    return _nearest_format(*matrix.read_format_words(grid))
-
-
 @functools.cache
-def _block_layout(version: int,
-                  ec_level: str) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """(order, data codewords per block, EC codewords per block).
-
-    order holds the interleaved stream positions of block 0's data and EC
-    codewords, then block 1's, and so on.
-    """
-    ec_per_block, groups = tables.BLOCKS[(version, ec_level)]
-    ks = tuple(k for count, k in groups for _ in range(count))
-    blocks: list[list[int]] = [[] for _ in ks]
-    pos = itertools.count()
-    for j in range(max(ks)):
-        for i, k in enumerate(ks):
-            if j < k:
-                blocks[i].append(next(pos))
-    for _ in range(ec_per_block):
-        for block in blocks:
-            block.append(next(pos))
-    order = np.array([p for block in blocks for p in block], dtype=np.intp)
-    return order, ks, ec_per_block
-
-
-def _deinterleave(codewords: list[int], version: int,
-                  ec_level: str) -> tuple[list[bytes], tuple[int, ...], int]:
-    """(blocks, data codewords per block, EC codewords per block); each
-    block is its data codewords followed by its EC codewords."""
-    order, ks, nsym = _block_layout(version, ec_level)
-    stream = np.asarray(codewords, dtype=np.uint8)[order].tobytes()
-    ends = itertools.accumulate(k + nsym for k in ks)
-    return [stream[end - k - nsym:end] for k, end in zip(ks, ends)], ks, nsym
+def _stream_gather(version: int, ec_level: str,
+                   mask_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat module index, mask bit) of every codeword bit, in block
+    order: block 0's data and EC codewords, most significant bit first,
+    then block 1's, and so on. Remainder bits are left out."""
+    order, _, _ = tables.block_layout(version, ec_level)
+    slots = (8 * order[:, None] + np.arange(8)).ravel()
+    rr, cc = matrix.order_arrays(version)
+    n = tables.size_for_version(version)
+    return (rr * n + cc)[slots], matrix.mask_bits(version, mask_id)[slots]
 
 
 def _parse_byte_mode(data: bytes, version: int) -> bytes:
@@ -160,13 +146,16 @@ def decode_matrix(grid: np.ndarray) -> bytes:
     """Decode an n x n module matrix (1 = dark) to its byte payload."""
     n = grid.shape[0]
     version = (n - 17) // 4
-    ec_level, mask_id = _read_format(grid)
-    codewords = matrix.read_codewords(grid, version, mask_id)
-    blocks, ks, nsym = _deinterleave(codewords, version, ec_level)
+    ec_level, mask_id = _nearest_format(*matrix.read_format_words(grid))
+    index, flip = _stream_gather(version, ec_level, mask_id)
+    stream = np.packbits(grid.ravel()[index] ^ flip).tobytes()
+    _, ks, nsym = tables.block_layout(version, ec_level)
     data = bytearray()
-    for block, k in zip(blocks, ks):
+    end = 0
+    for k in ks:
+        end += k + nsym
         try:
-            fixed = gf256.rs_correct(block, nsym)
+            fixed = gf256.rs_correct(stream[end - k - nsym:end], nsym)
         except gf256.CorrectionError as exc:
             raise DecodeFailure(f"error correction failed: {exc}") from None
         data.extend(fixed[:k])
@@ -174,13 +163,17 @@ def decode_matrix(grid: np.ndarray) -> bytes:
 
 
 def decode_qr(image: PseudoImage) -> IndirectionPayload:
-    """Decode a pseudo-image, whose light raster must be a 2-D bool
-    array, back to the payload encoded into it."""
-    light = image.light
-    if light.ndim != 2 or light.dtype != np.bool_:
-        raise NotAQrSymbol("expected a 2-D bool raster")
+    """Decode a pseudo-image, whose rows must be 2-D uint8 scanline bytes
+    of its width with white padding bits, back to the payload encoded
+    into it."""
+    rows, width = image.rows, image.width
+    pad = (1 << -width % 8) - 1
+    if (rows.ndim != 2 or rows.dtype != np.uint8
+            or rows.shape[1] != (width + 7) // 8
+            or np.any(rows[:, -1:] & pad != pad)):
+        raise NotAQrSymbol("expected 2-D uint8 rows of 1-bit pixels")
     last_err: DecodeFailure | None = None
-    for _, _, grid in _candidate_grids(light):
+    for _, _, grid in _candidate_grids(rows, width):
         try:
             raw = decode_matrix(grid)
         except DecodeFailure as exc:

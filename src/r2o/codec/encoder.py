@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from . import gf256, matrix, tables
+from . import gf256, matrix, png, tables
 from .errors import CapacityExceeded, TargetTooSmall
 from .models import IndirectionPayload, PseudoImage, QrConfig
 
@@ -50,27 +52,14 @@ def build_data_codewords(data: bytes, version: int, ec_level: str) -> list[int]:
 
 def interleave_blocks(data_cw: list[int], version: int, ec_level: str) -> list[int]:
     """Split into RS blocks, append parity, interleave per the standard."""
-    ec_per_block, groups = tables.BLOCKS[(version, ec_level)]
-    blocks: list[list[int]] = []
-    pos = 0
-    for count, k in groups:
-        for _ in range(count):
-            blocks.append(data_cw[pos:pos + k])
-            pos += k
-    assert pos == len(data_cw)
-    parities = [gf256.rs_encode(bytes(b), ec_per_block) for b in blocks]
-
-    out: list[int] = []
-    max_k = max(len(b) for b in blocks)
-    for j in range(max_k):
-        for b in blocks:
-            if j < len(b):
-                out.append(b[j])
-    for j in range(ec_per_block):
-        for p in parities:
-            out.append(p[j])
-    assert len(out) == tables.TOTAL_CODEWORDS[version]
-    return out
+    order, ks, nsym = tables.block_layout(version, ec_level)
+    blocks = []
+    for end, k in zip(itertools.accumulate(ks), ks):
+        data = bytes(data_cw[end - k:end])
+        blocks.append(data + bytes(gf256.rs_encode(data, nsym)))
+    out = np.empty(len(order), dtype=np.uint8)
+    out[order] = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+    return out.tolist()
 
 
 def encode_symbol(data: bytes, ec_level: str = "M",
@@ -91,13 +80,13 @@ def encode_symbol(data: bytes, ec_level: str = "M",
 
 
 def render(modules: np.ndarray, config: QrConfig) -> PseudoImage:
-    """Rasterize a module matrix to a target_size square bool raster.
+    """Rasterize a module matrix to a target_size square 1-bit image.
 
     Each module is the largest whole number of pixels that fits, and the
     symbol with its quiet zone is centred on a white canvas. Each distinct
-    canvas row is drawn once, enlarged across and padded, and the canvas
-    rows are gathered from those: copying whole rows is cheaper than
-    enlarging or placing the full raster.
+    canvas row is drawn once, enlarged across, padded and packed to bytes,
+    and the canvas rows are gathered from those: copying whole packed rows
+    is cheaper than enlarging or placing the full raster.
     """
     n = modules.shape[0]
     edge = n + 2 * QUIET_ZONE
@@ -117,7 +106,7 @@ def render(modules: np.ndarray, config: QrConfig) -> PseudoImage:
         modules == 0).repeat(scale, axis=1)
     row_of = np.full(canvas_edge, edge, dtype=np.intp)
     row_of[off:off + size] = np.arange(size) // scale
-    return PseudoImage(light=rows[row_of])
+    return PseudoImage(rows=png.pack_rows(rows)[row_of], width=canvas_edge)
 
 
 def encode_qr(payload: IndirectionPayload,

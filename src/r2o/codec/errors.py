@@ -6,7 +6,8 @@ class CodecError(Exception):
 
 
 class InvalidPayload(CodecError, ValueError):
-    """Payload violates locator rules (empty, non-ASCII, bad scheme)."""
+    """Payload violates locator rules (empty, bad scheme, a character
+    outside RFC 3986)."""
 
 
 class CapacityExceeded(CodecError, ValueError):

@@ -131,21 +131,14 @@ def _berlekamp_massey(synd: list[int]) -> list[int]:
             m += 1
             continue
         coef = gf_mul(d, gf_inv(bb))
+        t = list(c)
+        c += [0] * (len(b) + m - len(c))  # no-op when c is long enough
+        for i, bi in enumerate(b):
+            c[i + m] ^= gf_mul(coef, bi)
         if 2 * length <= n:
-            t = list(c)
-            if len(b) + m > len(c):
-                c = c + [0] * (len(b) + m - len(c))
-            for i, bi in enumerate(b):
-                c[i + m] ^= gf_mul(coef, bi)
             length = n + 1 - length
-            b = t
-            bb = d
-            m = 1
+            b, bb, m = t, d, 1
         else:
-            if len(b) + m > len(c):
-                c = c + [0] * (len(b) + m - len(c))
-            for i, bi in enumerate(b):
-                c[i + m] ^= gf_mul(coef, bi)
             m += 1
     return c[: length + 1]
 

@@ -29,72 +29,52 @@ def _in_finder_corner(n: int, r: int, c: int) -> bool:
     return (r < 8 and c < 8) or (r < 8 and c > n - 9) or (r > n - 9 and c < 8)
 
 
-def function_mask(version: int) -> np.ndarray:
-    """Boolean matrix marking every function module (non-data position)."""
+@functools.cache
+def _function_patterns(version: int) -> tuple[np.ndarray, np.ndarray]:
+    """(drawn, mask): every function pattern drawn, with the format areas
+    left light, and a bool matrix marking every function module."""
     n = tables.size_for_version(version)
+    m = np.zeros((n, n), dtype=np.uint8)
     fm = np.zeros((n, n), dtype=bool)
 
-    # finder patterns + separators, as 8x8 corner blocks
-    fm[0:8, 0:8] = True
-    fm[0:8, n - 8:n] = True
-    fm[n - 8:n, 0:8] = True
+    # finder patterns; with their separators they fill 8x8 corner blocks
+    for r0, c0 in ((0, 0), (0, n - 7), (n - 7, 0)):
+        m[r0:r0 + 7, c0:c0 + 7] = 1
+        m[r0 + 1:r0 + 6, c0 + 1:c0 + 6] = 0
+        m[r0 + 2:r0 + 5, c0 + 2:c0 + 5] = 1
+    fm[:8, :8] = fm[:8, n - 8:] = fm[n - 8:, :8] = True
 
-    # timing
-    fm[6, :] = True
-    fm[:, 6] = True
-
-    # format information areas + dark module
-    fm[8, 0:9] = True
-    fm[0:9, 8] = True
-    fm[8, n - 8:n] = True
-    fm[n - 8:n, 8] = True
+    # timing, format information areas and the dark module
+    fm[6, :] = fm[:, 6] = True
+    m[6, 8:n - 8] = m[8:n - 8, 6] = np.arange(9, n - 7) % 2
+    fm[8, :9] = fm[:9, 8] = fm[8, n - 8:] = fm[n - 8:, 8] = True
+    m[n - 8, 8] = 1
 
     for r in tables.ALIGNMENT[version]:
         for c in tables.ALIGNMENT[version]:
             if _in_finder_corner(n, r, c):
                 continue
             fm[r - 2:r + 3, c - 2:c + 3] = True
-
-    if version >= 7:
-        fm[0:6, n - 11:n - 8] = True
-        fm[n - 11:n - 8, 0:6] = True
-    return fm
-
-
-def base_matrix(version: int) -> np.ndarray:
-    """Matrix with all function patterns drawn (format areas left light)."""
-    n = tables.size_for_version(version)
-    m = np.zeros((n, n), dtype=np.uint8)
-
-    def finder(r0: int, c0: int) -> None:
-        m[r0:r0 + 7, c0:c0 + 7] = 1
-        m[r0 + 1:r0 + 6, c0 + 1:c0 + 6] = 0
-        m[r0 + 2:r0 + 5, c0 + 2:c0 + 5] = 1
-
-    finder(0, 0)
-    finder(0, n - 7)
-    finder(n - 7, 0)
-
-    for i in range(8, n - 8):
-        m[6, i] = m[i, 6] = (i + 1) % 2
-
-    for r in tables.ALIGNMENT[version]:
-        for c in tables.ALIGNMENT[version]:
-            if _in_finder_corner(n, r, c):
-                continue
             m[r - 2:r + 3, c - 2:c + 3] = 1
             m[r - 1:r + 2, c - 1:c + 2] = 0
             m[r, c] = 1
 
-    m[n - 8, 8] = 1  # dark module
+    if version >= 7:  # version information, bit i at (i // 3, i % 3)
+        bits = (tables.version_info(version) >> np.arange(18)) & 1
+        m[:6, n - 11:n - 8] = bits.reshape(6, 3)
+        m[n - 11:n - 8, :6] = bits.reshape(6, 3).T
+        fm[:6, n - 11:n - 8] = fm[n - 11:n - 8, :6] = True
+    return m, fm
 
-    if version >= 7:
-        vi = tables.version_info(version)
-        for i in range(18):
-            bit = (vi >> i) & 1
-            m[i // 3, n - 11 + i % 3] = bit
-            m[n - 11 + i % 3, i // 3] = bit
-    return m
+
+def function_mask(version: int) -> np.ndarray:
+    """Boolean matrix marking every function module (non-data position)."""
+    return _function_patterns(version)[1].copy()
+
+
+def base_matrix(version: int) -> np.ndarray:
+    """Matrix with all function patterns drawn (format areas left light)."""
+    return _function_patterns(version)[0].copy()
 
 
 _BIT_SHIFTS = np.arange(15)  # bit i of a format word sits in column i
@@ -155,16 +135,16 @@ def placement_order(version: int) -> list[tuple[int, int]]:
 
 
 @functools.cache
-def _order_arrays(version: int) -> tuple[np.ndarray, np.ndarray]:
+def order_arrays(version: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column index arrays of placement_order, built once."""
     rr, cc = np.array(placement_order(version), dtype=np.intp).T
     return rr, cc
 
 
 @functools.cache
-def _mask_bits(version: int, mask_id: int) -> np.ndarray:
+def mask_bits(version: int, mask_id: int) -> np.ndarray:
     """The mask's bit at every placement slot, in placement order."""
-    rr, cc = _order_arrays(version)
+    rr, cc = order_arrays(version)
     return MASK_FUNCS[mask_id](rr, cc).astype(np.uint8)
 
 
@@ -174,18 +154,11 @@ def place_codewords(m: np.ndarray, version: int, codewords: list[int],
 
     Slots past the last codeword bit are remainder bits, placed as 0.
     """
-    rr, cc = _order_arrays(version)
+    rr, cc = order_arrays(version)
     bits = np.zeros(rr.size, dtype=np.uint8)
     data = np.unpackbits(np.asarray(codewords, dtype=np.uint8))[:rr.size]
     bits[:data.size] = data
-    m[rr, cc] = bits ^ _mask_bits(version, mask_id)
-
-
-def read_codewords(m: np.ndarray, version: int, mask_id: int) -> list[int]:
-    """Inverse of place_codewords; remainder bits are dropped."""
-    rr, cc = _order_arrays(version)
-    bits = m[rr, cc] ^ _mask_bits(version, mask_id)
-    return np.packbits(bits[:bits.size - bits.size % 8]).tolist()
+    m[rr, cc] = bits ^ mask_bits(version, mask_id)
 
 
 # rule 3's finder-like pattern 1011101 with 4 light modules on either side,

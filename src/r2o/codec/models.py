@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,15 +12,22 @@ from .errors import InvalidPayload
 
 DARK_THRESHOLD = 128  # pixel < 128 counts as dark
 
+# RFC 3986 section 2: unreserved and reserved characters, and %HH. Space,
+# controls, '"', '<', '>', '`', '\', '{', '}', '|' and '^' are left out,
+# so a locator cannot close a double-quoted attribute value or a tag
+_URI_CHAR = r"[A-Za-z0-9\-._~:/?#\[\]@!$&'()*+,;=]"
+_URI = re.compile(rf"{_URI_CHAR}*(?:%[0-9A-Fa-f]{{2}}{_URI_CHAR}*)*")
+
 
 def validate_locator(locator: str) -> str:
-    """Check the content-locator rules; returns the locator unchanged."""
+    """Check that a locator is an http(s) URI of RFC 3986 characters;
+    returns the locator unchanged."""
     if not isinstance(locator, str) or not locator:
         raise InvalidPayload("locator must be a non-empty string")
-    if not locator.isascii():
-        raise InvalidPayload("locator must be ASCII")
     if not (locator.startswith("http://") or locator.startswith("https://")):
         raise InvalidPayload("locator must use an http or https scheme")
+    if not _URI.fullmatch(locator):
+        raise InvalidPayload("locator has a character outside RFC 3986")
     return locator
 
 
@@ -36,35 +44,32 @@ class IndirectionPayload:
 
 @dataclass
 class PseudoImage:
-    """A black-and-white raster holding a rendered symbol.
+    """A black-and-white raster holding a rendered symbol, as the
+    scanline bytes of a 1-bit PNG: rows is 2-D uint8, (width + 7) // 8
+    bytes a row, pixel x is bit 7 - x % 8 of byte x // 8, set where
+    white, and the padding bits after the last pixel are set too."""
 
-    light is a 2-D bool array, True where white, as in a 1-bit PNG;
-    to_png writes it at depth 1.
-    """
-
-    light: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return int(self.light.shape[1])
+    rows: np.ndarray
+    width: int
 
     @property
     def height(self) -> int:
-        return int(self.light.shape[0])
+        return int(self.rows.shape[0])
 
     def to_png(self) -> bytes:
-        return png.write_png(self.light)
+        return png.write_png(self.rows, self.width, 1)
 
     @classmethod
     def from_png(cls, data: bytes,
                  max_edge: int = png.MAX_EDGE) -> "PseudoImage":
-        """Read a PNG; an 8-bit file is thresholded, pixel values below
-        DARK_THRESHOLD reading as dark. A width or height above max_edge
-        raises png.PNGTooLarge before anything is inflated."""
-        pixels = png.read_png(data, max_edge)
-        if pixels.dtype != np.bool_:
-            pixels = pixels >= DARK_THRESHOLD
-        return cls(light=pixels)
+        """Read a PNG; an 8-bit file is thresholded and packed, pixel
+        values below DARK_THRESHOLD reading as dark. A width or height
+        above max_edge raises png.PNGTooLarge before anything is
+        inflated."""
+        rows, width, depth = png.read_png(data, max_edge)
+        if depth == 8:
+            rows = png.pack_rows(rows >= DARK_THRESHOLD)
+        return cls(rows=rows, width=width)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
 """Minimal grayscale PNG writer/reader (single channel, bit depth 1 or 8).
 
-The bit depth follows the array's dtype both ways: a bool array is
-written at depth 1, eight pixels to a byte with white as 1, and a uint8
-array at depth 8; a 1-bit file reads back as bools and an 8-bit file as
-uint8. A stand-in is a bool raster from render to decode, so every
-stand-in, padded, upscaled or read back, is written as a 1-bit file;
-8-bit files are photos and stand-ins from before the 1-bit writer. On a
-512 px symbol with a 66-byte locator (2 vCPU Xeon, Python 3.11, numpy
-2.4, zlib 1.2.13, single-threaded) depth 1 writes 1280 bytes against
-6063 at depth 8; `to_png` falls from about 1.1 to 0.12 ms and `from_png`
-from 0.33 to 0.11 ms, as the reader inflates 33 KB of scanlines instead
-of 262 KB.
+Both directions work on the file's own scanline bytes: at depth 1 eight
+pixels to a byte, most significant bit first, white as 1, and at depth 8
+a byte a pixel. `read_png` returns (rows, width, depth), the arguments of
+`write_png`. A stand-in keeps its 1-bit rows from render to decode, so it
+is never held at one value a pixel. On a 512 px symbol with a 66-byte
+locator (2 vCPU Xeon, Python 3.11, numpy 2.4, zlib 1.2.13,
+single-threaded) depth 1 writes 1280 bytes against 6063 at depth 8;
+`to_png` falls from about 1.1 to 0.12 ms and `from_png` from 0.33 to
+0.11 ms, as the reader inflates 33 KB of scanlines instead of 262 KB.
 
 Scanlines are written with filter 0 at zlib level 3. At depth 8 that
 wrote 5.5 KB in 0.7-0.8 ms, against 1.6 KB in 5-7 ms at level 9, and
@@ -28,9 +26,8 @@ as one numpy add per row; Average and Paeth (3, 4) depend on the byte to
 their left, so they keep a per-byte loop, and only external files use
 them. That loop costs about 0.5 µs a byte, so a stream whose Average and
 Paeth rows hold more than 256 KiB (one 512x512 8-bit image) is refused:
-a 2.4 KB 1024x1024 Paeth file took 0.46 s to unfilter. A depth-1 image
-is unpacked to bools with `np.unpackbits`, and the padding bits at the
-end of each row are ignored.
+a 2.4 KB 1024x1024 Paeth file took 0.46 s to unfilter. The padding bits
+that end a 1-bit row are read as white, whatever the file holds.
 
 The reader treats its input as untrusted: dimensions above its edge limit
 (MAX_EDGE, or a smaller one the caller passes) are rejected before
@@ -72,19 +69,28 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
             + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
 
 
-def write_png(pixels: np.ndarray) -> bytes:
-    """Encode a HxW array as a grayscale PNG: a bool array at bit depth 1
-    (True is white), a uint8 array at bit depth 8."""
-    if pixels.ndim != 2:
-        raise PNGError("expected a 2-D grayscale array")
-    h, w = pixels.shape
-    if pixels.dtype == np.bool_:
-        depth, rows = 1, np.packbits(pixels, axis=1)
-    else:
-        depth, rows = 8, pixels
-    raw = np.zeros((h, rows.shape[1] + 1), dtype=np.uint8)  # filter 0
+def pack_rows(light: np.ndarray) -> np.ndarray:
+    """A 2-D bool raster (True is white) as 1-bit scanline bytes, with
+    the padding bits white."""
+    rows = np.packbits(light, axis=1)
+    rows[:, -1:] |= (1 << -light.shape[1] % 8) - 1
+    return rows
+
+
+def write_png(rows: np.ndarray, width: int | None = None,
+              depth: int = 8) -> bytes:
+    """Encode scanline bytes as a grayscale PNG: at depth 8 a HxW uint8
+    array, at depth 1 packed rows of `width` pixels (white is 1)."""
+    if rows.ndim != 2 or rows.dtype != np.uint8:
+        raise PNGError("expected a 2-D array of uint8 scanline bytes")
+    h, row_bytes = rows.shape
+    width = row_bytes if width is None else width
+    if depth not in (1, 8) or row_bytes != (width * depth + 7) // 8:
+        raise PNGError(f"{row_bytes} bytes a row do not hold {width} "
+                       f"pixels at depth {depth}")
+    raw = np.zeros((h, row_bytes + 1), dtype=np.uint8)  # filter 0
     raw[:, 1:] = rows
-    ihdr = struct.pack(">IIBBBBB", w, h, depth, 0, 0, 0, 0)
+    ihdr = struct.pack(">IIBBBBB", width, h, depth, 0, 0, 0, 0)
     return (_SIGNATURE
             + _chunk(b"IHDR", ihdr)
             + _chunk(b"IDAT", zlib.compress(raw.tobytes(), _LEVEL))
@@ -181,9 +187,11 @@ def read_ihdr(data: bytes) -> tuple[int, int, int, int, int, int, int]:
     return struct.unpack(">IIBBBBB", data[len(_IHDR_HEAD):_IHDR_END])
 
 
-def read_png(data: bytes, max_edge: int = MAX_EDGE) -> np.ndarray:
-    """Decode a grayscale PNG to a HxW array: a 1-bit file to bools
-    (True is white), an 8-bit file to uint8.
+def read_png(data: bytes,
+             max_edge: int = MAX_EDGE) -> tuple[np.ndarray, int, int]:
+    """Decode a grayscale PNG to (scanline bytes, width, bit depth): an
+    8-bit file's HxW uint8 pixels, or a 1-bit file's packed rows with the
+    padding bits set (white).
 
     A width or height above max_edge (never above MAX_EDGE) raises
     PNGTooLarge before anything is inflated.
@@ -216,6 +224,6 @@ def read_png(data: bytes, max_edge: int = MAX_EDGE) -> np.ndarray:
     row_bytes = width if depth == 8 else (width + 7) // 8
     kinds, out = _inflate(b"".join(idat), row_bytes, height)
     _unfilter(kinds, out)
-    if depth == 8:
-        return out
-    return np.unpackbits(out, axis=1, count=width).view(np.bool_)
+    if depth == 1:  # whiten the padding bits
+        out[:, -1] |= (1 << -width % 8) - 1
+    return out, width, depth

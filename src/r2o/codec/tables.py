@@ -7,6 +7,10 @@ the interleaving order.
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
+
 MIN_VERSION = 1
 MAX_VERSION = 10
 
@@ -115,3 +119,20 @@ def format_info(ec_level: str, mask_id: int) -> int:
 def version_info(version: int) -> int:
     """18-bit version information word (only defined for versions >= 7)."""
     return (version << 12) | bch_remainder(version << 12, VERSION_GEN)
+
+
+@functools.cache
+def block_layout(version: int,
+                 ec_level: str) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """(order, data codewords per block, EC codewords per block); order
+    holds the interleaved stream positions of block 0's data and EC
+    codewords, then block 1's, and so on."""
+    ec_per_block, groups = BLOCKS[(version, ec_level)]
+    ks = tuple(k for count, k in groups for _ in range(count))
+    # a row per block: data in its first k slots, EC in the last
+    # ec_per_block; the stream reads the used slots column by column
+    used = np.arange(max(ks) + ec_per_block) < np.array(ks)[:, None]
+    used[:, max(ks):] = True
+    pos = np.zeros(used.shape, dtype=np.intp)
+    pos.T[used.T] = np.arange(np.count_nonzero(used))
+    return pos[used], ks, ec_per_block

@@ -3,18 +3,20 @@
 The write path uploads real bytes off-site, encodes the returned locator
 into a QR pseudo-image, places that on the first party, and records the
 mapping. The read path walks page elements the other way: filter gate,
-cache lookup, pseudo fetch, decode, off-site fetch. Candidate elements are
-resolved concurrently; the decode stage is bounded separately from IO
-fan-out so a page costs about one network round trip, not one per element.
-One decode gate serves the whole process, so the memory held by PNG reads
-in flight is bounded however many pages resolve at once.
+cache lookup, pseudo fetch, decode, off-site fetch. A page's fetches run
+at once on a shared fan-out pool, so a page costs about one network round
+trip, not one per element; the pool threads only fetch. The thread
+that resolves the page decodes each stand-in as its bytes arrive and
+starts that element's off-site fetch at once. One decode gate serves the
+whole process, so the memory held by PNG reads in flight is bounded
+however many pages resolve at once.
 """
 
 from __future__ import annotations
 
 import base64
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed, wait
 from dataclasses import dataclass
 from urllib.parse import urljoin
 
@@ -237,25 +239,16 @@ def _io_executor() -> ThreadPoolExecutor:
         return _io_pool
 
 
-def _resolve_one(e: ElementDescriptor, cache: MappingsCache, fetcher,
-                 max_edge: int) -> Resolution:
-    cached = cache.lookup(e.source_url)
-    if cached is not None:
-        try:
-            content = fetcher.fetch(cached)
-        except FetchError as exc:
-            return Resolution(e, OUTCOME_FAILED, reason=str(exc))
-        return Resolution(e, OUTCOME_REPLACED, via=VIA_CACHE_HIT,
-                          content=content, offsite_locator=cached)
-
+def _decode(e: ElementDescriptor, fetched: Future,
+            max_edge: int) -> Resolution | str:
+    """The off-site locator in a fetched stand-in, or its final Resolution."""
     try:
-        pseudo_item = fetcher.fetch(e.source_url)
+        data = fetched.result().data
     except FetchError as exc:
         return Resolution(e, OUTCOME_FAILED, reason=str(exc))
     with _decode_gate:
         try:
-            image = codec.PseudoImage.from_png(pseudo_item.data,
-                                               max_edge=max_edge)
+            image = codec.PseudoImage.from_png(data, max_edge=max_edge)
         except codec.PNGTooLarge:
             return Resolution(e, OUTCOME_NOT_INDIRECTION,
                               reason=f"pseudo-image edge above {max_edge}")
@@ -263,56 +256,68 @@ def _resolve_one(e: ElementDescriptor, cache: MappingsCache, fetcher,
             return Resolution(e, OUTCOME_NOT_INDIRECTION,
                               reason="not a PNG pseudo-object")
         try:
-            payload = codec.decode_qr(image)
+            return codec.decode_qr(image).locator
         except codec.NotAQrSymbol:
             return Resolution(e, OUTCOME_NOT_INDIRECTION,
                               reason="no symbol found")
         except codec.DecodeFailure as exc:
             return Resolution(e, OUTCOME_FAILED, reason=str(exc))
-    cache.record_resolved(MappingEntry(
-        pseudo_locator=e.source_url, offsite_locator=payload.locator,
-        hit_count=1))
-    try:
-        content = fetcher.fetch(payload.locator)
-    except FetchError as exc:
-        # the mapping stays recorded: the lesson was learned even if the
-        # fetch failed, so a retry skips the decode
-        return Resolution(e, OUTCOME_FAILED, reason=str(exc))
-    return Resolution(e, OUTCOME_REPLACED, via=VIA_DECODED, content=content,
-                      offsite_locator=payload.locator)
 
 
 def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
               fetcher) -> list[Resolution]:
     """Resolve page elements to real content; order-preserving.
 
-    At most 8 PNG reads and decodes (the CPU stage) run at once in the
-    process, however many calls run concurrently; network fetches for
-    distinct elements overlap freely up to the shared fan-out pool's size,
-    so k independent elements cost about one round trip. A stand-in whose
-    PNG header declares an edge above `filter_cfg.max_edge` is refused
-    before its pixels are inflated, whatever the page's width and height
-    attributes said.
+    Every fetch runs on the shared fan-out pool, so k independent elements
+    cost about one round trip. The calling thread reads and decodes each
+    stand-in as it arrives, under the process-wide gate of 8, and submits
+    that element's off-site fetch at once; a cache hit goes straight to
+    its off-site fetch. A stand-in whose PNG header declares an edge
+    above `filter_cfg.max_edge` is refused before its pixels are inflated,
+    whatever the page's width and height attributes said. No fetch
+    outlives the call, even when it raises.
     """
     filter_cfg = filter_cfg or FilterConfig()
     elements = list(elements)
     results: list[Resolution | None] = [None] * len(elements)
-    candidates: list[int] = []
-    for i, e in enumerate(elements):
-        decision = is_candidate(e, filter_cfg)
-        if decision:
-            candidates.append(i)
-        else:
-            results[i] = Resolution(e, OUTCOME_NOT_INDIRECTION,
-                                    reason=decision.reason)
-    if candidates:
-        pool = _io_executor()
-        futures = {i: pool.submit(_resolve_one, elements[i], cache, fetcher,
-                                  filter_cfg.max_edge)
-                   for i in candidates}
-        wait(futures.values())  # no element outlives the call, even on error
-        for i, fut in futures.items():
-            results[i] = fut.result()
+    submit = _io_executor().submit
+    pseudo: dict[Future, int] = {}
+    offsite: dict[Future, tuple[int, str, str]] = {}  # index, via, locator
+    try:
+        for i, e in enumerate(elements):
+            decision = is_candidate(e, filter_cfg)
+            if not decision:
+                results[i] = Resolution(e, OUTCOME_NOT_INDIRECTION,
+                                        reason=decision.reason)
+                continue
+            cached = cache.lookup(e.source_url)
+            if cached is None:
+                pseudo[submit(fetcher.fetch, e.source_url)] = i
+            else:
+                offsite[submit(fetcher.fetch, cached)] = (i, VIA_CACHE_HIT,
+                                                          cached)
+        for fut in as_completed(pseudo):
+            i = pseudo[fut]
+            found = _decode(elements[i], fut, filter_cfg.max_edge)
+            if isinstance(found, Resolution):
+                results[i] = found
+                continue
+            cache.record_resolved(MappingEntry(
+                pseudo_locator=elements[i].source_url,
+                offsite_locator=found, hit_count=1))
+            offsite[submit(fetcher.fetch, found)] = (i, VIA_DECODED, found)
+        for fut, (i, via, locator) in offsite.items():
+            try:
+                results[i] = Resolution(elements[i], OUTCOME_REPLACED,
+                                        via=via, content=fut.result(),
+                                        offsite_locator=locator)
+            except FetchError as exc:
+                # a decoded mapping stays recorded: the lesson was learned
+                # even if the fetch failed, so a retry skips the decode
+                results[i] = Resolution(elements[i], OUTCOME_FAILED,
+                                        reason=str(exc))
+    finally:
+        wait([*pseudo, *offsite])
     return results  # type: ignore[return-value]
 
 

@@ -318,6 +318,9 @@ class HttpStoreClient(_ProviderBase):
             raise StoreUnavailable(f"{what} failed: {exc}") from None
 
     def upload(self, item: ContentItem) -> str:
+        # imported here: a store server needs no codec, which loads numpy
+        from .codec import InvalidPayload, validate_locator
+
         self._check_size(item)
         resp = self._request("upload", "POST", self.descriptor.base_url,
                              body=item.data,
@@ -326,7 +329,11 @@ class HttpStoreClient(_ProviderBase):
             raise PayloadTooLarge("server rejected payload")
         if resp.status != 201:
             raise StoreUnavailable(f"upload failed: HTTP {resp.status}")
-        return resp.body.decode().strip()
+        locator = resp.body.decode("ascii", "replace").strip()
+        try:
+            return validate_locator(locator)
+        except InvalidPayload as exc:
+            raise StoreUnavailable(f"upload returned {exc}") from None
 
     def fetch(self, locator: str) -> ContentItem:
         self._id_from(locator)  # validate shape before any network use

@@ -10,6 +10,7 @@ import numpy as np
 
 from r2o import codec
 from r2o.codec import encoder, tables
+from r2o.codec.png import pack_rows
 
 
 def tight(locator: str, scale: int = 1,
@@ -26,6 +27,17 @@ def gray(light: np.ndarray) -> np.ndarray:
     return light * np.uint8(255)
 
 
+def image_of(light: np.ndarray) -> codec.PseudoImage:
+    """A 2-D bool raster (True is white) as a pseudo-image."""
+    return codec.PseudoImage(rows=pack_rows(light), width=light.shape[1])
+
+
+def light_of(image: codec.PseudoImage) -> np.ndarray:
+    """A pseudo-image's pixels as a bool raster, True where white."""
+    return np.unpackbits(image.rows, axis=1,
+                         count=image.width).view(np.bool_)
+
+
 def pad_with_border(image: codec.PseudoImage, target_width: int,
                     target_height: int) -> codec.PseudoImage:
     """Center the symbol on a white canvas of the requested dimensions."""
@@ -36,8 +48,8 @@ def pad_with_border(image: codec.PseudoImage, target_width: int,
     canvas = np.ones((target_height, target_width), dtype=bool)
     top = (target_height - image.height) // 2
     left = (target_width - image.width) // 2
-    canvas[top:top + image.height, left:left + image.width] = image.light
-    return codec.PseudoImage(light=canvas)
+    canvas[top:top + image.height, left:left + image.width] = light_of(image)
+    return image_of(canvas)
 
 
 def upscale(image: codec.PseudoImage, factor: int) -> codec.PseudoImage:
@@ -46,5 +58,5 @@ def upscale(image: codec.PseudoImage, factor: int) -> codec.PseudoImage:
         raise ValueError("factor must be >= 1")
     if factor == 1:
         return image
-    return codec.PseudoImage(
-        light=image.light.repeat(factor, axis=0).repeat(factor, axis=1))
+    return image_of(
+        light_of(image).repeat(factor, axis=0).repeat(factor, axis=1))

@@ -38,7 +38,8 @@ from r2o.store import LATENCY_PRESETS, ContentItem, MemoryStore, preset_store
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from cache_reference import ReferenceCache  # noqa: E402
 from recording_fetcher import RecordingFetcher  # noqa: E402
-from resize import gray, pad_with_border, tight, upscale  # noqa: E402
+from resize import (gray, light_of, pad_with_border, tight,  # noqa: E402
+                    upscale)
 
 URL_CHARS = ("abcdefghijklmnopqrstuvwxyz"
              "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~/")
@@ -109,7 +110,7 @@ def test_criterion_02_reference_decoder_spot_check(verdict):
             image = codec.encode_qr(
                 codec.IndirectionPayload(locator=url),
                 tight(url, ec_level=level))
-            got = qr_oracle.oracle_decode_pixels(gray(image.light))
+            got = qr_oracle.oracle_decode_pixels(gray(light_of(image)))
             if got != url.encode("ascii"):
                 failures.append(f"oracle read {got!r}, wanted {url!r}")
     except Exception as exc:

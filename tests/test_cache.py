@@ -215,6 +215,20 @@ def test_import_skips_malformed_lines():
     assert cache.skipped_on_last_import == 3
 
 
+def test_import_skips_offsite_locators_outside_rfc_3986():
+    blob = "\n".join([
+        MAP_HEADER,
+        f"{P(1)}\t{O(1)}\timage",
+        f'{P(2)}\t{O(2)}"onerror="alert(1)\timage',
+        f"{P(3)}\t{O(3)}><script>\timage",
+        f"{P(4)}\tftp://off.example/4\timage",
+    ]).encode() + b"\n"
+    cache = MappingsCache()
+    assert cache.import_mappings(blob) == 1
+    assert cache.skipped_on_last_import == 3
+    assert cache.lookup(P(2)) is None
+
+
 def test_import_rejects_unknown_header():
     cache = MappingsCache()
     with pytest.raises(UnsupportedVersion):

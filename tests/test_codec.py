@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from r2o import codec
 from r2o.codec import decoder, encoder, matrix, tables
-from resize import gray, pad_with_border, tight, upscale
+from resize import image_of, light_of, pad_with_border, tight, upscale
 
 URL_ALPHABET = ("abcdefghijklmnopqrstuvwxyz"
                 "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-._~/")
@@ -43,6 +43,18 @@ def test_payload_requires_http_scheme():
                 "http://é.example/x"):
         with pytest.raises(codec.InvalidPayload):
             codec.IndirectionPayload(locator=bad).validate()
+
+
+def test_locator_must_be_rfc_3986_characters():
+    base = "http://a.example/x"
+    for bad in ' "<>`\\{}|^\x00\x1f\x7f':
+        with pytest.raises(codec.InvalidPayload, match="RFC 3986"):
+            codec.validate_locator(base + bad)
+    for bad in ("%", "%2", "%zz", '"onerror="alert(1)'):
+        with pytest.raises(codec.InvalidPayload, match="RFC 3986"):
+            codec.validate_locator(base + bad)
+    ok = base + "-._~:/?#[]@!$&'()*+,;=%2F%e9"
+    assert codec.validate_locator(ok) == ok
 
 
 def test_payload_accepts_http_and_https():
@@ -109,7 +121,7 @@ def test_property_round_trip(length, seed):
 # -- decode failure modes ---------------------------------------------------
 
 def test_blank_image_is_not_a_symbol():
-    white = codec.PseudoImage(light=np.ones((80, 80), dtype=bool))
+    white = image_of(np.ones((80, 80), dtype=bool))
     with pytest.raises(codec.NotAQrSymbol):
         codec.decode_qr(white)
 
@@ -118,16 +130,25 @@ def test_noise_is_not_a_symbol():
     noise = np.random.default_rng(11).integers(0, 256, (120, 120),
                                                dtype=np.uint8)
     with pytest.raises(codec.NotAQrSymbol):
-        codec.decode_qr(codec.PseudoImage(light=noise >= 128))
+        codec.decode_qr(image_of(noise >= 128))
 
 
-def test_decode_refuses_a_raster_that_is_not_2d_bool():
-    image = codec.encode_qr(codec.IndirectionPayload(
-        locator="http://a.example/g.png"))
-    # ~ on uint8 would invert bytes, so a grayscale copy is not sampled
-    for raster in (image.light[..., None], gray(image.light)):
-        with pytest.raises(codec.NotAQrSymbol, match="2-D bool"):
-            codec.decode_qr(codec.PseudoImage(light=raster))
+def test_decode_refuses_rows_that_are_not_packed_bytes():
+    url = "http://a.example/g.png"
+    image = codec.encode_qr(codec.IndirectionPayload(locator=url))
+    narrow = codec.encode_qr(codec.IndirectionPayload(locator=url),
+                             tight(url))
+    dark_padding = narrow.rows.copy()
+    dark_padding[:, -1] &= 0xFF << -narrow.width % 8 & 0xFF
+    # a raster of one value a pixel, rows too short or long for the
+    # width, or dark padding bits would be sampled as pixels
+    for rows, width in ((image.rows[..., None], image.width),
+                        (light_of(image), image.width),
+                        (image.rows, image.width + 8),
+                        (image.rows, image.width - 8),
+                        (dark_padding, narrow.width)):
+        with pytest.raises(codec.NotAQrSymbol, match="2-D uint8 rows"):
+            codec.decode_qr(codec.PseudoImage(rows=rows, width=width))
 
 
 def test_not_a_symbol_is_not_a_decode_failure():
@@ -140,11 +161,11 @@ def test_heavy_corruption_raises_decode_failure():
     url = "http://a.example/corrupt-me.png"
     image = codec.encode_qr(codec.IndirectionPayload(locator=url),
                             tight(url))
-    light = image.light.copy()
+    light = light_of(image)
     h, w = light.shape
     light[h // 2 - 4:h // 2 + 4, 10:w - 10] ^= True  # stomp an 8-row band
     with pytest.raises((codec.DecodeFailure, codec.NotAQrSymbol)):
-        codec.decode_qr(codec.PseudoImage(light=light))
+        codec.decode_qr(image_of(light))
 
 
 def test_valid_symbol_with_non_locator_payload_fails():
@@ -163,10 +184,9 @@ def test_single_module_flips_are_corrected(rng):
         # stay inside the quiet zone: localization relies on a clean border
         r = rng.randrange(4, edge - 4)
         c = rng.randrange(4, edge - 4)
-        light = image.light.copy()
+        light = light_of(image)
         light[r, c] ^= True
-        assert codec.decode_qr(
-            codec.PseudoImage(light=light)).locator == url
+        assert codec.decode_qr(image_of(light)).locator == url
 
 
 # -- rendering, padding, upscaling ------------------------------------------
@@ -207,8 +227,8 @@ def test_pad_with_border_identity_and_too_small():
     image = codec.encode_qr(
         codec.IndirectionPayload(locator="http://a.example/x.png"))
     same = pad_with_border(image, image.width, image.height)
-    assert np.array_equal(same.light, image.light)
-    assert same.light is not image.light
+    assert np.array_equal(light_of(same), light_of(image))
+    assert same.rows is not image.rows
     with pytest.raises(codec.TargetTooSmall):
         pad_with_border(image, image.width - 1, image.height)
 
@@ -230,7 +250,8 @@ def test_pseudo_image_png_round_trip():
     url = "http://a.example/png.png"
     image = codec.encode_qr(codec.IndirectionPayload(locator=url))
     back = codec.PseudoImage.from_png(image.to_png())
-    assert np.array_equal(back.light, image.light)
+    assert back.width == image.width
+    assert np.array_equal(back.rows, image.rows)
     assert codec.decode_qr(back).locator == url
 
 
@@ -247,13 +268,21 @@ def test_placement_covers_every_data_module():
 
 
 def test_place_then_read_is_identity(rng):
+    # the decoder reads codewords block by block; put back in stream
+    # order, they are the placed ones
     for version in (2, 5, 8):
         total = tables.TOTAL_CODEWORDS[version]
         words = [rng.randrange(256) for _ in range(total)]
         for mask_id in (0, 3, 7):
             m = matrix.base_matrix(version)
             matrix.place_codewords(m, version, words, mask_id)
-            assert matrix.read_codewords(m, version, mask_id)[:total] == words
+            for ec_level in tables.EC_LEVELS:
+                index, flip = decoder._stream_gather(version, ec_level,
+                                                     mask_id)
+                order, _, _ = tables.block_layout(version, ec_level)
+                stream = np.empty(total, dtype=np.uint8)
+                stream[order] = np.packbits(m.ravel()[index] ^ flip)
+                assert stream.tolist() == words
 
 
 _FORMAT_PAIRS = {tables.format_info(lvl, k): (lvl, k)
@@ -284,7 +313,7 @@ def test_format_read_recovers_from_either_copy(copy, damage):
             m[rows[differ[:6]], cols[differ[:6]]] ^= 1
         else:
             m[rows, cols] = damage == "dark"
-        assert decoder._read_format(m) == pair
+        assert decoder._nearest_format(*matrix.read_format_words(m)) == pair
 
 
 def test_penalty_prefers_textured_matrices():

@@ -15,7 +15,8 @@ import qr_oracle
 from r2o import codec
 from r2o.codec import tables
 from r2o.codec.encoder import QUIET_ZONE
-from resize import gray, pad_with_border, tight, upscale
+from resize import (gray, image_of, light_of, pad_with_border, tight,
+                    upscale)
 
 try:
     import cv2
@@ -43,19 +44,20 @@ def test_oracle_accepts_encoder_output():
     for url in URLS:
         for level in ("M", "Q"):
             image = _encode(url, level)
-            payload = qr_oracle.oracle_decode_pixels(gray(image.light))
+            payload = qr_oracle.oracle_decode_pixels(gray(light_of(image)))
             assert payload == url.encode("ascii"), (url, level)
 
 
 def test_oracle_accepts_upscaled_output():
     url = "http://a.example/up.png"
     image = upscale(_encode(url), 3)
-    assert qr_oracle.oracle_decode_pixels(gray(image.light)) == url.encode()
+    assert (qr_oracle.oracle_decode_pixels(gray(light_of(image)))
+            == url.encode())
 
 
 def test_oracle_rejects_tampered_format_info():
     image = _encode("http://a.example/t.png")
-    pix = gray(image.light)
+    pix = gray(light_of(image))
     # both format copies live inside the symbol; breaking four modules of
     # one copy must fail the oracle's agreement check
     qz = QUIET_ZONE
@@ -67,7 +69,7 @@ def test_oracle_rejects_tampered_format_info():
 
 def test_oracle_rejects_broken_timing():
     image = _encode("http://a.example/t2.png")
-    pix = gray(image.light)
+    pix = gray(light_of(image))
     qz = QUIET_ZONE
     pix[qz + 6, qz + 8] ^= 255  # timing row module
     with pytest.raises(qr_oracle.OracleReject):
@@ -81,7 +83,7 @@ def test_oracle_matches_production_decoder_on_random_urls(rng):
             rng.choice("abcdefghijklmnopqrstuvwxyz0123456789")
             for _ in range(length))
         image = _encode(url)
-        assert (qr_oracle.oracle_decode_pixels(gray(image.light))
+        assert (qr_oracle.oracle_decode_pixels(gray(light_of(image)))
                 == codec.decode_qr(image).locator.encode())
 
 
@@ -96,7 +98,7 @@ def test_opencv_reads_encoder_output():
                 continue
             # the vision pipeline needs several pixels per module
             image = upscale(_encode(url, level), 8)
-            text, _, _ = detector.detectAndDecode(gray(image.light))
+            text, _, _ = detector.detectAndDecode(gray(light_of(image)))
             assert text == url, (url, level)
 
 
@@ -111,7 +113,7 @@ def test_decoder_reads_opencv_output():
         raw = enc.encode(url)  # 0 = dark, tight 2-module quiet zone
         light = raw > 0
         image = pad_with_border(
-            codec.PseudoImage(light=light),
+            image_of(light),
             light.shape[1] + 8, light.shape[0] + 8)
         assert codec.decode_qr(image).locator == url
 

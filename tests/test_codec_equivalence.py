@@ -6,6 +6,7 @@ exact pixels the encoder produced before vectorisation.
 """
 
 import hashlib
+import itertools
 import random
 import string
 import struct
@@ -16,8 +17,8 @@ import pytest
 
 from r2o import codec
 from r2o.codec import decoder, encoder, gf256, matrix, tables
-from r2o.codec.png import read_png
-from resize import gray, tight
+from r2o.codec.png import pack_rows, read_png
+from resize import gray, image_of, light_of, pad_with_border, tight
 
 
 # -- PNG unfiltering ---------------------------------------------------------
@@ -75,7 +76,7 @@ def test_mixed_filter_rows_match_row_loop(seed, height, width):
     rows = gen.integers(0, 256, (height, width + 1), dtype=np.uint8)
     rows[:, 0] = gen.integers(0, 5, height)  # filter types 0-4, mixed
     raw = rows.tobytes()
-    assert np.array_equal(read_png(_png_from_raw(raw, width, height)),
+    assert np.array_equal(read_png(_png_from_raw(raw, width, height))[0],
                           _unfilter_reference(raw, width, height))
 
 
@@ -119,6 +120,16 @@ def _bits_reference(raw: bytes, width: int, height: int) -> np.ndarray:
     return out
 
 
+def _one_bit_light(data: bytes) -> np.ndarray:
+    """A 1-bit file read by read_png, unpacked to bools; the padding bits
+    of its rows must read white."""
+    rows, width, depth = read_png(data)
+    assert depth == 1
+    light = light_of(codec.PseudoImage(rows=rows, width=width))
+    assert np.array_equal(rows, pack_rows(light))
+    return light
+
+
 @pytest.mark.parametrize("width", [*range(1, 18), 63, 65, 512])
 @pytest.mark.parametrize("kind", [0, 1, 2, 3, 4])
 def test_one_bit_rows_match_bit_reader(width, kind):
@@ -130,7 +141,7 @@ def test_one_bit_rows_match_bit_reader(width, kind):
         rows = np.packbits(light, axis=1)
         rows[:, -1] |= pad_bits
         raw = _filter_reference(rows, kind)
-        got = read_png(_png_from_raw(raw, width, height, depth=1))
+        got = _one_bit_light(_png_from_raw(raw, width, height, depth=1))
         assert np.array_equal(got, light)
         assert np.array_equal(got, _bits_reference(raw, width, height))
 
@@ -146,7 +157,7 @@ def test_one_bit_mixed_filter_rows_match_bit_reader(seed, height, width):
     rows[:, 0] = gen.integers(0, 5, height)
     raw = rows.tobytes()
     assert np.array_equal(
-        read_png(_png_from_raw(raw, width, height, depth=1)),
+        _one_bit_light(_png_from_raw(raw, width, height, depth=1)),
         _bits_reference(raw, width, height))
 
 
@@ -168,6 +179,18 @@ def _read_reference(m, version, mask_id):
             for i in range(0, len(bits) - 7, 8)]
 
 
+def _read_stream(m, version, ec_level, mask_id):
+    """The decoder's one-gather read: codewords in block order."""
+    index, flip = decoder._stream_gather(version, ec_level, mask_id)
+    return np.packbits(m.ravel()[index] ^ flip).tolist()
+
+
+def _block_order_reference(codewords, version, ec_level):
+    data_blocks, ec_blocks, _ = _deinterleave_reference(codewords, version,
+                                                        ec_level)
+    return [w for d, e in zip(data_blocks, ec_blocks) for w in d + e]
+
+
 @pytest.mark.parametrize("version", range(1, 11))
 def test_place_and_read_match_module_loops(version):
     r = random.Random(version)
@@ -179,9 +202,10 @@ def test_place_and_read_match_module_loops(version):
         matrix.place_codewords(fast, version, words, mask_id)
         _place_reference(slow, version, words, mask_id)
         assert np.array_equal(fast, slow)
-        got = matrix.read_codewords(fast, version, mask_id)
-        assert got == _read_reference(fast, version, mask_id)
-        assert got[:total] == words
+        assert _read_reference(fast, version, mask_id)[:total] == words
+        for ec_level in tables.EC_LEVELS:
+            assert _read_stream(fast, version, ec_level, mask_id) == \
+                _block_order_reference(words, version, ec_level)
 
 
 # -- mask penalty ------------------------------------------------------------
@@ -361,8 +385,9 @@ def test_render_matches_kron(target_size, scale, version):
             encoder.render(modules, config)
         return
     image = encoder.render(modules, config)
-    assert np.array_equal(image.light,
-                          _render_reference(modules, config.target_size))
+    want = _render_reference(modules, config.target_size)
+    assert np.array_equal(light_of(image), want)
+    assert np.array_equal(image.rows, pack_rows(want))  # padding white
 
 
 # -- byte-mode parsing -------------------------------------------------------
@@ -483,10 +508,17 @@ def test_deinterleave_matches_loop(key):
     codewords = [r.randrange(256)
                  for _ in range(tables.TOTAL_CODEWORDS[version])]
     data_blocks, ec_blocks, nsym = _deinterleave_reference(codewords, *key)
-    blocks, ks, got_nsym = decoder._deinterleave(codewords, *key)
+    mask_id = r.randrange(8)
+    m = matrix.base_matrix(version)
+    matrix.place_codewords(m, version, codewords, mask_id)
+    stream = _read_stream(m, version, ec_level, mask_id)
+    _, ks, got_nsym = tables.block_layout(*key)
     assert got_nsym == nsym
-    assert [list(b[:k]) for b, k in zip(blocks, ks)] == data_blocks
-    assert [list(b[k:]) for b, k in zip(blocks, ks)] == ec_blocks
+    ends = list(itertools.accumulate(k + nsym for k in ks))
+    blocks = [stream[end - k - nsym:end] for k, end in zip(ks, ends)]
+    assert ends[-1] == len(stream)
+    assert [b[:k] for b, k in zip(blocks, ks)] == data_blocks
+    assert [b[k:] for b, k in zip(blocks, ks)] == ec_blocks
 
 
 # -- golden encoder output ---------------------------------------------------
@@ -525,8 +557,166 @@ def test_golden_png_digest():
         image = codec.encode_qr(codec.IndirectionPayload(locator=locator),
                                 config)
         digest.update(struct.pack(">II", image.height, image.width))
-        digest.update(gray(image.light).tobytes())
+        digest.update(gray(light_of(image)).tobytes())
         data = image.to_png()
         assert len(data) <= MAX_PNG_BYTES, (locator, len(data))
-        assert np.array_equal(read_png(data), image.light)
+        rows, width, depth = read_png(data)
+        assert (width, depth) == (image.width, 1)
+        assert np.array_equal(rows, image.rows)
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# -- grid search on packed rows ----------------------------------------------
+
+_FINDER_REFERENCE = np.zeros((7, 7), dtype=np.uint8)
+_FINDER_REFERENCE[:, :] = 1
+_FINDER_REFERENCE[1:6, 1:6] = 0
+_FINDER_REFERENCE[2:5, 2:5] = 1
+
+
+def _candidate_grids_reference(light):
+    """The grid search on a bool raster (True is white), as the decoder
+    ran it before it read packed rows."""
+    rows = np.flatnonzero(~light.all(axis=1))
+    cols = np.flatnonzero(~light.all(axis=0))
+    if rows.size == 0:
+        raise codec.NotAQrSymbol("image contains no dark pixels")
+    top, left = int(rows[0]), int(cols[0])
+    h = int(rows[-1]) - top + 1
+    w = int(cols[-1]) - left + 1
+    if h != w:
+        raise codec.NotAQrSymbol("dark region is not square")
+    found = []
+    for version in range(tables.MIN_VERSION, tables.MAX_VERSION + 1):
+        n = tables.size_for_version(version)
+        if w % n:
+            continue
+        s = w // n
+        grid = (~light[top + s // 2:top + n * s:s,
+                       left + s // 2:left + n * s:s]).view(np.uint8)
+        if grid.shape != (n, n):
+            continue
+        agree = [int((grid[r0:r0 + 7, c0:c0 + 7] == _FINDER_REFERENCE).sum())
+                 for r0, c0 in ((0, 0), (0, n - 7), (n - 7, 0))]
+        if min(agree) >= decoder.FINDER_MIN_SCORE:
+            found.append((sum(agree), n, grid))
+    if not found:
+        raise codec.NotAQrSymbol(
+            "no finder patterns at any plausible module pitch")
+    found.sort(key=lambda t: -t[0])
+    return found
+
+
+def _decode_reference(light):
+    """decode_qr's answer for a bool raster, searched by the reference."""
+    last_err = None
+    for _, _, grid in _candidate_grids_reference(light):
+        try:
+            raw = decoder.decode_matrix(grid)
+        except codec.DecodeFailure as exc:
+            last_err = exc
+            continue
+        try:
+            return codec.validate_locator(raw.decode("ascii"))
+        except Exception:
+            raise codec.DecodeFailure("not a content locator") from None
+    raise last_err or codec.DecodeFailure("no candidate decoded")
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except codec.CodecError as exc:
+        return "raised", type(exc)
+
+
+def _same_as_bool_reference(image, light):
+    """The packed grid search and decode give the reference's answers."""
+    kind, want = _outcome(_candidate_grids_reference, light)
+    got_kind, got = _outcome(decoder._candidate_grids, image.rows,
+                             image.width)
+    assert got_kind == kind
+    if kind == "raised":
+        assert got is want
+    else:
+        assert [(s, n) for s, n, _ in got] == [(s, n) for s, n, _ in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert np.array_equal(a, b)
+    decoded = _outcome(lambda im: codec.decode_qr(im).locator, image)
+    assert decoded == _outcome(_decode_reference, light)
+    return decoded
+
+
+def test_packed_grid_search_matches_bool_reference_on_golden_corpus():
+    decoded = 0
+    for i, (locator, config) in enumerate(_golden_corpus()):
+        configs = [config]
+        if i % 4 == 0:
+            configs += [tight(locator, s, config.ec_level) for s in (1, 2, 3)]
+        for cfg in configs:
+            image = codec.encode_qr(codec.IndirectionPayload(locator=locator),
+                                    cfg)
+            light = light_of(image)
+            assert _same_as_bool_reference(image, light) == ("value",
+                                                             locator)
+            decoded += 1
+    assert decoded == 240 + 3 * 60
+
+
+def _one_bit_file(light, pad_bits):
+    """A 1-bit PNG of `light` whose row padding bits are all `pad_bits`."""
+    rows = np.packbits(light, axis=1)
+    if light.shape[1] % 8:
+        rows[:, -1] |= pad_bits & 0xFF >> light.shape[1] % 8
+    raw = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.uint8)
+    raw[:, 1:] = rows
+    return _png_from_raw(raw.tobytes(), light.shape[1], light.shape[0],
+                         depth=1)
+
+
+@pytest.mark.parametrize("width", [*range(1, 18), 63, 65, 512])
+def test_packed_grid_search_matches_bool_reference_across_widths(width):
+    gen = np.random.default_rng(width)
+    rasters = [gen.random((width, width)) < p for p in (0.02, 0.5, 0.98)]
+    square = np.ones((width, width), dtype=bool)
+    k = max(1, width // 2)
+    square[width - k:, :k] = False  # a dark square in the corner
+    rasters.append(square)
+    url = "http://a.example/w.png"
+    scale = width // tight(url).target_size
+    if scale:
+        symbol = codec.encode_qr(codec.IndirectionPayload(locator=url),
+                                 tight(url, scale))
+        rasters.append(light_of(pad_with_border(symbol, width, width)))
+    for light in rasters:
+        for pad_bits in (0x00, 0xFF):
+            image = codec.PseudoImage.from_png(_one_bit_file(light, pad_bits))
+            assert np.array_equal(light_of(image), light)
+            _same_as_bool_reference(image, light)
+    if scale:
+        assert codec.decode_qr(image).locator == url
+
+
+def test_packed_grid_search_matches_bool_reference_on_random_rasters():
+    gen = np.random.default_rng(2018)
+    url = "http://a.example/rect.png"
+    symbol = light_of(codec.encode_qr(codec.IndirectionPayload(locator=url),
+                                      tight(url, 3)))
+    outcomes = set()
+    for case in range(300):
+        if case % 3 == 2:  # a symbol with rectangles painted over it
+            light = symbol.copy()
+        else:
+            h, w = gen.integers(1, 121, size=2)
+            light = (gen.random((h, w)) < gen.random() if case % 3
+                     else np.ones((h, w), dtype=bool))
+        h, w = light.shape
+        for _ in range(gen.integers(1, 4)):
+            r0, r1 = sorted(gen.integers(0, h + 1, size=2))
+            c0, c1 = sorted(gen.integers(0, w + 1, size=2))
+            light[r0:r1, c0:c1] = gen.random() < 0.3  # mostly dark
+        outcomes.add(_same_as_bool_reference(image_of(light), light))
+    # the cases reach a payload and both kinds of failure
+    assert ("value", url) in outcomes
+    assert ("raised", codec.NotAQrSymbol) in outcomes
+    assert ("raised", codec.DecodeFailure) in outcomes

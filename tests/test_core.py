@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from r2o import codec, core
+from r2o.codec import encoder
 from r2o.cache import MappingsCache
 from r2o.codec.png import write_png
 from r2o.core import (
@@ -28,7 +29,7 @@ from r2o.filter import ElementDescriptor, FilterConfig
 from r2o.firstparty import FirstPartyService
 from r2o.store import ContentItem, MemoryStore, NotFound
 from recording_fetcher import RecordingFetcher
-from resize import gray
+from resize import gray, light_of
 
 
 def png_item(seed=0, edge=96):
@@ -272,7 +273,7 @@ def test_read_path_resolves_eight_bit_stand_in():
     w = World()
     locator = w.store.upload(png_item(5))
     image = codec.encode_qr(codec.IndirectionPayload(locator=locator))
-    old = ContentItem(data=write_png(gray(image.light)),
+    old = ContentItem(data=write_png(gray(light_of(image))),
                       media_type="image/png")
     assert old.data[24] == 8  # the IHDR's bit depth
     _, static_url = w.service.upload_photo(w.album, old, "r2o:1 old")
@@ -337,6 +338,102 @@ def test_read_path_gate_of_one_serialises_png_reads(monkeypatch):
     results = read_path(elements, None, MappingsCache(), w.fetcher)
     assert all(r.outcome == OUTCOME_REPLACED for r in results)
     assert peak[0] == 1
+
+
+def test_read_path_decodes_on_the_calling_thread(monkeypatch):
+    w = World()
+    elements = [w.element(w.publish(seed=i)) for i in range(4)]
+    calls = []
+    from_png, decode_qr = codec.PseudoImage.from_png, codec.decode_qr
+
+    def recording_from_png(cls, data, **kwargs):
+        calls.append(("from_png", threading.get_ident()))
+        return from_png(data, **kwargs)
+
+    def recording_decode_qr(image):
+        calls.append(("decode_qr", threading.get_ident()))
+        return decode_qr(image)
+
+    monkeypatch.setattr(codec.PseudoImage, "from_png",
+                        classmethod(recording_from_png))
+    monkeypatch.setattr(codec, "decode_qr", recording_decode_qr)
+    results = read_path(elements, None, MappingsCache(), w.fetcher)
+    assert [r.via for r in results] == [VIA_DECODED] * 4
+    assert sorted(name for name, _ in calls) == (["decode_qr"] * 4
+                                                 + ["from_png"] * 4)
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+class CountingFetcher:
+    """Counts fetches started and still running; each takes `delay` s."""
+
+    def __init__(self, inner, delay):
+        self.inner = inner
+        self.delay = delay
+        self.started = 0
+        self.running = 0
+        self._lock = threading.Lock()
+
+    def fetch(self, url):
+        with self._lock:
+            self.started += 1
+            self.running += 1
+        try:
+            time.sleep(self.delay)
+            return self.inner.fetch(url)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+def test_read_path_error_leaves_no_fetch_running(monkeypatch):
+    w = World()
+    elements = [w.element(w.publish(seed=i)) for i in range(6)]
+    decode_qr = codec.decode_qr
+    decoded = []
+
+    def third_decode_raises(image):
+        decoded.append(image)
+        if len(decoded) == 3:
+            raise RuntimeError("decoder bug")
+        return decode_qr(image)
+
+    monkeypatch.setattr(codec, "decode_qr", third_decode_raises)
+    fetcher = CountingFetcher(w.fetcher, delay=0.05)
+    with pytest.raises(RuntimeError, match="decoder bug"):
+        read_path(elements, None, MappingsCache(), fetcher)
+    # two off-site fetches had started when the third decode raised
+    assert fetcher.started >= 6 + 2
+    assert fetcher.running == 0
+
+
+def test_stand_in_whose_locator_holds_markup_is_refused():
+    # a stand-in's QR may carry any bytes, and this store answers 200 to
+    # any GET; a locator with '"' would add an attribute to the page
+    w = World()
+    hostile = 'http://off.example/v1/objects/x"onerror="alert(1)'
+    modules, _, _ = encoder.encode_symbol(hostile.encode("ascii"))
+    pseudo = encoder.render(modules, codec.QrConfig())
+    photo_id, _ = w.service.upload_photo(
+        w.album, ContentItem(data=pseudo.to_png(), media_type="image/png"),
+        "r2o:1 x")
+
+    class AnyGet:
+        def fetch(self, url):
+            if url.startswith(w.client.base_url):
+                return w.fetcher.fetch(url)
+            return png_item(1)
+
+    elem = w.element(core.WriteReceipt(
+        offsite_locator=hostile, photo_id=photo_id, album_id=w.album,
+        pseudo_locator=w.client.base_url
+        + w.service.get_photo(photo_id).static_url))
+    (res,) = read_path([elem], None, MappingsCache(), AnyGet())
+    assert res.outcome == OUTCOME_FAILED
+    assert res.offsite_locator is None
+    page_url = w.client.page_url(w.album)
+    original = w.fetcher.fetch(page_url).data
+    assert resolve_page(page_url, AnyGet(), cache=MappingsCache()) == original
 
 
 def test_read_path_fetch_failures():

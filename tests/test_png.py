@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from r2o import codec
 from r2o.codec.png import (MAX_EDGE, PNGError, PNGTooLarge, read_png,
                           write_png)
-from resize import pad_with_border, upscale
+from resize import image_of, light_of, pad_with_border, upscale
 
 try:
     from PIL import Image
@@ -22,12 +22,21 @@ except ImportError:
     Image = None
 
 
+def _pixels(data, **kwargs):
+    """read_png's image at one value a pixel: uint8 from an 8-bit file,
+    bools (True is white) from a 1-bit one."""
+    rows, width, depth = read_png(data, **kwargs)
+    if depth == 1:
+        return light_of(codec.PseudoImage(rows=rows, width=width))
+    return rows
+
+
 def test_round_trip_random(rng):
     for shape in ((1, 1), (7, 3), (64, 64), (120, 37)):
         seed = rng.randrange(2 ** 31)
         pix = np.random.default_rng(seed).integers(0, 256, shape,
                                                    dtype=np.uint8)
-        assert np.array_equal(read_png(write_png(pix)), pix)
+        assert np.array_equal(_pixels(write_png(pix)), pix)
 
 
 def test_signature_and_chunks():
@@ -71,18 +80,36 @@ def test_bool_arrays_are_written_at_depth_one(rng):
     for shape in ((1, 1), (7, 3), (3, 9), (64, 64), (120, 37)):
         gen = np.random.default_rng(rng.randrange(2 ** 31))
         light = gen.random(shape) < 0.5
-        blob = write_png(light)
+        blob = image_of(light).to_png()
         assert _depth(blob) == 1
-        back = read_png(blob)
+        back = _pixels(blob)
         assert back.dtype == np.bool_
         assert np.array_equal(back, light)
     assert _depth(write_png(np.zeros((4, 4), dtype=np.uint8))) == 8
 
 
+def test_one_bit_rows_are_read_packed_with_white_padding():
+    rows = np.array([[0b10100000], [0b01000000]], dtype=np.uint8)
+    blob = _png_with_filter(rows, 0, width=3, depth=1)  # padding bits 0
+    got, width, depth = read_png(blob)
+    assert (width, depth) == (3, 1)
+    assert got.tolist() == [[0b10111111], [0b01011111]]
+    assert read_png(write_png(got, width, depth))[0].tolist() == got.tolist()
+
+
+def test_writer_refuses_rows_that_do_not_hold_the_width():
+    with pytest.raises(PNGError, match="do not hold"):
+        write_png(np.zeros((2, 2), dtype=np.uint8), 17, 1)
+    with pytest.raises(PNGError, match="do not hold"):
+        write_png(np.zeros((2, 2), dtype=np.uint8), 3, 8)
+    with pytest.raises(PNGError, match="uint8"):
+        write_png(np.ones((2, 8), dtype=bool))
+
+
 def test_from_png_thresholds_eight_bit_files_at_128():
     pix = np.array([[0, 127, 128, 255]], dtype=np.uint8)
     image = codec.PseudoImage.from_png(write_png(pix))
-    assert image.light.tolist() == [[False, False, True, True]]
+    assert light_of(image).tolist() == [[False, False, True, True]]
 
 
 def test_stand_ins_are_one_bit_and_small():
@@ -91,13 +118,13 @@ def test_stand_ins_are_one_bit_and_small():
     blob = image.to_png()
     assert _depth(blob) == 1
     assert len(blob) <= 2048
-    assert np.array_equal(read_png(blob), image.light)
-    # padded, upscaled and read-back rasters are bool too
+    assert np.array_equal(_pixels(blob), light_of(image))
+    # padded, upscaled and read-back rasters are 1-bit too
     for other in (pad_with_border(image, 600, 600),
                   upscale(image, 2),
                   codec.PseudoImage.from_png(blob)):
         assert _depth(other.to_png()) == 1
-        assert np.array_equal(read_png(other.to_png()), other.light)
+        assert np.array_equal(_pixels(other.to_png()), light_of(other))
 
 
 def _chunk(tag, payload):
@@ -152,7 +179,7 @@ def test_reader_handles_all_filter_types(filter_type, rng):
     pix = np.random.default_rng(rng.randrange(2 ** 31)).integers(
         0, 256, (23, 31), dtype=np.uint8)
     blob = _png_with_filter(pix, filter_type)
-    assert np.array_equal(read_png(blob), pix)
+    assert np.array_equal(_pixels(blob), pix)
 
 
 def test_reader_rejects_unknown_filter_type():
@@ -169,7 +196,7 @@ def test_average_and_paeth_rows_are_budgeted():
         raw += (b"\x00" + bytes(width)) * (height - slow_rows)
         return _png(width, height, zlib.compress(raw))
 
-    assert not read_png(blob(256)).any()
+    assert not read_png(blob(256))[0].any()
     with pytest.raises(PNGError, match="Average or Paeth"):
         read_png(blob(257))
 
@@ -260,7 +287,7 @@ def test_property_mixed_filters_decode(shape, data):
     pix = np.random.default_rng(seed).integers(0, 256, (h, w),
                                                dtype=np.uint8)
     kinds = data.draw(st.lists(st.integers(0, 4), min_size=h, max_size=h))
-    assert np.array_equal(read_png(_png_with_filter(pix, kinds)), pix)
+    assert np.array_equal(_pixels(_png_with_filter(pix, kinds)), pix)
 
 
 @given(_images, st.data())
@@ -272,7 +299,7 @@ def test_property_truncated_streams_fail_typed(shape, data):
     blob = _png_with_filter(pix, kinds)
     cut = data.draw(st.integers(0, len(blob) - 1))
     try:
-        out = read_png(blob[:cut])
+        out = _pixels(blob[:cut])
     except PNGError:
         return
     # only a cut inside the trailing IEND chunk leaves the image whole
@@ -308,7 +335,7 @@ def _bilevel_png(shape, data):
 @given(_bilevel, st.data())
 def test_property_one_bit_mixed_filters_decode(shape, data):
     blob, _, want = _bilevel_png(shape, data)
-    assert np.array_equal(read_png(blob), want)
+    assert np.array_equal(_pixels(blob), want)
 
 
 @given(_bilevel, st.data())
@@ -316,7 +343,7 @@ def test_property_one_bit_truncated_streams_fail_typed(shape, data):
     blob, _, want = _bilevel_png(shape, data)
     cut = data.draw(st.integers(0, len(blob) - 1))
     try:
-        out = read_png(blob[:cut])
+        out = _pixels(blob[:cut])
     except PNGError:
         return
     assert np.array_equal(out, want)  # the cut fell inside IEND
@@ -370,4 +397,4 @@ def test_reader_reads_pillow_output(rng):
     pix = np.random.default_rng(6).integers(0, 256, (33, 62), dtype=np.uint8)
     buf = io.BytesIO()
     Image.fromarray(pix, mode="L").save(buf, format="PNG")
-    assert np.array_equal(read_png(buf.getvalue()), pix)
+    assert np.array_equal(_pixels(buf.getvalue()), pix)

@@ -1,6 +1,10 @@
 """Off-site providers: locators, latency floors, the v1 HTTP protocol."""
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -15,6 +19,7 @@ from r2o.store import (
     MemoryStore,
     NotFound,
     PayloadTooLarge,
+    StoreUnavailable,
     preset_store,
     serve_store,
 )
@@ -152,6 +157,35 @@ def test_http_404_and_413(http_pair):
     backing.max_payload = 100
     with pytest.raises(PayloadTooLarge):
         client.upload(ContentItem(data=b"z" * 200))
+
+
+def test_http_upload_refuses_a_locator_outside_rfc_3986():
+    # a server whose locator would close the src attribute it lands in
+    class Hostile(MemoryStore):
+        def upload(self, item):
+            super().upload(item)
+            return 'http://x.example/v1/objects/a"onerror="alert(1)'
+
+    server = serve_store(("127.0.0.1", 0), Hostile(name="hostile"))
+    client = HttpStoreClient(server.base_url)
+    try:
+        with pytest.raises(StoreUnavailable, match="RFC 3986"):
+            client.upload(ContentItem(data=b"x", media_type="image/png"))
+    finally:
+        client.close()
+        server.shutdown()
+
+
+def test_servers_start_without_numpy():
+    # the codec loads numpy in over 0.1 s, and neither server needs it
+    import r2o
+    src = str(pathlib.Path(r2o.__file__).parents[1])
+    code = ("import sys, r2o.firstparty, r2o.store; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_http_concurrent_uploads(http_pair):
