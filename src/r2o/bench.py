@@ -1,11 +1,11 @@
-"""Desk-scale latency benchmarks over the indirection pipeline.
+"""The paper's latency evaluation over the indirection pipeline.
 
-Three scenarios: the decode-time distribution over a batch of generated
+Three sweeps: the decode-time distribution over a batch of generated
 symbols, per-provider fetch medians against the shipped latency presets,
 and end-to-end page resolution split into cold (empty cache) and warm
-(cache hit) paths. Every scenario yields a BenchReport whose CDF and
-sample list serialize to CSV for plotting; medians feed the bound checks
-that decide the exit code of a bench run.
+(cache hit) paths. `evaluate` runs all three once, prints their tables,
+optionally writes each report's samples and CDF to CSV, and returns the
+bounds they violated; `r2o bench` exits 1 on any.
 
 Timing uses the monotonic performance counter, one timed call per
 sample: a decode takes about 0.1 ms on a 2 vCPU Xeon with Python 3.11,
@@ -22,6 +22,7 @@ import secrets
 import statistics
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -38,9 +39,18 @@ from .store import (
 )
 
 WARMUP_ITERATIONS = 3
-DEFAULT_ITEM_SIZE = 44 * 1024
-DEFAULT_E2E_ITERATIONS = 9
+ITEM_SIZE = 44 * 1024
+URL_LENGTHS = (24, 120)  # shortest and longest random bench URL
 
+# sweep sizes: (decode symbols, fetches per provider, e2e iterations)
+FULL_SWEEP = (500, 10, 9)
+QUICK_SWEEP = (40, 3, 3)
+FIRSTPARTY_DELAY_MS = 11.0
+OFFSITE_DELAYS_MS = (147.0, 306.0)
+
+# bounds: a provider median within its preset + 20 ms, a cold read within
+# first party + off-site + 30 ms, a warm read within off-site + 10 ms,
+# and every decode under 50 ms
 PROVIDER_TOLERANCE_MS = 20.0
 COMPOSITION_TOLERANCE_MS = 30.0
 WARM_SLACK_MS = 10.0
@@ -83,12 +93,11 @@ def make_report(scenario: str, samples: list[float]) -> BenchReport:
 
 # -- decode distribution ----------------------------------------------------
 
-def random_urls(count: int, rng: random.Random,
-                min_len: int = 24, max_len: int = 120) -> list[str]:
+def random_urls(count: int, rng: random.Random) -> list[str]:
     """Random absolute http URLs within byte-mode capacity at level M."""
     urls = []
     for _ in range(count):
-        length = rng.randint(min_len, max_len)
+        length = rng.randint(*URL_LENGTHS)
         prefix = "http://bench.invalid/"
         body = "".join(rng.choice(_URL_CHARS)
                        for _ in range(max(1, length - len(prefix))))
@@ -123,7 +132,7 @@ def bench_decode(count: int, qr_config: codec.QrConfig | None = None,
 
 # -- provider medians -------------------------------------------------------
 
-def bench_providers(providers=None, item_size: int = DEFAULT_ITEM_SIZE,
+def bench_providers(providers=None,
                     repetitions: int = 10) -> list[tuple[str, float]]:
     """Median fetch time per provider, in the shape of the preset table.
 
@@ -141,7 +150,7 @@ def bench_providers(providers=None, item_size: int = DEFAULT_ITEM_SIZE,
         raise ValueError("no providers to measure")
     rows = []
     for provider in providers:
-        payload = secrets.token_bytes(item_size)
+        payload = secrets.token_bytes(ITEM_SIZE)
         locator = provider.upload(ContentItem(data=payload))
         samples = []
         for _ in range(repetitions):
@@ -156,10 +165,10 @@ def bench_providers(providers=None, item_size: int = DEFAULT_ITEM_SIZE,
 
 # -- end to end -------------------------------------------------------------
 
-def _random_png(rng: random.Random, edge: int = 96) -> ContentItem:
+def _random_png(rng: random.Random) -> ContentItem:
     seed = rng.randrange(2 ** 32)
     pixels = np.random.default_rng(seed).integers(
-        0, 256, size=(edge, edge), dtype=np.uint8)
+        0, 256, size=(96, 96), dtype=np.uint8)
     return ContentItem(data=write_png(pixels), media_type="image/png")
 
 
@@ -176,7 +185,7 @@ def _e2e_world(firstparty_delay: float, offsite_delay: float,
 
 def bench_end_to_end(firstparty_delay: float, offsite_delay: float,
                      use_cache: bool,
-                     iterations: int = DEFAULT_E2E_ITERATIONS,
+                     iterations: int = FULL_SWEEP[2],
                      rng: random.Random | None = None) -> BenchReport:
     """Time resolve_page over one published photo, cold or warm.
 
@@ -208,47 +217,42 @@ def bench_end_to_end(firstparty_delay: float, offsite_delay: float,
 
 # -- bound checks -----------------------------------------------------------
 
-def check_decode_bounds(report: BenchReport,
-                        ceiling_ms: float = DECODE_CEILING_MS) -> list[str]:
+def check_decode_bounds(report: BenchReport) -> list[str]:
     worst = max(report.samples)
-    if worst > ceiling_ms:
+    if worst > DECODE_CEILING_MS:
         return [f"{report.scenario}: max decode {worst:.2f} ms "
-                f"exceeds {ceiling_ms:g} ms"]
+                f"exceeds {DECODE_CEILING_MS:g} ms"]
     return []
 
 
-def check_provider_bounds(rows: list[tuple[str, float]],
-                          tolerance_ms: float = PROVIDER_TOLERANCE_MS
-                          ) -> list[str]:
+def check_provider_bounds(rows: list[tuple[str, float]]) -> list[str]:
     """Each preset-named row's median must sit in [preset, preset + tol]."""
     problems = []
     for name, median in rows:
         floor = LATENCY_PRESETS.get(name)
         if floor is None:
             continue
-        if not floor <= median <= floor + tolerance_ms:
+        if not floor <= median <= floor + PROVIDER_TOLERANCE_MS:
             problems.append(f"provider {name}: median {median:.2f} ms "
-                            f"outside [{floor}, {floor + tolerance_ms:g}]")
+                            f"outside [{floor}, "
+                            f"{floor + PROVIDER_TOLERANCE_MS:g}]")
     return problems
 
 
 def check_composition_bounds(report: BenchReport, firstparty_delay: float,
-                             offsite_delay: float,
-                             tolerance_ms: float = COMPOSITION_TOLERANCE_MS
-                             ) -> list[str]:
+                             offsite_delay: float) -> list[str]:
     floor = firstparty_delay + offsite_delay
-    if not floor <= report.median <= floor + tolerance_ms:
+    if not floor <= report.median <= floor + COMPOSITION_TOLERANCE_MS:
         return [f"{report.scenario}: median {report.median:.2f} ms outside "
-                f"[{floor:g}, {floor + tolerance_ms:g}]"]
+                f"[{floor:g}, {floor + COMPOSITION_TOLERANCE_MS:g}]"]
     return []
 
 
-def check_warm_bounds(report: BenchReport, offsite_delay: float,
-                      slack_ms: float = WARM_SLACK_MS) -> list[str]:
+def check_warm_bounds(report: BenchReport, offsite_delay: float) -> list[str]:
     overhead = report.median - offsite_delay
-    if overhead > slack_ms:
+    if overhead > WARM_SLACK_MS:
         return [f"{report.scenario}: warm overhead {overhead:.2f} ms "
-                f"exceeds {slack_ms:g} ms over the off-site floor"]
+                f"exceeds {WARM_SLACK_MS:g} ms over the off-site floor"]
     return []
 
 
@@ -273,7 +277,7 @@ def summary_rows(reports: list[BenchReport]) -> list[tuple]:
     return [(r.scenario, r.median, r.mean, r.p95) for r in reports]
 
 
-def write_samples_csv(reports: list[BenchReport], path: str) -> None:
+def write_samples_csv(reports: list[BenchReport], path: str | Path) -> None:
     """scenario,sample_ms rows, one per sample, across all reports."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -283,7 +287,7 @@ def write_samples_csv(reports: list[BenchReport], path: str) -> None:
                 writer.writerow([report.scenario, f"{sample:.6f}"])
 
 
-def write_cdf_csv(reports: list[BenchReport], path: str) -> None:
+def write_cdf_csv(reports: list[BenchReport], path: str | Path) -> None:
     """scenario,ms,fraction rows tracing each report's CDF."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -292,3 +296,51 @@ def write_cdf_csv(reports: list[BenchReport], path: str) -> None:
             for ms, fraction in report.cdf_points:
                 writer.writerow([report.scenario, f"{ms:.6f}",
                                  f"{fraction:.6f}"])
+
+
+# -- the evaluation ---------------------------------------------------------
+
+def _summary(reports: list[BenchReport]) -> str:
+    return render_table(["scenario", "median_ms", "mean_ms", "p95_ms"],
+                        summary_rows(reports))
+
+
+def evaluate(quick: bool, qr_config: codec.QrConfig, providers,
+             rng: random.Random | None, out_dir: str | None) -> list[str]:
+    """Run the three sweeps, print their tables, return violated bounds.
+
+    providers are the stores the provider table measures, or None for
+    every latency preset. With out_dir, every report's samples and CDF
+    go to out_dir/samples.csv and out_dir/cdf.csv.
+    """
+    symbols, repetitions, iterations = QUICK_SWEEP if quick else FULL_SWEEP
+    print("== decode latency ==")
+    decode = bench_decode(symbols, qr_config, rng)
+    reports = [decode]
+    print(_summary(reports))
+    violations = check_decode_bounds(decode)
+
+    print("\n== provider medians ==")
+    rows = bench_providers(providers, repetitions)
+    print(render_table(["provider", "median_ms"], rows))
+    violations += check_provider_bounds(rows)
+
+    print("\n== end to end ==")
+    f = FIRSTPARTY_DELAY_MS
+    for o in OFFSITE_DELAYS_MS:
+        cold = bench_end_to_end(f, o, False, iterations, rng)
+        warm = bench_end_to_end(f, o, True, iterations, rng)
+        reports += [cold, warm]
+        print(_summary([cold, warm]))
+        print(f"cache saving at offsite {o:g} ms: "
+              f"{cold.median - warm.median:.2f} ms")
+        violations += (check_composition_bounds(cold, f, o)
+                       + check_warm_bounds(warm, o))
+
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_samples_csv(reports, out / "samples.csv")
+        write_cdf_csv(reports, out / "cdf.csv")
+        print(f"\nwrote {out / 'samples.csv'} and {out / 'cdf.csv'}")
+    return violations

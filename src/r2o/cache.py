@@ -21,7 +21,6 @@ MEDIA_CLASSES = ("image", "text")
 SELECTION_ALL = "all"
 SELECTION_FREQUENT = "frequent"
 SELECTION_RECENT = "recent"
-SELECTION_PREFIX = "by-prefix"
 
 
 class UnsupportedVersion(ValueError):
@@ -161,25 +160,23 @@ class MappingsCache:
     # -- sharing -----------------------------------------------------------
 
     def export_mappings(self, selection: str = SELECTION_ALL, *,
-                        prefix: str | None = None) -> bytes:
-        """Serialize mappings to the r2o-map/1 wire format."""
+                        prefix: str = "") -> bytes:
+        """Serialize mappings to the r2o-map/1 wire format.
+
+        Only pseudo-locators that start with `prefix` are written.
+        """
         with self._lock:
             if selection == SELECTION_FREQUENT:
                 pool = dict(self._frequent)
             elif selection == SELECTION_RECENT:
                 pool = dict(self._recent)
-            elif selection in (SELECTION_ALL, SELECTION_PREFIX):
+            elif selection == SELECTION_ALL:
                 pool = dict(self._recent)
                 pool.update(self._frequent)  # frequent wins a key collision
-                if selection == SELECTION_PREFIX:
-                    if prefix is None:
-                        raise ValueError("by-prefix export needs a prefix")
-                    pool = {k: v for k, v in pool.items()
-                            if k.startswith(prefix)}
             else:
                 raise ValueError(f"unknown selection {selection!r}")
             lines = [MAP_HEADER]
-            for key in sorted(pool):
+            for key in sorted(k for k in pool if k.startswith(prefix)):
                 e = pool[key]
                 lines.append(
                     f"{e.pseudo_locator}\t{e.offsite_locator}\t{e.media_class}")

@@ -3,10 +3,10 @@
 Every subcommand is a thin wrapper over a module interface: servers from
 store/firstparty, upload over write_path, resolve over resolve_page,
 encode/decode over the codec (giving interop with any external QR
-reader), cache file management over the mapping wire format, and the
-bench scenarios. Configuration comes from an INI file named by --config
-or the R2O_CONFIG environment variable; command-line flags override file
-values, which override built-in defaults.
+reader), cache file management over the mapping wire format, and bench
+over `bench.evaluate`. Configuration comes from an INI file named by
+--config or the R2O_CONFIG environment variable; command-line flags
+override file values, which override built-in defaults.
 
 Exit codes: 0 success, 1 operational error, 2 usage error.
 """
@@ -19,14 +19,14 @@ import os
 import random
 import sys
 import time
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import bench, codec, core, firstparty, store
 from .cache import CacheConfig, MappingsCache, UnsupportedVersion
 from .filter import FilterConfig
-from .store import LATENCY_PRESETS, ContentItem, ProviderDescriptor
+from .store import ContentItem, ProviderDescriptor
 
 ENV_CONFIG = "R2O_CONFIG"
 DEFAULT_FIRSTPARTY_URL = "http://127.0.0.1:8601"
@@ -44,17 +44,6 @@ class UsageError(Exception):
 
 # -- configuration ----------------------------------------------------------
 
-def default_providers() -> dict[str, ProviderDescriptor]:
-    """One in-memory provider per shipped latency preset."""
-    return {
-        name: ProviderDescriptor(
-            name=name, kind="memory",
-            base_url=store.default_base_url(name),
-            simulated_latency=float(latency))
-        for name, latency in LATENCY_PRESETS.items()
-    }
-
-
 @dataclass(frozen=True)
 class Config:
     """Resolved settings for one invocation."""
@@ -63,9 +52,8 @@ class Config:
     cache: CacheConfig = field(default_factory=CacheConfig)
     qr: codec.QrConfig = field(default_factory=codec.QrConfig)
     providers: dict[str, ProviderDescriptor] = field(
-        default_factory=default_providers)
+        default_factory=store.PRESET_PROVIDERS.copy)
     firstparty_url: str = DEFAULT_FIRSTPARTY_URL
-    filesystem_roots: dict[str, str] = field(default_factory=dict)
 
     def provider(self, name: str) -> ProviderDescriptor:
         if name not in self.providers:
@@ -92,7 +80,7 @@ _SECTIONS = {
     "qr": {"ec_level": str, "min_version": int, "target_size": int},
 }
 _PROVIDER_KEYS = {"kind": str, "latency": float, "base_url": str,
-                  "root": str, "preset": str}
+                  "root": str}
 
 
 def _read_section(parser, name: str, casts: dict) -> dict:
@@ -106,30 +94,6 @@ def _read_section(parser, name: str, casts: dict) -> dict:
         except (ValueError, KeyError):
             raise UsageError(f"bad config value {key} = {raw!r}") from None
     return values
-
-
-def _provider_from_section(name: str, s: dict) -> tuple[ProviderDescriptor,
-                                                         str | None]:
-    kind = s.get("kind", "memory")
-    latency = s.get("latency")
-    base_url = s.get("base_url", "")
-    root = s.get("root") or None
-    if kind == "preset":
-        preset = s.get("preset", name)
-        if preset not in LATENCY_PRESETS:
-            raise UsageError(f"provider {name!r}: unknown preset {preset!r}")
-        kind = "memory"
-        latency = float(LATENCY_PRESETS[preset]) if latency is None else latency
-    if kind == "http" and not base_url:
-        raise UsageError(f"provider {name!r}: http kind needs base_url")
-    if kind == "filesystem" and root is None:
-        raise UsageError(f"provider {name!r}: filesystem kind needs root")
-    if kind not in ("memory", "filesystem", "http"):
-        raise UsageError(f"provider {name!r}: unknown kind {kind!r}")
-    if not base_url:
-        base_url = store.default_base_url(name)
-    return ProviderDescriptor(name=name, kind=kind, base_url=base_url,
-                              simulated_latency=latency), root
 
 
 def load_config(path: str | None) -> Config:
@@ -147,15 +111,16 @@ def load_config(path: str | None) -> Config:
 
     values: dict[str, dict] = {name: {} for name in _SECTIONS}
     providers: dict[str, ProviderDescriptor] = {}
-    roots: dict[str, str] = {}
     for section_name in parser.sections():
         if section_name.startswith("provider:"):
             name = section_name.split(":", 1)[1]
-            desc, root = _provider_from_section(
-                name, _read_section(parser, section_name, _PROVIDER_KEYS))
-            providers[name] = desc
-            if root is not None:
-                roots[name] = root
+            s = _read_section(parser, section_name, _PROVIDER_KEYS)
+            try:
+                providers[name] = ProviderDescriptor(
+                    name, s.get("kind", "memory"), s.get("base_url", ""),
+                    s.get("latency"), s.get("root"))
+            except ValueError as exc:
+                raise UsageError(f"provider {name!r}: {exc}") from None
         elif section_name in _SECTIONS:
             values[section_name] = _read_section(parser, section_name,
                                                  _SECTIONS[section_name])
@@ -168,24 +133,9 @@ def load_config(path: str | None) -> Config:
                       qr=replace(cfg.qr, **values["qr"]),
                       providers=providers or cfg.providers,
                       firstparty_url=values["r2o"].get("firstparty_url",
-                                                       cfg.firstparty_url),
-                      filesystem_roots=roots)
+                                                       cfg.firstparty_url))
     except ValueError as exc:
         raise UsageError(f"bad config: {exc}") from None
-
-
-def build_provider(cfg: Config, name: str):
-    """Instantiate the store object behind a configured provider name."""
-    desc = cfg.provider(name)
-    if desc.kind == "memory":
-        return store.MemoryStore(name=desc.name, base_url=desc.base_url,
-                                 simulated_latency=desc.simulated_latency)
-    if desc.kind == "filesystem":
-        return store.FilesystemStore(
-            cfg.filesystem_roots[name], name=desc.name,
-            base_url=desc.base_url,
-            simulated_latency=desc.simulated_latency)
-    return store.HttpStoreClient(desc.base_url, name=desc.name)
 
 
 # -- small helpers ----------------------------------------------------------
@@ -212,70 +162,42 @@ def _save_cache_file(cache: MappingsCache, path: str | None) -> None:
         Path(path).write_bytes(cache.export_mappings())
 
 
-def _wait_for_interrupt(servers) -> int:
+def _wait_for_interrupt(server) -> int:
     try:
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
         pass
     finally:
-        for server in servers:
-            server.shutdown()
+        server.shutdown()
     return EXIT_OK
-
-
-def _emit_report(args, reports: list[bench.BenchReport]) -> None:
-    print(bench.render_table(["scenario", "median_ms", "mean_ms", "p95_ms"],
-                             bench.summary_rows(reports)))
-    if getattr(args, "csv", None):
-        bench.write_samples_csv(reports, args.csv)
-    if getattr(args, "cdf_csv", None):
-        bench.write_cdf_csv(reports, args.cdf_csv)
-
-
-def _finish_bench(violations: list[str]) -> int:
-    for line in violations:
-        print(f"bound violated: {line}", file=sys.stderr)
-    return EXIT_OPERATIONAL if violations else EXIT_OK
 
 
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_serve_store(args, cfg: Config, rng) -> int:
-    if args.root:
-        backing = store.FilesystemStore(args.root, name=args.name,
-                                        simulated_latency=args.latency)
-    else:
-        backing = store.MemoryStore(name=args.name,
-                                    simulated_latency=args.latency)
+    backing = store.open_provider(ProviderDescriptor(
+        args.name, "filesystem" if args.root else "memory",
+        simulated_latency=args.latency, root=args.root))
     server = store.serve_store(_parse_bind(args.bind), backing)
     print(f"store serving at {server.base_url}", flush=True)
-    return _wait_for_interrupt([server])
+    return _wait_for_interrupt(server)
 
 
 def _cmd_serve_firstparty(args, cfg: Config, rng) -> int:
     service = firstparty.FirstPartyService(response_delay_ms=args.delay)
-    servers = []
     server = firstparty.serve_firstparty(_parse_bind(args.bind), service)
-    servers.append(server)
     print(f"firstparty serving at {server.base_url}/fp", flush=True)
-    if args.store_bind:
-        backing = store.MemoryStore(name="colocated",
-                                    simulated_latency=args.store_latency)
-        store_server = store.serve_store(_parse_bind(args.store_bind),
-                                         backing)
-        servers.append(store_server)
-        print(f"store serving at {store_server.base_url}", flush=True)
-    return _wait_for_interrupt(servers)
+    return _wait_for_interrupt(server)
 
 
 def _cmd_upload(args, cfg: Config, rng) -> int:
     data = Path(args.file).read_bytes()
     media_type = ("image/png" if args.file.lower().endswith(".png")
                   else "application/octet-stream")
-    with closing(build_provider(cfg, args.provider)) as provider, \
-            closing(core.HttpFirstPartyClient(
-                args.firstparty or cfg.firstparty_url)) as client:
+    provider = store.open_provider(cfg.provider(args.provider))
+    client = core.HttpFirstPartyClient(args.firstparty or cfg.firstparty_url)
+    with closing(provider), closing(client):
         album_id = args.album or client.create_album(args.album_title)
         receipt = core.write_path(
             ContentItem(data=data, media_type=media_type), args.caption,
@@ -353,53 +275,16 @@ def _cmd_cache_stats(args, cfg: Config, rng) -> int:
     return EXIT_OK
 
 
-def _cmd_bench_decode(args, cfg: Config, rng) -> int:
-    report = bench.bench_decode(args.count, qr_config=cfg.qr, rng=rng)
-    _emit_report(args, [report])
-    violations = (bench.check_decode_bounds(report, args.max_ms)
-                  if args.check else [])
-    return _finish_bench(violations)
-
-
-def _cmd_bench_providers(args, cfg: Config, rng) -> int:
-    if args.providers:
-        names = _csv_tuple(args.providers)
-        providers = [build_provider(cfg, name) for name in names]
-    else:
-        providers = None
-    rows = bench.bench_providers(providers, item_size=args.item_size,
-                                 repetitions=args.repetitions)
-    print(bench.render_table(["provider", "median_ms"], rows))
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("provider,median_ms\n")
-            for name, median in rows:
-                fh.write(f"{name},{median:.6f}\n")
-    violations = (bench.check_provider_bounds(rows, args.tolerance)
-                  if args.check else [])
-    return _finish_bench(violations)
-
-
-def _cmd_bench_e2e(args, cfg: Config, rng) -> int:
-    f, o = args.firstparty_delay, args.offsite_delay
-    reports: list[bench.BenchReport] = []
-    violations: list[str] = []
-    if args.mode in ("cold", "both"):
-        cold = bench.bench_end_to_end(f, o, use_cache=False,
-                                      iterations=args.iterations, rng=rng)
-        reports.append(cold)
-        if args.check:
-            violations += bench.check_composition_bounds(cold, f, o)
-    if args.mode in ("warm", "both"):
-        warm = bench.bench_end_to_end(f, o, use_cache=True,
-                                      iterations=args.iterations, rng=rng)
-        reports.append(warm)
-        if args.check:
-            violations += bench.check_warm_bounds(warm, o)
-    _emit_report(args, reports)
-    if args.mode == "both":
-        print(f"cache saving: {reports[0].median - reports[1].median:.2f} ms")
-    return _finish_bench(violations)
+def _cmd_bench(args, cfg: Config, rng) -> int:
+    with ExitStack() as stack:
+        providers = [
+            stack.enter_context(closing(store.open_provider(cfg.provider(n))))
+            for n in _csv_tuple(args.providers)]
+        violations = bench.evaluate(args.quick, cfg.qr, providers or None,
+                                    rng, args.out_dir)
+    for line in violations:
+        print(f"bound violated: {line}", file=sys.stderr)
+    return EXIT_OPERATIONAL if violations else EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------
@@ -427,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="HOST:PORT")
     s.add_argument("--delay", type=float,
                    default=firstparty.DEFAULT_RESPONSE_DELAY_MS, metavar="MS")
-    s.add_argument("--store-bind", metavar="HOST:PORT",
-                   help="also serve an object store from this process")
-    s.add_argument("--store-latency", type=float, default=None, metavar="MS")
     s.set_defaults(handler=_cmd_serve_firstparty)
 
     s = sub.add_parser("upload",
@@ -469,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cache", required=True, help="state TSV to read")
     c.add_argument("--out", required=True)
     c.add_argument("--selection", default="all",
-                   choices=["all", "frequent", "recent", "by-prefix"])
-    c.add_argument("--prefix")
+                   choices=["all", "frequent", "recent"])
+    c.add_argument("--prefix", default="",
+                   help="only pseudo-locators that start with this")
     c.set_defaults(handler=_cmd_cache_export)
     c = cache_sub.add_parser("import", help="merge mappings into a state "
                                             "file")
@@ -481,37 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cache", required=True)
     c.set_defaults(handler=_cmd_cache_stats)
 
-    s = sub.add_parser("bench", help="latency scenarios")
-    bench_sub = s.add_subparsers(dest="bench_command", required=True)
-    b = bench_sub.add_parser("decode", help="decode-time distribution")
-    b.add_argument("--count", type=int, default=500)
-    b.add_argument("--max-ms", type=float, default=bench.DECODE_CEILING_MS)
-    b.add_argument("--check", action="store_true",
-                   help="fail the run on violated bounds")
-    b.add_argument("--csv")
-    b.add_argument("--cdf-csv")
-    b.set_defaults(handler=_cmd_bench_decode)
-    b = bench_sub.add_parser("providers", help="per-provider fetch medians")
-    b.add_argument("--providers", help="comma-separated configured names "
-                                       "(default: all latency presets)")
-    b.add_argument("--item-size", type=int, default=bench.DEFAULT_ITEM_SIZE)
-    b.add_argument("--repetitions", type=int, default=10)
-    b.add_argument("--tolerance", type=float,
-                   default=bench.PROVIDER_TOLERANCE_MS)
-    b.add_argument("--check", action="store_true")
-    b.add_argument("--csv")
-    b.set_defaults(handler=_cmd_bench_providers)
-    b = bench_sub.add_parser("e2e", help="end-to-end resolution latency")
-    b.add_argument("--firstparty-delay", type=float, default=11.0)
-    b.add_argument("--offsite-delay", type=float, default=147.0)
-    b.add_argument("--mode", choices=["cold", "warm", "both"],
-                   default="both")
-    b.add_argument("--iterations", type=int,
-                   default=bench.DEFAULT_E2E_ITERATIONS)
-    b.add_argument("--check", action="store_true")
-    b.add_argument("--csv")
-    b.add_argument("--cdf-csv")
-    b.set_defaults(handler=_cmd_bench_e2e)
+    s = sub.add_parser("bench", help="the latency evaluation: decode, "
+                                     "provider and cold/warm read sweeps")
+    s.add_argument("--quick", action="store_true",
+                   help="small sweeps for a fast smoke run")
+    s.add_argument("--out-dir", help="write samples.csv and cdf.csv here")
+    s.add_argument("--providers", default="",
+                   help="comma-separated configured names "
+                        "(default: all latency presets)")
+    s.set_defaults(handler=_cmd_bench)
 
     return p
 

@@ -19,11 +19,6 @@ EC_LEVELS = ("L", "M", "Q", "H")
 # 2-bit indicator carried in the format information.
 EC_FORMAT_BITS = {"L": 1, "M": 0, "Q": 3, "H": 2}
 
-TOTAL_CODEWORDS = {
-    1: 26, 2: 44, 3: 70, 4: 100, 5: 134,
-    6: 172, 7: 196, 8: 242, 9: 292, 10: 346,
-}
-
 BLOCKS: dict[tuple[int, str], tuple[int, tuple[tuple[int, int], ...]]] = {
     (1, "L"): (7, ((1, 19),)),
     (1, "M"): (10, ((1, 16),)),

@@ -15,6 +15,7 @@ however many pages resolve at once.
 from __future__ import annotations
 
 import base64
+import re
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed, wait
 from dataclasses import dataclass
@@ -33,6 +34,10 @@ OUTCOME_FAILED = "failed"
 
 VIA_CACHE_HIT = "cache_hit"
 VIA_DECODED = "decoded"
+
+# an inline data: URL carries only `image/` plus an RFC 9110 token
+_INLINE_MEDIA_TYPE = re.compile(r"image/[!#$%&'*+\-.^_`|~0-9A-Za-z]+",
+                                re.IGNORECASE)
 
 
 class CoreError(Exception):
@@ -329,7 +334,8 @@ def resolve_page(album_page_url: str, fetcher,
 
     Elements resolve through `read_path`, under the process-wide decode
     gate. With inline=True the replacement src is a data: URL embedding the
-    fetched bytes; otherwise it is the off-site locator. Each rewrite
+    fetched bytes, and an element whose media type is not `image/<token>`
+    keeps its src; otherwise it is the off-site locator. Each rewrite
     checks that its span still holds the src that was scanned.
     """
     cache = cache if cache is not None else MappingsCache()
@@ -351,8 +357,11 @@ def resolve_page(album_page_url: str, fetcher,
         if not res.replaced:
             continue
         if inline:
+            media_type = res.content.media_type
+            if not _INLINE_MEDIA_TYPE.fullmatch(media_type):
+                continue
             payload = base64.b64encode(res.content.data).decode("ascii")
-            new_src = f"data:{res.content.media_type};base64,{payload}"
+            new_src = f"data:{media_type};base64,{payload}"
         else:
             new_src = res.offsite_locator
         replacements.append((el.src_span, new_src,

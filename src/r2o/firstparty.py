@@ -1,9 +1,8 @@
-"""Simulated first-party social service: albums, photos, comments.
+"""Simulated first-party social service: albums, photos, captions.
 
 Stands in for the social service hosting pseudo-objects. Photos are
-PNG-only, pages render deterministically, and comments can carry preview
-links to the off-site original. An optional response delay on static photo
-reads lets the simulator play the CDN row of the latency table.
+PNG-only and pages render deterministically. An optional response delay on
+static photo reads lets the simulator play the CDN row of the latency table.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from .store import ContentItem
 
 PHOTO_PATH_PREFIX = "/fp/photos/"
 DEFAULT_RESPONSE_DELAY_MS = 11.0  # plays the "facebook_cdn" latency preset
-
-_URL_RE = re.compile(r"https?://\S+")
 
 
 def album_page_path(album_id: str) -> str:
@@ -61,13 +58,6 @@ class UnsupportedMediaType(FirstPartyError):
 
 
 @dataclass
-class Comment:
-    author: str
-    body: str
-    preview_locator: str | None = None
-
-
-@dataclass
 class PhotoObject:
     photo_id: str
     image: ContentItem
@@ -75,7 +65,6 @@ class PhotoObject:
     static_url: str
     width: int
     height: int
-    comments: list[Comment] = field(default_factory=list)
 
 
 @dataclass
@@ -179,33 +168,7 @@ class FirstPartyService:
         return ContentItem(data=self.get_photo_bytes(photo_id),
                            media_type="image/png")
 
-    # -- comments ----------------------------------------------------------
-
-    def add_comment(self, photo_id: str, author: str, body: str) -> Comment:
-        match = _URL_RE.search(body)
-        comment = Comment(author=author, body=body,
-                          preview_locator=match.group(0) if match else None)
-        with self._lock:
-            photo = self._photos.get(photo_id)
-            if photo is None:
-                raise PhotoNotFound(photo_id)
-            photo.comments.append(comment)
-        return comment
-
     # -- rendering ---------------------------------------------------------
-
-    def _render_comment(self, c: Comment) -> str:
-        author = html.escape(c.author)
-        if c.preview_locator and c.preview_locator in c.body:
-            before, after = c.body.split(c.preview_locator, 1)
-            url = html.escape(c.preview_locator, quote=True)
-            body = (f"{html.escape(before)}"
-                    f'<a rel="preview" href="{url}">{url}</a>'
-                    f"{html.escape(after)}")
-        else:
-            body = html.escape(c.body)
-        return (f'      <li class="comment">'
-                f'<span class="author">{author}</span>: {body}</li>')
 
     def render_album_page(self, album_id: str) -> str:
         with self._lock:
@@ -228,10 +191,6 @@ class FirstPartyService:
                     f'height="{p.height}" alt="">')
                 parts.append(
                     f"    <figcaption>{html.escape(p.caption)}</figcaption>")
-                if p.comments:
-                    parts.append('    <ul class="comments">')
-                    parts.extend(self._render_comment(c) for c in p.comments)
-                    parts.append("    </ul>")
                 parts.append("  </figure>")
             parts.append("</body></html>")
             return "\n".join(parts) + "\n"
@@ -258,16 +217,6 @@ class _FirstPartyHandler(Handler):
                 photo_id, static_url = svc.upload_photo(m.group(1), item,
                                                         caption)
                 self._reply(201, f"{photo_id}\n{static_url}\n".encode())
-                return
-            m = re.fullmatch(r"/fp/photos/([0-9a-f]+)/comments", self.path)
-            if m:
-                author = self.headers.get("x-author", "")
-                comment = svc.add_comment(m.group(1), author,
-                                          body.decode("utf-8"))
-                photo = svc.get_photo(m.group(1))
-                index = next(i for i, c in enumerate(photo.comments)
-                             if c is comment)
-                self._reply(201, f"{index}\n".encode())
                 return
             self._reply(404, b"unknown path\n")
         except (AlbumNotFound, PhotoNotFound):

@@ -73,21 +73,46 @@ class ContentItem:
         return self
 
 
-@dataclass(frozen=True)
-class ProviderDescriptor:
-    name: str
-    kind: str  # memory | filesystem | http
-    base_url: str
-    simulated_latency: float | None = None  # milliseconds, upload and fetch
-
-    def __post_init__(self):
-        if self.simulated_latency is not None and self.simulated_latency < 0:
-            raise ValueError("simulated_latency must be >= 0")
+PROVIDER_KINDS = ("memory", "filesystem", "http")
 
 
 def default_base_url(name: str) -> str:
     """Base URL of a named provider that was given none."""
     return f"http://{name}.offsite.invalid{OBJECTS_PATH}"
+
+
+@dataclass(frozen=True)
+class ProviderDescriptor:
+    """A provider's settings; `open_provider` builds the store it names.
+
+    An empty base_url becomes `default_base_url(name)`, except for the
+    http kind, which needs one; the filesystem kind needs a root.
+    """
+
+    name: str
+    kind: str  # one of PROVIDER_KINDS
+    base_url: str = ""
+    simulated_latency: float | None = None  # milliseconds, upload and fetch
+    root: str | None = None  # filesystem kind: the directory of objects
+
+    def __post_init__(self):
+        if self.kind not in PROVIDER_KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if self.kind == "http" and not self.base_url:
+            raise ValueError("http kind needs base_url")
+        if self.kind == "filesystem" and not self.root:
+            raise ValueError("filesystem kind needs root")
+        if self.simulated_latency is not None and self.simulated_latency < 0:
+            raise ValueError("simulated_latency must be >= 0")
+        if not self.base_url:
+            object.__setattr__(self, "base_url", default_base_url(self.name))
+
+
+# one in-memory provider per latency preset: the default provider table
+PRESET_PROVIDERS = {
+    name: ProviderDescriptor(name, "memory", simulated_latency=float(ms))
+    for name, ms in LATENCY_PRESETS.items()
+}
 
 
 _id_rng: random.Random | None = None
@@ -150,12 +175,10 @@ class MemoryStore(_ProviderBase):
 
     def __init__(self, name: str = "memory",
                  simulated_latency: float | None = None,
-                 base_url: str | None = None,
+                 base_url: str = "",
                  max_payload: int = MAX_PAYLOAD_DEFAULT):
-        base = base_url or default_base_url(name)
         self.descriptor = ProviderDescriptor(
-            name=name, kind="memory", base_url=base,
-            simulated_latency=simulated_latency)
+            name, "memory", base_url, simulated_latency)
         self.max_payload = max_payload
         self._objects: dict[str, tuple[bytes, str]] = {}
         self._lock = threading.Lock()
@@ -196,14 +219,12 @@ class FilesystemStore(_ProviderBase):
 
     def __init__(self, root: str | Path, name: str = "filesystem",
                  simulated_latency: float | None = None,
-                 base_url: str | None = None,
+                 base_url: str = "",
                  max_payload: int = MAX_PAYLOAD_DEFAULT):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        base = base_url or default_base_url(name)
         self.descriptor = ProviderDescriptor(
-            name=name, kind="filesystem", base_url=base,
-            simulated_latency=simulated_latency)
+            name, "filesystem", base_url, simulated_latency, str(root))
         self.max_payload = max_payload
         self._lock = threading.Lock()
 
@@ -305,8 +326,8 @@ class HttpStoreClient(_ProviderBase):
     def __init__(self, base_url: str, name: str = "http",
                  timeout: float = 10.0,
                  max_payload: int = MAX_PAYLOAD_DEFAULT):
-        self.descriptor = ProviderDescriptor(
-            name=name, kind="http", base_url=base_url.rstrip("/"))
+        self.descriptor = ProviderDescriptor(name, "http",
+                                             base_url.rstrip("/"))
         self.max_payload = max_payload
         self._pool = ConnectionPool(timeout)
 
@@ -355,11 +376,19 @@ class HttpStoreClient(_ProviderBase):
         self._pool.close()
 
 
-def preset_store(name: str, **kwargs) -> MemoryStore:
-    """Memory store with one of the shipped latency presets."""
-    if name not in LATENCY_PRESETS:
-        raise KeyError(f"unknown preset {name!r}; "
-                       f"choose from {sorted(LATENCY_PRESETS)}")
-    return MemoryStore(name=name, simulated_latency=LATENCY_PRESETS[name],
-                       **kwargs)
+def open_provider(desc: ProviderDescriptor) -> _ProviderBase:
+    """The memory, filesystem or HTTP store that a descriptor names."""
+    if desc.kind == "memory":
+        return MemoryStore(desc.name, desc.simulated_latency, desc.base_url)
+    if desc.kind == "filesystem":
+        return FilesystemStore(desc.root, desc.name, desc.simulated_latency,
+                               desc.base_url)
+    return HttpStoreClient(desc.base_url, name=desc.name)
 
+
+def preset_store(name: str) -> MemoryStore:
+    """Memory store with one of the shipped latency presets."""
+    if name not in PRESET_PROVIDERS:
+        raise KeyError(f"unknown preset {name!r}; "
+                       f"choose from {sorted(PRESET_PROVIDERS)}")
+    return open_provider(PRESET_PROVIDERS[name])

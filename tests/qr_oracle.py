@@ -2,9 +2,10 @@
 
 Deliberately shares no decode logic with r2o.codec: its own GF(256) syndrome
 check (no correction), its own placement walk, and the published 15-bit format
-word table hardcoded as data. Block structure tables are imported from
-r2o.codec.tables because those were verified against standard identities
-separately; everything else here is a second, stricter implementation.
+word table and each version's codeword count hardcoded as data. Block
+structure tables are imported from r2o.codec.tables because those were
+verified against standard identities separately; everything else here is a
+second, stricter implementation.
 
 Strictness: exact finder/timing match required, zero error-correction; any
 corrupted symbol is rejected rather than repaired.
@@ -14,7 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from r2o.codec.tables import BLOCKS, TOTAL_CODEWORDS
+from r2o.codec.tables import BLOCKS
+
+# published codewords per symbol (data + error correction), by version
+TOTAL_CODEWORDS = {
+    1: 26, 2: 44, 3: 70, 4: 100, 5: 134,
+    6: 172, 7: 196, 8: 242, 9: 292, 10: 346,
+}
 
 # published format words, indexed (ec_bits << 3) | mask,
 # ec_bits: M=0, L=1, H=2, Q=3

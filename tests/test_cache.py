@@ -158,13 +158,14 @@ def test_export_selections():
     rec = cache.export_mappings("recent").decode()
     assert P(1) in freq and P(2) not in freq
     assert P(2) in rec and P(1) not in rec
-    pref = cache.export_mappings(
-        "by-prefix", prefix=P(1)[:-5]).decode()
-    assert P(1) in pref
-    with pytest.raises(ValueError):
-        cache.export_mappings("by-prefix")
-    with pytest.raises(ValueError):
-        cache.export_mappings("nonsense")
+    # a prefix filters whichever selection it is given
+    assert P(1) in cache.export_mappings(prefix=P(1)).decode()
+    assert P(2) not in cache.export_mappings(prefix=P(1)).decode()
+    assert P(1) in cache.export_mappings("frequent", prefix=P(1)).decode()
+    assert P(1) not in cache.export_mappings("recent", prefix=P(1)).decode()
+    for gone in ("by-prefix", "nonsense"):
+        with pytest.raises(ValueError):
+            cache.export_mappings(gone)
 
 
 def test_import_round_trip():

@@ -1,17 +1,25 @@
 """Command-line surface: exits, config handling, subcommand flows."""
 
 import dataclasses
+import pathlib
 import re
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
-from r2o import cli, codec
+from r2o import bench, cli, codec, store
 from r2o.cache import MAP_HEADER, CacheConfig, MappingsCache, MappingEntry
 from r2o.codec.png import write_png
 from r2o.filter import FilterConfig
 from r2o.firstparty import FirstPartyService, serve_firstparty
-from r2o.store import ContentItem, MemoryStore, serve_store
+from r2o.store import (
+    FilesystemStore,
+    HttpStoreClient,
+    MemoryStore,
+    serve_store,
+)
 
 LOOPBACK = ("127.0.0.1", 0)
 
@@ -152,8 +160,39 @@ def test_load_config_sections(tmp_path):
     # declared providers replace the preset defaults entirely
     assert set(cfg.providers) == {"disk", "fast"}
     assert cfg.providers["fast"].simulated_latency == 4.0
-    disk = cli.build_provider(cfg, "disk")
-    assert disk.descriptor.kind == "filesystem"
+    disk = store.open_provider(cfg.providers["disk"])
+    assert isinstance(disk, FilesystemStore)
+    assert disk.root == root
+    assert disk.descriptor == cfg.providers["disk"]
+    assert disk.descriptor.root == str(root)
+
+
+def test_provider_sections_build_their_stores(tmp_path):
+    path = tmp_path / "providers.ini"
+    path.write_text(
+        "[provider:ram]\nkind = memory\nlatency = 3\n"
+        f"[provider:disk]\nkind = filesystem\nroot = {tmp_path / 'o'}\n"
+        "base_url = http://disk.example/v1/objects\nlatency = 1.5\n"
+        "[provider:lab]\nkind = http\n"
+        "base_url = http://127.0.0.1:9/v1/objects/\nlatency = 4\n")
+    cfg = cli.load_config(str(path))
+    built = {name: store.open_provider(cfg.provider(name))
+             for name in ("ram", "disk", "lab")}
+    try:
+        got = {name: (type(s), s.descriptor.name, s.descriptor.base_url,
+                      s.descriptor.simulated_latency, s.descriptor.root)
+               for name, s in built.items()}
+    finally:
+        built["lab"].close()
+    assert got == {
+        "ram": (MemoryStore, "ram",
+                "http://ram.offsite.invalid/v1/objects", 3.0, None),
+        "disk": (FilesystemStore, "disk", "http://disk.example/v1/objects",
+                 1.5, str(tmp_path / "o")),
+        # an HTTP client carries no simulated latency of its own
+        "lab": (HttpStoreClient, "lab", "http://127.0.0.1:9/v1/objects",
+                None, None),
+    }
 
 
 def test_load_config_rejects_bad_values(tmp_path):
@@ -197,10 +236,24 @@ def test_load_config_reads_provider_sections(tmp_path):
     path = tmp_path / "providers.ini"
     path.write_text("[provider:lab]\nkind = http\n"
                     "base_url = http://127.0.0.1:9/v1/objects\n"
-                    "[provider:slow]\nkind = preset\npreset = flickr\n")
+                    "[provider:slow]\nkind = memory\nlatency = 147\n")
     cfg = cli.load_config(str(path))
     assert cfg.providers["lab"].base_url == "http://127.0.0.1:9/v1/objects"
     assert cfg.providers["slow"].simulated_latency == 147.0
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[provider:slow]\nkind = preset\n", "unknown kind 'preset'"),
+    ("[provider:slow]\nkind = memory\npreset = flickr\n",
+     "'preset' in [provider:slow]"),
+    ("[provider:slow]\nlatency = -1\n", "simulated_latency must be >= 0"),
+])
+def test_preset_provider_form_is_gone(tmp_path, text, named):
+    # `kind = memory` plus `latency = N` says what `kind = preset` said
+    path = tmp_path / "preset.ini"
+    path.write_text(text)
+    with pytest.raises(cli.UsageError, match=re.escape(named)):
+        cli.load_config(str(path))
 
 
 def test_removed_parallelism_flag_is_a_usage_error(capsys):
@@ -260,53 +313,141 @@ def test_cache_export_import_stats(tmp_path, capsys):
 
 
 def test_cache_export_selection_prefix(tmp_path, capsys):
-    state = seeded_cache_file(tmp_path)
+    state = seeded_cache_file(tmp_path)  # all three in the recent segment
     out = tmp_path / "subset.tsv"
-    assert cli.run(["cache", "export", "--cache", str(state),
-                    "--out", str(out), "--selection", "by-prefix",
-                    "--prefix",
-                    "http://fp.example/fp/photos/p1"]) == cli.EXIT_OK
+    prefix = "http://fp.example/fp/photos/p1"
+    for selection, kept in (("all", 1), ("recent", 1), ("frequent", 0)):
+        assert cli.run(["cache", "export", "--cache", str(state),
+                        "--out", str(out), "--selection", selection,
+                        "--prefix", prefix]) == cli.EXIT_OK
+        capsys.readouterr()
+        body = out.read_bytes().decode().splitlines()
+        assert len(body) == 1 + kept
+        assert all("p1.png" in line for line in body[1:])
+    assert cli.run(["cache", "export", "--cache", str(state), "--out",
+                    str(out), "--selection", "by-prefix"]) == cli.EXIT_USAGE
     capsys.readouterr()
-    body = out.read_bytes().decode().splitlines()
-    assert len(body) == 2
-    assert "p1.png" in body[1]
 
 
 # -- bench subcommands -------------------------------------------------------
 
-def test_bench_decode_subcommand(tmp_path, capsys):
-    csv_path = tmp_path / "d.csv"
-    assert cli.run(["bench", "decode", "--count", "4", "--check",
-                    "--csv", str(csv_path)]) == cli.EXIT_OK
+@pytest.fixture
+def small_sweeps(monkeypatch):
+    """`bench --quick` with 4 symbols and 2+5 / 2+9 ms reads."""
+    monkeypatch.setattr(bench, "QUICK_SWEEP", (4, 3, 3))
+    monkeypatch.setattr(bench, "FIRSTPARTY_DELAY_MS", 2.0)
+    monkeypatch.setattr(bench, "OFFSITE_DELAYS_MS", (5.0, 9.0))
+
+
+FAST_PRESETS = ["--providers", "facebook_cdn,imgur"]
+
+
+def test_bench_decode_subcommand(small_sweeps, tmp_path, capsys):
+    assert cli.run(["bench", "--quick", "--out-dir", str(tmp_path / "r"),
+                    *FAST_PRESETS]) == cli.EXIT_OK
     out = capsys.readouterr().out
-    assert "decode-4" in out
-    assert csv_path.read_text().startswith("scenario,sample_ms")
+    assert "decode-4 " in out
+    samples = (tmp_path / "r" / "samples.csv").read_text().splitlines()
+    cdf = (tmp_path / "r" / "cdf.csv").read_text().splitlines()
+    assert samples[0] == "scenario,sample_ms"
+    assert cdf[0] == "scenario,ms,fraction"
+    # 4 decodes, then 3 timed reads in each of four e2e scenarios
+    assert len(samples) == 1 + 4 + 4 * 3
+    assert {line.split(",")[0] for line in cdf[1:]} == {
+        "decode-4", "e2e-f2-o5-cold", "e2e-f2-o5-warm", "e2e-f2-o9-cold",
+        "e2e-f2-o9-warm"}
 
 
-def test_bench_decode_violation_exits_nonzero(capsys):
-    code = cli.run(["bench", "decode", "--count", "3", "--check",
-                    "--max-ms", "0.000001"])
+def test_bench_decode_violation_exits_nonzero(small_sweeps, monkeypatch,
+                                              capsys):
+    monkeypatch.setattr(bench, "DECODE_CEILING_MS", 0.0)
+    code = cli.run(["bench", "--quick", *FAST_PRESETS])
     captured = capsys.readouterr()
     assert code == cli.EXIT_OPERATIONAL
-    assert "bound violated" in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("bound violated: decode-4: max decode")
+    assert "decode-4" in captured.out  # the tables still print
 
 
-def test_bench_providers_subcommand(capsys):
-    assert cli.run(["bench", "providers", "--providers",
-                    "facebook_cdn,imgur", "--repetitions", "3",
-                    "--check"]) == cli.EXIT_OK
+def test_bench_providers_subcommand(small_sweeps, tmp_path, capsys):
+    assert cli.run(["bench", "--quick", *FAST_PRESETS]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.split("== provider medians ==")[1]
+    assert "facebook_cdn" in rows and "imgur" in rows
+    assert "flickr" not in rows
+
+    # a configured provider is measured under its own name
+    config = tmp_path / "lab.ini"
+    config.write_text("[provider:lab]\nkind = memory\nlatency = 1\n")
+    assert cli.run(["--config", str(config), "bench", "--quick",
+                    "--providers", "lab"]) == cli.EXIT_OK
     out = capsys.readouterr().out
-    assert "facebook_cdn" in out and "imgur" in out
+    assert re.search(r"^lab +\d", out, re.MULTILINE)
+
+    assert cli.run(["--config", str(config), "bench", "--quick",
+                    "--providers", "imgur"]) == cli.EXIT_USAGE
+    assert "known: lab" in capsys.readouterr().err
 
 
-def test_bench_e2e_subcommand(capsys):
-    assert cli.run(["bench", "e2e", "--firstparty-delay", "2",
-                    "--offsite-delay", "5", "--iterations", "3",
-                    "--mode", "both"]) == cli.EXIT_OK
+def test_bench_e2e_subcommand(small_sweeps, capsys):
+    assert cli.run(["bench", "--quick", *FAST_PRESETS]) == cli.EXIT_OK
     out = capsys.readouterr().out
-    assert "e2e-f2-o5-cold" in out
-    assert "e2e-f2-o5-warm" in out
-    assert "cache saving:" in out
+    for scenario in ("e2e-f2-o5-cold", "e2e-f2-o5-warm", "e2e-f2-o9-cold",
+                     "e2e-f2-o9-warm"):
+        assert scenario in out
+    assert "cache saving at offsite 5 ms:" in out
+    assert "cache saving at offsite 9 ms:" in out
+
+
+def test_bench_decodes_under_the_configured_qr(small_sweeps, monkeypatch,
+                                               tmp_path, capsys):
+    seen = []
+    decode = bench.bench_decode
+    monkeypatch.setattr(bench, "bench_decode", lambda count, qr, rng: (
+        seen.append(qr), decode(count, qr, rng))[1])
+    config = tmp_path / "qr.ini"
+    config.write_text("[qr]\nec_level = H\ntarget_size = 256\n")
+    assert cli.run(["--config", str(config), "bench", "--quick",
+                    *FAST_PRESETS]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert seen == [codec.QrConfig(ec_level="H", target_size=256)]
+
+
+def test_reproduce_eval_script_runs_bench(small_sweeps, monkeypatch,
+                                          tmp_path, capsys):
+    script = pathlib.Path(__file__).parents[1] / "scripts" / \
+        "reproduce_eval.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--quick", "--out-dir",
+                                      str(tmp_path), *FAST_PRESETS])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exited.value.code == cli.EXIT_OK
+    assert "e2e-f2-o9-warm" in capsys.readouterr().out
+    assert (tmp_path / "cdf.csv").exists()
+
+
+# -- servers -----------------------------------------------------------------
+
+@pytest.mark.parametrize("flags, kind", [
+    ([], MemoryStore), (["--root", "ROOT"], FilesystemStore)])
+def test_serve_store_flags(monkeypatch, tmp_path, capsys, flags, kind):
+    served = []
+
+    def serve(bind, backing):
+        served.append(backing)
+        return serve_store(bind, backing)
+
+    monkeypatch.setattr(store, "serve_store", serve)
+    monkeypatch.setattr(cli, "_wait_for_interrupt",
+                        lambda server: server.shutdown() or cli.EXIT_OK)
+    flags = [str(tmp_path) if f == "ROOT" else f for f in flags]
+    assert cli.run(["serve-store", "--bind", "127.0.0.1:0", "--name", "lab",
+                    "--latency", "7", *flags]) == cli.EXIT_OK
+    assert "store serving at http://127.0.0.1:" in capsys.readouterr().out
+    (backing,) = served
+    assert type(backing) is kind
+    assert backing.descriptor.name == "lab"
+    assert backing.descriptor.simulated_latency == 7.0
+    assert backing.descriptor.root == (str(tmp_path) if flags else None)
 
 
 # -- end-to-end over sockets -------------------------------------------------

@@ -1,7 +1,8 @@
 """Codec behavior: exports, payloads, symbols, and the PNG carrier."""
 
+import ast
+import collections
 import pathlib
-import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from r2o import codec
 from r2o.codec import decoder, encoder, matrix, tables
+from qr_oracle import TOTAL_CODEWORDS
 from resize import image_of, light_of, pad_with_border, tight, upscale
 
 URL_ALPHABET = ("abcdefghijklmnopqrstuvwxyz"
@@ -24,15 +26,36 @@ def make_url(rng, length):
 
 # -- exports ----------------------------------------------------------------
 
+def _module_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
 def test_every_export_is_used_inside_the_package():
-    # a name only tests use belongs in tests/: outside the codec's
-    # __init__, each export needs its definition and at least one use
-    init = pathlib.Path(codec.__file__)
-    sources = [p.read_text(encoding="utf-8")
-               for p in init.parents[1].rglob("*.py") if p != init]
-    unused = [name for name in codec.__all__
-              if sum(len(re.findall(rf"\b{name}\b", text))
-                     for text in sources) < 2]
+    # a name only tests use belongs in tests/: every module-level function,
+    # class and constant of src/r2o needs a use in src/r2o or scripts/
+    package = pathlib.Path(codec.__file__).parents[1]
+    paths = [*package.rglob("*.py"),
+             *(package.parents[1] / "scripts").glob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    used = collections.Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                used[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                used[node.attr] += 1
+    unused = [f"{path.relative_to(package)}:{name}"
+              for path, tree in trees.items() if path.is_relative_to(package)
+              for name in _module_level_names(tree)
+              if not (name.startswith("__") and name.endswith("__"))
+              and not used[name]]
     assert not unused
 
 
@@ -271,7 +294,7 @@ def test_place_then_read_is_identity(rng):
     # the decoder reads codewords block by block; put back in stream
     # order, they are the placed ones
     for version in (2, 5, 8):
-        total = tables.TOTAL_CODEWORDS[version]
+        total = TOTAL_CODEWORDS[version]
         words = [rng.randrange(256) for _ in range(total)]
         for mask_id in (0, 3, 7):
             m = matrix.base_matrix(version)

@@ -18,6 +18,7 @@ import pytest
 from r2o import codec
 from r2o.codec import decoder, encoder, gf256, matrix, tables
 from r2o.codec.png import pack_rows, read_png
+from qr_oracle import TOTAL_CODEWORDS
 from resize import gray, image_of, light_of, pad_with_border, tight
 
 
@@ -194,7 +195,7 @@ def _block_order_reference(codewords, version, ec_level):
 @pytest.mark.parametrize("version", range(1, 11))
 def test_place_and_read_match_module_loops(version):
     r = random.Random(version)
-    total = tables.TOTAL_CODEWORDS[version]
+    total = TOTAL_CODEWORDS[version]
     for mask_id in range(8):
         words = [r.randrange(256) for _ in range(total)]
         fast = matrix.base_matrix(version)
@@ -243,7 +244,7 @@ def test_batched_penalty_matches_scalar(version):
     gen = np.random.default_rng(version)
     stack = [(gen.random((n, n)) < p).astype(np.uint8)
              for p in (0.1, 0.3, 0.5, 0.5, 0.7, 0.9)]
-    words = gen.integers(0, 256, tables.TOTAL_CODEWORDS[version]).tolist()
+    words = gen.integers(0, 256, TOTAL_CODEWORDS[version]).tolist()
     for mask_id in (0, 5):  # real symbols are rich in finder-like runs
         m = matrix.base_matrix(version)
         matrix.place_codewords(m, version, words, mask_id)
@@ -506,7 +507,7 @@ def test_deinterleave_matches_loop(key):
     version, ec_level = key
     r = random.Random(str(key))
     codewords = [r.randrange(256)
-                 for _ in range(tables.TOTAL_CODEWORDS[version])]
+                 for _ in range(TOTAL_CODEWORDS[version])]
     data_blocks, ec_blocks, nsym = _deinterleave_reference(codewords, *key)
     mask_id = r.randrange(8)
     m = matrix.base_matrix(version)

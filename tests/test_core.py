@@ -523,6 +523,39 @@ def test_resolve_page_inline_embeds_bytes():
     assert base64.b64decode(out[start:end]) == png_item(12).data
 
 
+@pytest.mark.parametrize("media_type", [
+    'image/png"onerror="alert(1)', "text/html", "image/", "image/png x",
+    "image/png;q=1", "imagepng"])
+def test_inline_keeps_the_src_of_a_media_type_that_is_not_an_image_token(
+        media_type):
+    # the off-site media type goes into the data: URL, so markup in it
+    # would land in the page; such an element keeps its stand-in
+    w = World()
+    item = png_item(13)
+    w.publish(seed=13)  # one clean element, replaced as usual
+    write_path(ContentItem(data=item.data, media_type=media_type), "evil",
+               w.album, w.store, w.client)
+    page_url = w.client.page_url(w.album)
+    original = w.fetcher.fetch(page_url).data
+    out = resolve_page(page_url, w.fetcher, inline=True)
+    assert out.count(b"data:image/png;base64,") == 1
+    assert b"onerror" not in out
+    assert f"data:{media_type};".encode() not in out
+    # the refused element's img tag is byte for byte the original one
+    tags = original.split(b"<img ")
+    assert out.split(b"<img ")[2] == tags[2]
+
+
+@pytest.mark.parametrize("media_type", ["image/png", "IMAGE/PNG",
+                                        "image/svg+xml", "image/x-icon"])
+def test_inline_takes_an_image_token_media_type(media_type):
+    w = World()
+    write_path(ContentItem(data=png_item(14).data, media_type=media_type),
+               "ok", w.album, w.store, w.client)
+    out = resolve_page(w.client.page_url(w.album), w.fetcher, inline=True)
+    assert f"data:{media_type};base64,".encode() in out
+
+
 def test_resolve_page_untouched_without_candidates():
     w = World()
     w.service.upload_photo(w.album, png_item(1), "plain")

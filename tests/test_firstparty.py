@@ -1,4 +1,4 @@
-"""First-party simulator: albums, PNG-only photos, comments, page shape."""
+"""First-party simulator: albums, PNG-only photos, captions, page shape."""
 
 import struct
 import time
@@ -82,35 +82,24 @@ def test_photo_id_from_path(svc):
         svc.photo_id_from_path("/fp/photos/abc.jpg")
 
 
-def test_comments_and_preview(svc):
-    album = svc.create_album("a")
-    photo_id, _ = svc.upload_photo(album, png_item(), "")
-    returned = svc.add_comment(photo_id, "ada", "nice shot")
-    comment = svc.get_photo(photo_id).comments[0]
-    assert returned is comment
-    assert comment.preview_locator is None
-
-    target = "http://off.example/v1/objects/aaaaaaaaaaaaaaaa"
-    svc.add_comment(photo_id, "r2o", f"original: {target}")
-    comment = svc.get_photo(photo_id).comments[1]
-    assert comment.author == "r2o"
-    assert target in comment.body
-    assert comment.preview_locator == target
-
-
 def test_album_page_is_deterministic_and_escaped(svc):
     album = svc.create_album("summer <2020>")
     photo_id, static_url = svc.upload_photo(
         album, png_item(), 'r2o:1 "quoted" & <tagged>')
-    svc.add_comment(photo_id, "r2o",
-                    "original: http://off.example/v1/objects/" + "b" * 16)
     page_one = svc.render_album_page(album)
     page_two = svc.render_album_page(album)
     assert page_one == page_two
     assert static_url in page_one
     assert "&lt;tagged&gt;" in page_one
-    assert 'rel="preview"' in page_one
     assert "<tagged>" not in page_one
+    assert page_one == (
+        '<!DOCTYPE html>\n<html><head><meta charset="utf-8">'
+        "<title>summer &lt;2020&gt;</title></head>\n<body>\n"
+        "<h1>summer &lt;2020&gt;</h1>\n"
+        f'  <figure class="photo" id="photo-{photo_id}">\n'
+        f'    <img src="{static_url}" width="96" height="96" alt="">\n'
+        "    <figcaption>r2o:1 &quot;quoted&quot; &amp; &lt;tagged&gt;"
+        "</figcaption>\n  </figure>\n</body></html>\n")
 
 
 def test_page_carries_dimensions(svc):
@@ -125,7 +114,6 @@ def test_response_delay_applies_only_to_photo_reads():
     t0 = time.perf_counter()
     album = svc.create_album("a")
     photo_id, _ = svc.upload_photo(album, png_item(), "")
-    svc.add_comment(photo_id, "x", "y")
     svc.render_album_page(album)
     composition_ms = (time.perf_counter() - t0) * 1000
     assert composition_ms < 50, "only static photo reads pay the delay"
@@ -180,15 +168,11 @@ def test_http_album_photo_page_flow(served):
         assert resp.headers["Content-Type"] == "image/png"
         assert resp.read() == png_item().data
 
-    status, body = _post(f"{base}/fp/photos/{photo_id}/comments",
-                         b"a comment", {"X-Author": "ada"})
-    assert body.decode().strip() == "0"
-
     with urllib.request.urlopen(f"{base}/fp/albums/{album_id}/page",
                                 timeout=5) as resp:
         page = resp.read().decode()
     assert static_url in page
-    assert "a comment" in page
+    assert "over http" in page
 
 
 def _http_error(call, *args, **kwargs):
@@ -206,6 +190,9 @@ def test_http_errors(served):
     assert err.code == 404
     err = _http_error(_post, f"{base}/fp/albums/{'0' * 16}/photos",
                       png_item().data, {"Content-Type": "image/png"})
+    assert err.code == 404
+    # the first party takes no comments
+    err = _http_error(_post, f"{base}/fp/photos/{'0' * 16}/comments", b"hi")
     assert err.code == 404
     # non-PNG upload to a real album
     status, body = _post(f"{base}/fp/albums", b"t")

@@ -143,6 +143,32 @@ def test_second_resolve_of_a_page_opens_no_connection(store_server,
         client.close()
 
 
+def test_inline_refuses_markup_in_the_stores_content_type(store_server,
+                                                          fp_server):
+    # over HTTP the off-site media type is the store's Content-Type
+    server, _ = store_server
+    fp = HttpFirstPartyClient(fp_server.base_url)
+    offsite = HttpStoreClient(server.base_url)
+    fetcher = HttpFetcher()
+    try:
+        album = fp.create_album("inline")
+        evil = write_path(ContentItem(data=png_item(2).data,
+                                      media_type='image/png"onerror="x'),
+                          "evil", album, offsite, fp)
+        write_path(png_item(3), "ok", album, offsite, fp)
+        assert fetcher.fetch(evil.offsite_locator).media_type == \
+            'image/png"onerror="x'
+        original = fetcher.fetch(fp.page_url(album)).data
+        out = resolve_page(fp.page_url(album), fetcher, inline=True)
+    finally:
+        for client in (fetcher, offsite, fp):
+            client.close()
+    assert b"onerror" not in out
+    assert out.count(b"data:image/png;base64,") == 1
+    # the refused element is the first: its tag is unchanged
+    assert out.split(b"<img ")[1] == original.split(b"<img ")[1]
+
+
 def test_sequential_gets_do_not_stall(store_server):
     # a kept-alive response written as header and body segments waits out
     # the client's delayed ACK (~40 ms) unless the server disables Nagle

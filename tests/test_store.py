@@ -109,7 +109,7 @@ def test_presets_table():
 
 def test_measure_store_respects_floor():
     ((name, median),) = bench.bench_providers([preset_store("imgur")],
-                                              item_size=2048, repetitions=6)
+                                              repetitions=6)
     assert name == "imgur"
     assert 12 <= median <= 32
 
