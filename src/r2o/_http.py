@@ -35,7 +35,6 @@ from __future__ import annotations
 import re
 import socket
 import socketserver
-import ssl
 import sys
 import threading
 from dataclasses import dataclass
@@ -231,6 +230,10 @@ class ConnectionPool:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if scheme == "https":
+                # imported here: no server, and no plain-HTTP client, uses
+                # it, and it takes 7-11 ms to load
+                import ssl
+
                 sock = ssl.create_default_context().wrap_socket(
                     sock, server_hostname=host)
         except OSError:

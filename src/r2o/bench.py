@@ -48,9 +48,9 @@ QUICK_SWEEP = (40, 3, 3)
 FIRSTPARTY_DELAY_MS = 11.0
 OFFSITE_DELAYS_MS = (147.0, 306.0)
 
-# bounds: a provider median within its preset + 20 ms, a cold read within
-# first party + off-site + 30 ms, a warm read within off-site + 10 ms,
-# and every decode under 50 ms
+# bounds: a provider median within its store's latency + 20 ms, a cold
+# read within first party + off-site + 30 ms, a warm read within off-site
+# + 10 ms, and every decode under 50 ms
 PROVIDER_TOLERANCE_MS = 20.0
 COMPOSITION_TOLERANCE_MS = 30.0
 WARM_SLACK_MS = 10.0
@@ -132,6 +132,10 @@ def bench_decode(count: int, qr_config: codec.QrConfig | None = None,
 
 # -- provider medians -------------------------------------------------------
 
+def _preset_stores() -> list[MemoryStore]:
+    return [preset_store(name) for name in LATENCY_PRESETS]
+
+
 def bench_providers(providers=None,
                     repetitions: int = 10) -> list[tuple[str, float]]:
     """Median fetch time per provider, in the shape of the preset table.
@@ -143,9 +147,7 @@ def bench_providers(providers=None,
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if providers is None:
-        providers = [preset_store(name) for name in LATENCY_PRESETS]
-    providers = list(providers)
+    providers = _preset_stores() if providers is None else list(providers)
     if not providers:
         raise ValueError("no providers to measure")
     rows = []
@@ -225,16 +227,20 @@ def check_decode_bounds(report: BenchReport) -> list[str]:
     return []
 
 
-def check_provider_bounds(rows: list[tuple[str, float]]) -> list[str]:
-    """Each preset-named row's median must sit in [preset, preset + tol]."""
+def check_provider_bounds(providers,
+                          rows: list[tuple[str, float]]) -> list[str]:
+    """Each row's median must sit in [L, L + tol], where L is the simulated
+    latency of the store it measured; rows pair with providers in order.
+    A store with no simulated latency, such as an HTTP client, has no
+    bound."""
     problems = []
-    for name, median in rows:
-        floor = LATENCY_PRESETS.get(name)
+    for provider, (name, median) in zip(providers, rows, strict=True):
+        floor = provider.descriptor.simulated_latency
         if floor is None:
             continue
         if not floor <= median <= floor + PROVIDER_TOLERANCE_MS:
             problems.append(f"provider {name}: median {median:.2f} ms "
-                            f"outside [{floor}, "
+                            f"outside [{floor:g}, "
                             f"{floor + PROVIDER_TOLERANCE_MS:g}]")
     return problems
 
@@ -321,9 +327,10 @@ def evaluate(quick: bool, qr_config: codec.QrConfig, providers,
     violations = check_decode_bounds(decode)
 
     print("\n== provider medians ==")
+    providers = _preset_stores() if providers is None else list(providers)
     rows = bench_providers(providers, repetitions)
     print(render_table(["provider", "median_ms"], rows))
-    violations += check_provider_bounds(rows)
+    violations += check_provider_bounds(providers, rows)
 
     print("\n== end to end ==")
     f = FIRSTPARTY_DELAY_MS

@@ -42,10 +42,7 @@ import zlib
 
 import numpy as np
 
-_SIGNATURE = b"\x89PNG\r\n\x1a\n"
-# a stream opens with the signature, then IHDR's length, tag and 13 bytes
-_IHDR_HEAD = _SIGNATURE + struct.pack(">I", 13) + b"IHDR"
-_IHDR_END = len(_IHDR_HEAD) + 13
+from ..pngheader import IHDR_END, SIGNATURE, PNGError, read_ihdr
 
 _LEVEL = 3  # zlib level of written files; see the module docstring
 MAX_EDGE = 4096  # largest width or height the reader accepts
@@ -54,10 +51,6 @@ _SLOW_FILTER_BYTES = 256 * 1024
 # bytes of scanlines inflated per step: small steps keep the inflater's
 # transient buffers small, which lowers peak RSS when many threads decode
 _INFLATE_STEP = 64 * 1024
-
-
-class PNGError(ValueError):
-    pass
 
 
 class PNGTooLarge(PNGError):
@@ -91,7 +84,7 @@ def write_png(rows: np.ndarray, width: int | None = None,
     raw = np.zeros((h, row_bytes + 1), dtype=np.uint8)  # filter 0
     raw[:, 1:] = rows
     ihdr = struct.pack(">IIBBBBB", width, h, depth, 0, 0, 0, 0)
-    return (_SIGNATURE
+    return (SIGNATURE
             + _chunk(b"IHDR", ihdr)
             + _chunk(b"IDAT", zlib.compress(raw.tobytes(), _LEVEL))
             + _chunk(b"IEND", b""))
@@ -175,18 +168,6 @@ def _inflate(idat: bytes, row_bytes: int,
     return kinds, out
 
 
-def read_ihdr(data: bytes) -> tuple[int, int, int, int, int, int, int]:
-    """The IHDR fields: width, height, bit depth, color type, compression,
-    filter and interlace method; checks only that the signature is followed
-    by a 13-byte IHDR, leaving the values to the caller.
-    """
-    if not data.startswith(_SIGNATURE):
-        raise PNGError("not a PNG stream")
-    if len(data) < _IHDR_END or not data.startswith(_IHDR_HEAD):
-        raise PNGError("first chunk is not a 13-byte IHDR")
-    return struct.unpack(">IIBBBBB", data[len(_IHDR_HEAD):_IHDR_END])
-
-
 def read_png(data: bytes,
              max_edge: int = MAX_EDGE) -> tuple[np.ndarray, int, int]:
     """Decode a grayscale PNG to (scanline bytes, width, bit depth): an
@@ -206,7 +187,7 @@ def read_png(data: bytes,
         raise PNGError("only 1-bit and 8-bit grayscale are supported")
     if comp != 0 or filt != 0 or interlace != 0:
         raise PNGError("unsupported IHDR settings")
-    pos = _IHDR_END + 4  # past the IHDR's CRC
+    pos = IHDR_END + 4  # past the IHDR's CRC
     idat: list[bytes] = []
     while pos + 8 <= len(data):
         (length,) = struct.unpack(">I", data[pos:pos + 4])

@@ -335,8 +335,10 @@ def resolve_page(album_page_url: str, fetcher,
     Elements resolve through `read_path`, under the process-wide decode
     gate. With inline=True the replacement src is a data: URL embedding the
     fetched bytes, and an element whose media type is not `image/<token>`
-    keeps its src; otherwise it is the off-site locator. Each rewrite
-    checks that its span still holds the src that was scanned.
+    keeps its src; otherwise it is the off-site locator. An element whose
+    replacement would end its src value (a locator holding "'" in a
+    single-quoted value) keeps its src too. Each rewrite checks that its
+    span still holds the src that was scanned.
     """
     cache = cache if cache is not None else MappingsCache()
     try:
@@ -364,6 +366,6 @@ def resolve_page(album_page_url: str, fetcher,
             new_src = f"data:{media_type};base64,{payload}"
         else:
             new_src = res.offsite_locator
-        replacements.append((el.src_span, new_src,
-                             el.descriptor.source_url))
+        if rewriter.fits(el, new_src):
+            replacements.append((el, new_src))
     return rewriter.rewrite_html(page.data, replacements)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from ._http import Handler, Server, serve
+from .pngheader import PNGError, read_ihdr
 from .store import ContentItem
 
 PHOTO_PATH_PREFIX = "/fp/photos/"
@@ -102,10 +103,6 @@ class FirstPartyService:
 
     def upload_photo(self, album_id: str, image: ContentItem,
                      caption: str = "") -> tuple[str, str]:
-        # imported on first upload, not at start: the codec loads numpy,
-        # which takes over 0.1 s
-        from .codec.png import PNGError, read_ihdr
-
         image.validate()
         if image.media_type != "image/png":
             raise UnsupportedMediaType(

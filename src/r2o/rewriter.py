@@ -71,6 +71,11 @@ _ATTR = re.compile(rb'(%s)(?:[%s]*=[%s]*(?:"([^"]*)"|\'([^\']*)\''
 _FIGCAPTION = re.compile(rb"\s*<figcaption(?=[%s/>])%s(?:(>)|\Z)"
                          % (_WS, _TAG_REST), re.IGNORECASE)
 _CAPTION_TEXT = re.compile(rb"(.*?)</figcaption>", re.IGNORECASE | re.DOTALL)
+# what a src value can hold, by its quote, read as _ATTR reads values: a
+# quoted value ends at its own quote, and a bare one at whitespace or ">",
+# and a bare one that is empty or opens with a quote reads as another value
+_FITS = {b'"': re.compile(rb'[^"]*'), b"'": re.compile(rb"[^']*"),
+         b"": re.compile(rb"[^%s>\"'][^%s>]*" % (_WS, _WS))}
 
 
 class SpanMismatch(ValueError):
@@ -81,6 +86,7 @@ class SpanMismatch(ValueError):
 class ScannedElement:
     descriptor: ElementDescriptor
     src_span: tuple[int, int]  # byte offsets of the src attribute value
+    quote: bytes  # the value's quote: b'"', b"'", or b"" when bare
 
 
 @dataclass(frozen=True)
@@ -186,8 +192,10 @@ def _element(document: bytes, start: int, end: int) -> ScannedElement | None:
         height=_int_attr(attrs, b"height"),
         media_subtype=_subtype_of(src_text),
         caption=_caption_after(document, end))
+    quote = document[start + rel_start - 1:start + rel_start]
     return ScannedElement(descriptor=descriptor,
-                          src_span=(start + rel_start, start + rel_end))
+                          src_span=(start + rel_start, start + rel_end),
+                          quote=quote if quote in (b'"', b"'") else b"")
 
 
 def scan_html(document: bytes) -> ScanResult:
@@ -208,17 +216,27 @@ def scan_html(document: bytes) -> ScanResult:
             out.append(element)
 
 
+def fits(element: ScannedElement, new_src: str | bytes) -> bool:
+    """Whether new_src can stand as the element's src value: it holds
+    neither the value's own quote nor, when the value is bare, whitespace
+    or ">", so it cannot end the value and start markup of its own."""
+    if isinstance(new_src, str):
+        new_src = new_src.encode("utf-8")
+    return _FITS[element.quote].fullmatch(new_src) is not None
+
+
 def rewrite_html(document: bytes, replacements) -> bytes:
     """Substitute src spans; every byte outside the spans is untouched.
 
-    Each replacement is (span, new_src, expected_src): the span's current
-    content must equal expected_src. Spans must be sorted, in-bounds, and
-    non-overlapping.
+    Each replacement is (element, new_src) for an element that
+    `scan_html(document)` found: its span must still hold the src it was
+    scanned with, and new_src must fit its quoting (`fits`). Spans must be
+    sorted, in-bounds, and non-overlapping.
     """
-    normalized = [(int(start), int(end), new_src, expected)
-                  for (start, end), new_src, expected in replacements]
+    replacements = list(replacements)
     prev_end = 0
-    for start, end, _, _ in normalized:
+    for element, _ in replacements:
+        start, end = element.src_span
         if start < prev_end or end < start or end > len(document):
             raise SpanMismatch(
                 f"span ({start}, {end}) overlaps a prior span or exceeds "
@@ -226,15 +244,21 @@ def rewrite_html(document: bytes, replacements) -> bytes:
         prev_end = end
     pieces = []
     cursor = 0
-    for start, end, new_src, expected in normalized:
+    for element, new_src in replacements:
+        start, end = element.src_span
         current = document[start:end]
+        expected = element.descriptor.source_url
         if current != expected.encode("utf-8"):
             raise SpanMismatch(
                 f"span ({start}, {end}) holds {current!r}, "
                 f"expected {expected!r}")
+        new = (new_src.encode("utf-8") if isinstance(new_src, str)
+               else bytes(new_src))
+        if not fits(element, new):
+            raise SpanMismatch(
+                f"{new!r} does not fit the src value at ({start}, {end})")
         pieces.append(document[cursor:start])
-        pieces.append(new_src.encode("utf-8")
-                      if isinstance(new_src, str) else bytes(new_src))
+        pieces.append(new)
         cursor = end
     pieces.append(document[cursor:])
     return b"".join(pieces)

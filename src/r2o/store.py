@@ -86,7 +86,8 @@ class ProviderDescriptor:
     """A provider's settings; `open_provider` builds the store it names.
 
     An empty base_url becomes `default_base_url(name)`, except for the
-    http kind, which needs one; the filesystem kind needs a root.
+    http kind, which needs one and takes no simulated_latency: its server
+    sets its own. The filesystem kind needs a root.
     """
 
     name: str
@@ -100,6 +101,9 @@ class ProviderDescriptor:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind == "http" and not self.base_url:
             raise ValueError("http kind needs base_url")
+        if self.kind == "http" and self.simulated_latency is not None:
+            raise ValueError("http kind takes no latency; its server sets "
+                             "its own")
         if self.kind == "filesystem" and not self.root:
             raise ValueError("filesystem kind needs root")
         if self.simulated_latency is not None and self.simulated_latency < 0:

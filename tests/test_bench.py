@@ -2,12 +2,14 @@
 
 import csv
 import random
+from contextlib import closing
 
 import pytest
 from hypothesis import given, strategies as st
 
 from r2o import bench, codec
-from r2o.store import LATENCY_PRESETS, MemoryStore, preset_store
+from r2o.store import (LATENCY_PRESETS, HttpStoreClient, MemoryStore,
+                       preset_store)
 
 
 # -- report construction -----------------------------------------------------
@@ -129,12 +131,30 @@ def test_check_decode_bounds():
 
 
 def test_check_provider_bounds():
+    presets = [preset_store("imgur"), preset_store("flickr")]
     rows = [("imgur", 13.0), ("flickr", 150.0)]
-    assert bench.check_provider_bounds(rows) == []
-    assert bench.check_provider_bounds([("imgur", 40.0)])
-    assert bench.check_provider_bounds([("imgur", 11.0)])
-    # names outside the preset table carry no bound
-    assert bench.check_provider_bounds([("lab", 999.0)]) == []
+    assert bench.check_provider_bounds(presets, rows) == []
+    assert bench.check_provider_bounds(presets[:1], [("imgur", 40.0)])
+    assert bench.check_provider_bounds(presets[:1], [("imgur", 11.0)])
+
+
+def test_provider_bound_comes_from_the_measured_store():
+    # a store named like a preset is bounded by its own latency
+    imgur = [MemoryStore(name="imgur", simulated_latency=1.0)]
+    assert bench.check_provider_bounds(imgur, [("imgur", 1.1)]) == []
+    assert bench.check_provider_bounds(imgur, [("imgur", 30.0)]) == [
+        "provider imgur: median 30.00 ms outside [1, 21]"]
+    # and a store with any other name has a bound too
+    lab = [MemoryStore(name="lab", simulated_latency=5.0)]
+    assert bench.check_provider_bounds(lab, [("lab", 5.5)]) == []
+    assert bench.check_provider_bounds(lab, [("lab", 999.0)])
+
+
+def test_store_without_simulated_latency_is_unbounded():
+    remote = HttpStoreClient("http://127.0.0.1:9/v1/objects", name="imgur")
+    with closing(remote):
+        assert bench.check_provider_bounds([remote],
+                                           [("imgur", 999.0)]) == []
 
 
 def test_check_composition_bounds():

@@ -174,7 +174,7 @@ def test_provider_sections_build_their_stores(tmp_path):
         f"[provider:disk]\nkind = filesystem\nroot = {tmp_path / 'o'}\n"
         "base_url = http://disk.example/v1/objects\nlatency = 1.5\n"
         "[provider:lab]\nkind = http\n"
-        "base_url = http://127.0.0.1:9/v1/objects/\nlatency = 4\n")
+        "base_url = http://127.0.0.1:9/v1/objects/\n")
     cfg = cli.load_config(str(path))
     built = {name: store.open_provider(cfg.provider(name))
              for name in ("ram", "disk", "lab")}
@@ -207,6 +207,13 @@ def test_load_config_rejects_bad_values(tmp_path):
 
     path.write_text("[provider:x]\nkind = carrier-pigeon\n")
     with pytest.raises(cli.UsageError):
+        cli.load_config(str(path))
+
+    # an HTTP store's server sets its own delay
+    path.write_text("[provider:lab]\nkind = http\n"
+                    "base_url = http://127.0.0.1:9/v1/objects\nlatency = 4\n")
+    with pytest.raises(cli.UsageError, match="provider 'lab': http kind "
+                                             "takes no latency"):
         cli.load_config(str(path))
 
 
@@ -386,6 +393,16 @@ def test_bench_providers_subcommand(small_sweeps, tmp_path, capsys):
     assert cli.run(["--config", str(config), "bench", "--quick",
                     "--providers", "imgur"]) == cli.EXIT_USAGE
     assert "known: lab" in capsys.readouterr().err
+
+
+def test_bench_bounds_a_provider_by_its_configured_latency(small_sweeps,
+                                                           tmp_path, capsys):
+    # named like the 12 ms preset, but configured at 1 ms
+    config = tmp_path / "imgur.ini"
+    config.write_text("[provider:imgur]\nkind = memory\nlatency = 1\n")
+    assert cli.run(["--config", str(config), "bench", "--quick",
+                    "--providers", "imgur"]) == cli.EXIT_OK
+    assert "bound violated" not in capsys.readouterr().err
 
 
 def test_bench_e2e_subcommand(small_sweeps, capsys):

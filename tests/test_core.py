@@ -436,6 +436,40 @@ def test_stand_in_whose_locator_holds_markup_is_refused():
     assert resolve_page(page_url, AnyGet(), cache=MappingsCache()) == original
 
 
+def test_locator_that_would_end_a_single_quoted_src_is_not_spliced():
+    # "'" is a URI character, so this locator decodes and resolves; in a
+    # single-quoted src it would add an onerror attribute to the page
+    w = World()
+    hostile = "http://off.example/v1/objects/x'onerror='alert(1)"
+    modules, _, _ = encoder.encode_symbol(hostile.encode("ascii"))
+    pseudo = encoder.render(modules, codec.QrConfig())
+    w.service.upload_photo(
+        w.album, ContentItem(data=pseudo.to_png(), media_type="image/png"),
+        "r2o:1 x")
+    benign = w.publish(seed=5)
+    page_url = w.client.page_url(w.album)
+
+    class SingleQuotedPage:
+        # the page with single quotes, and a store that answers any GET
+        def fetch(self, url):
+            if url == page_url:
+                page = w.fetcher.fetch(url)
+                return ContentItem(data=page.data.replace(b'"', b"'"),
+                                   media_type=page.media_type)
+            if url.startswith(w.client.base_url):
+                return w.fetcher.fetch(url)
+            return png_item(1)
+
+    fetcher = SingleQuotedPage()
+    original = fetcher.fetch(page_url).data
+    out = resolve_page(page_url, fetcher, cache=MappingsCache())
+    benign_src = w.service.get_photo(benign.photo_id).static_url
+    # the hostile element keeps its src; the page's other one is replaced
+    assert out == original.replace(benign_src.encode(),
+                                   benign.offsite_locator.encode())
+    assert b"onerror" not in out
+
+
 def test_read_path_fetch_failures():
     w = World()
     gone = ElementDescriptor(source_url=w.client.base_url +

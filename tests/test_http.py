@@ -386,6 +386,16 @@ def test_hostile_response_fails_fast(reply, match):
         client.close()
 
 
+def test_https_to_a_plain_http_server_is_an_http_error():
+    # the TLS handshake reads an HTTP status line and fails
+    reply = b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
+    with raw_server(reply, close_after=True) as base:
+        pool = _http.ConnectionPool(timeout=3)
+        with pytest.raises(_http.HttpError):
+            pool.request("GET", base.replace("http:", "https:") + "/x")
+        pool.close()
+
+
 @pytest.mark.parametrize("reply", [
     b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
     b"\r\nok",

@@ -1,11 +1,15 @@
 """Scan extraction exactness and splice-only rewriting."""
 
+import string
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from r2o.rewriter import SpanMismatch, rewrite_html, scan_html
+from r2o.codec import InvalidPayload, validate_locator
+from r2o.rewriter import (SpanMismatch, _attributes, fits, rewrite_html,
+                          scan_html)
 
 PAGE = b"""<html><body>
 <figure>
@@ -53,6 +57,18 @@ def test_scan_handles_quote_styles_and_case(doc):
     assert doc[start:end] == b"/a/b.png"
 
 
+@pytest.mark.parametrize("doc, quote", [
+    (b'<img src="/a.png">', b'"'),
+    (b"<img src='/a.png'>", b"'"),
+    (b"<img src=/a.png>", b""),
+    (b"<img src = '/a.png' alt=\"x\">", b"'"),
+    (b"<img alt='y' src=/a'b.png>", b""),
+])
+def test_scan_records_the_src_values_quote(doc, quote):
+    (el,) = scan_html(doc)
+    assert el.quote == quote
+
+
 def test_scan_ignores_names_inside_other_names_and_values():
     doc = (b'<img data-src="/lazy.png" alt="see src=/fp/photos/a.png" '
            b'src="/fp/photos/abc.png" data-width="7" width="512" '
@@ -64,8 +80,7 @@ def test_scan_ignores_names_inside_other_names_and_values():
                             doc.index(b"/fp/photos/abc.png") + 18)
     assert el.descriptor.width == 512
     assert el.descriptor.height == 256
-    assert rewrite_html(doc, [(el.src_span, "/x.png",
-                               "/fp/photos/abc.png")]) == \
+    assert rewrite_html(doc, [(el, "/x.png")]) == \
         doc.replace(b"/fp/photos/abc.png", b"/x.png")
 
 
@@ -126,8 +141,8 @@ def test_rewrite_empty_list_is_byte_identical():
 
 def test_rewrite_replaces_only_the_spans():
     result = scan_html(PAGE)
-    reps = [(el.src_span, f"http://cdn.example/obj{i}",
-             el.descriptor.source_url) for i, el in enumerate(result)]
+    reps = [(el, f"http://cdn.example/obj{i}")
+            for i, el in enumerate(result)]
     out = rewrite_html(PAGE, reps)
     assert b'src="http://cdn.example/obj0"' in out
     assert b"src='http://cdn.example/obj1'" in out
@@ -149,40 +164,73 @@ def test_rewrite_replaces_only_the_spans():
 
 def test_rewrite_honors_expected_src_guard():
     (el,) = scan_html(b'<img src="/old.png">')
-    good = rewrite_html(b'<img src="/old.png">',
-                        [(el.src_span, "/new.png", "/old.png")])
+    good = rewrite_html(b'<img src="/old.png">', [(el, "/new.png")])
     assert good == b'<img src="/new.png">'
+    (other,) = scan_html(b'<img src="/other.png">')
     with pytest.raises(SpanMismatch):
-        rewrite_html(b'<img src="/old.png">',
-                     [(el.src_span, "/new.png", "/other.png")])
+        rewrite_html(b'<img src="/old.png">', [(other, "/new.png")])
+
+
+def _at(doc, start, end):
+    """An element whose span is doc[start:end], wherever that falls."""
+    (el,) = scan_html(b'<img src="/a.png">')
+    source_url = doc[start:end].decode()
+    return replace(el, src_span=(start, end),
+                   descriptor=replace(el.descriptor, source_url=source_url))
 
 
 def test_rewrite_rejects_overlap_and_out_of_bounds():
     doc = b'<img src="/abcdef.png">'
     with pytest.raises(SpanMismatch):
-        rewrite_html(doc, [((5, 12), "x", doc[5:12].decode()),
-                           ((10, 14), "y", doc[10:14].decode())])
+        rewrite_html(doc, [(_at(doc, 5, 12), "x"), (_at(doc, 10, 14), "y")])
     with pytest.raises(SpanMismatch):
-        rewrite_html(doc, [((5, len(doc) + 3), "x", doc[5:].decode())])
+        rewrite_html(doc, [(_at(doc, 5, len(doc) + 3), "x")])
     with pytest.raises(SpanMismatch):
-        rewrite_html(doc, [((12, 5), "x", "")])
+        rewrite_html(doc, [(_at(doc, 12, 5), "x")])
 
 
 def test_rewrite_accepts_bytes_payload():
     doc = b'<img src="/old.png">'
     (el,) = scan_html(doc)
-    out = rewrite_html(doc, [(el.src_span, b"/raw.png", "/old.png")])
+    out = rewrite_html(doc, [(el, b"/raw.png")])
     assert out == b'<img src="/raw.png">'
 
 
 def test_rewrite_growth_and_shrink_keep_structure():
     doc = b'<p>a</p><img src="/s.png"><p>b</p>'
     (el,) = scan_html(doc)
-    longer = rewrite_html(doc, [(el.src_span, "/much/longer/target.png",
-                                 "/s.png")])
-    shorter = rewrite_html(doc, [(el.src_span, "/t", "/s.png")])
+    longer = rewrite_html(doc, [(el, "/much/longer/target.png")])
+    shorter = rewrite_html(doc, [(el, "/t")])
     assert longer.startswith(b"<p>a</p>") and longer.endswith(b"<p>b</p>")
     assert shorter == b'<p>a</p><img src="/t"><p>b</p>'
+
+
+@pytest.mark.parametrize("doc, new_src", [
+    (b'<img src="/a.png">', 'http://h/x"onerror="alert(1)'),
+    (b"<img src='/a.png'>", "http://h/x'onerror='alert(1)"),
+    (b"<img src=/a.png>", "http://h/x onerror=alert(1)"),
+    (b"<img src=/a.png>", "http://h/x><script>"),
+    (b"<img src=/a.png width=5>", ""),  # src would take width=5
+    (b"<img src=/a.png>", "'http://h/x'"),  # a quoted value instead
+])
+def test_rewrite_refuses_a_src_that_would_end_its_value(doc, new_src):
+    (el,) = scan_html(doc)
+    assert not fits(el, new_src)
+    with pytest.raises(SpanMismatch, match="does not fit"):
+        rewrite_html(doc, [(el, new_src)])
+
+
+@pytest.mark.parametrize("doc, new_src", [
+    (b'<img src="/a.png">', "http://h/x'y"),
+    (b"<img src='/a.png'>", 'http://h/x"y'),
+    (b"<img src=/a.png>", "http://h/x'y\"z=w"),
+])
+def test_rewrite_takes_a_src_that_its_quoting_carries(doc, new_src):
+    (el,) = scan_html(doc)
+    assert fits(el, new_src)
+    out = rewrite_html(doc, [(el, new_src)])
+    (again,) = scan_html(out)
+    assert again.descriptor.source_url == new_src
 
 
 # -- tokenizer fidelity ------------------------------------------------------
@@ -205,7 +253,7 @@ def test_scan_keeps_quoted_gt_inside_the_tag(doc):
     assert el.descriptor.source_url == REAL.decode()
     start, end = el.src_span
     assert doc[start:end] == REAL
-    assert rewrite_html(doc, [(el.src_span, "/x.png", REAL.decode())]) == \
+    assert rewrite_html(doc, [(el, "/x.png")]) == \
         doc.replace(REAL, b"/x.png")
 
 
@@ -381,7 +429,7 @@ def test_property_spans_are_exact_on_any_page(pieces):
     # src that is not UTF-8 fails the expected-src check instead
     reps = []
     for el in result:
-        rep = (el.src_span, "/r.png", el.descriptor.source_url)
+        rep = (el, "/r.png")
         start, end = el.src_span
         if doc[start:end] == el.descriptor.source_url.encode("utf-8"):
             reps.append(rep)
@@ -390,3 +438,68 @@ def test_property_spans_are_exact_on_any_page(pieces):
                 rewrite_html(doc, [rep])
     out = rewrite_html(doc, reps)
     assert len(scan_html(out)) == len(result)
+
+
+def _valid(locator):
+    try:
+        validate_locator(locator)
+    except InvalidPayload:
+        return False
+    return True
+
+
+# any locator a stand-in may carry, with "'" drawn often,
+_LOCATORS = st.builds(
+    lambda scheme, parts: scheme + "".join(parts),
+    st.sampled_from(["http://", "https://"]),
+    st.lists(st.one_of(
+        st.sampled_from(string.ascii_letters + string.digits
+                        + "-._~:/?#[]@!$&'()*+,;="),
+        st.sampled_from(["'", "%2F", "x'onerror='alert(1)"])),
+        max_size=12)).filter(_valid)
+# and any inline data: URL resolve_page may write: image/ and a token
+_DATA_URLS = st.text(
+    string.ascii_letters + string.digits + "!#$%&'*+-.^_`|~",
+    min_size=1, max_size=8).map(
+    lambda token: f"data:image/{token};base64,iVBORw0KGgo=")
+
+
+@given(st.lists(st.one_of(_TEXT, _HIDING, _real_img()), max_size=8),
+       st.data())
+def test_property_rewritten_page_keeps_its_img_tags(pieces, data):
+    doc = b""
+    tags = []  # (start, tag, src offset) of each real img
+    for piece in pieces:
+        if isinstance(piece, tuple):
+            tags.append((len(doc),) + piece)
+            piece = piece[0]
+        doc += piece
+    scanned = scan_html(doc)
+    assert len(scanned) == len(tags)
+    reps, want = [], []
+    for el in scanned:
+        new_src = data.draw(st.one_of(_LOCATORS, _DATA_URLS))
+        if fits(el, new_src):
+            reps.append((el, new_src))
+            want.append(new_src)
+        else:
+            with pytest.raises(SpanMismatch):
+                rewrite_html(doc, [(el, new_src)])
+            want.append(REAL.decode())
+    out = rewrite_html(doc, reps)
+    rescanned = scan_html(out)
+    assert [el.descriptor.source_url for el in rescanned] == want
+    shift = 0
+    for (start, tag, offset), new_src, old, new in zip(tags, want, scanned,
+                                                      rescanned):
+        new_tag = tag[:offset] + new_src.encode() + tag[offset + len(REAL):]
+        assert out[start + shift:start + shift + len(new_tag)] == new_tag
+        shift += len(new_tag) - len(tag)
+        # the same attribute names, and only the src value differs
+        before, after = _attributes(tag), _attributes(new_tag)
+        assert list(before) == list(after)
+        assert all(before[n].group(0) == after[n].group(0)
+                   for n in before if n != b"src")
+        assert new.quote == old.quote
+        assert new.descriptor.width == old.descriptor.width
+        assert new.descriptor.caption == old.descriptor.caption

@@ -1,5 +1,6 @@
 """Off-site providers: locators, latency floors, the v1 HTTP protocol."""
 
+import json
 import os
 import pathlib
 import re
@@ -7,10 +8,14 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 
+import numpy as np
 import pytest
 
 from r2o import bench, store
+from r2o._http import ConnectionPool
+from r2o.codec.png import write_png
 from r2o.store import (
     LATENCY_PRESETS,
     ContentItem,
@@ -176,16 +181,50 @@ def test_http_upload_refuses_a_locator_outside_rfc_3986():
         server.shutdown()
 
 
+_SERVE_BOTH = """
+import json, sys
+from r2o import firstparty, store
+with firstparty.serve_firstparty(("127.0.0.1", 0)) as fp, \\
+        store.serve_store(("127.0.0.1", 0), store.MemoryStore("m")) as st:
+    print(json.dumps([fp.base_url, st.base_url]), flush=True)
+    sys.stdin.readline()
+    print(json.dumps(sorted({"numpy", "ssl"} & set(sys.modules))))
+"""
+
+
 def test_servers_start_without_numpy():
-    # the codec loads numpy in over 0.1 s, and neither server needs it
+    # the codec loads numpy in over 0.1 s and ssl takes about 10 ms, and a
+    # process that serves the first party and a store needs neither
     import r2o
     src = str(pathlib.Path(r2o.__file__).parents[1])
-    code = ("import sys, r2o.firstparty, r2o.store; "
-            "print('numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    serving = subprocess.Popen(
+        [sys.executable, "-c", _SERVE_BOTH], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    # leaving the block closes the child's stdin, so it ends even when an
+    # assertion fails
+    with serving as proc, closing(ConnectionPool(timeout=10.0)) as pool:
+        fp, objects = json.loads(proc.stdout.readline())
+        album = pool.request("POST", f"{fp}/fp/albums", b"trip")
+        assert album.status == 201
+        album_url = f"{fp}/fp/albums/{album.body.decode().strip()}"
+        png = write_png(np.zeros((8, 16), dtype=np.uint8))
+        upload = pool.request("POST", f"{album_url}/photos", png)
+        assert upload.status == 201
+        assert pool.request("POST", f"{album_url}/photos",
+                            b"GIF89a").status == 415
+        static_url = upload.body.decode().split()[1]
+        page = pool.request("GET", f"{album_url}/page").body.decode()
+        assert f'src="{static_url}" width="16" height="8"' in page
+        assert pool.request("GET", fp + static_url).body == png
+        stored = pool.request("POST", objects, b"bytes")
+        assert stored.status == 201
+        locator = stored.body.decode().strip()
+        assert pool.request("GET", locator).body == b"bytes"
+        assert pool.request("DELETE", locator).status == 204
+        assert pool.request("GET", locator).status == 404
+        loaded, _ = proc.communicate("report\n", timeout=30)
+    assert json.loads(loaded) == []
 
 
 def test_http_concurrent_uploads(http_pair):
