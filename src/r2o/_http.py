@@ -16,12 +16,15 @@ response body is `chunked` (no other transfer coding is accepted), delimited
 by `Content-Length`, or runs to the connection's close, and is capped
 before it is read.
 
-Servers are a `socketserver.ThreadingTCPServer` whose handlers derive from
-`Handler`. Each connection runs a keep-alive loop and gets each response in
-one write, with Nagle's algorithm off: a kept-alive response otherwise can
-wait out the peer's delayed ACK, about 40 ms (RFC 896, RFC 1122
-§4.2.3.2). `serve` runs one on a background thread and returns a `Server`
-handle.
+A running server is one `Server` object, a `socketserver.ThreadingTCPServer`
+that accepts on its own thread from the moment it is built and is its own
+context manager. It carries its `base_url` and the host's state, which its
+handlers, subclasses of `Handler`, read through `self.server`. Each
+connection runs a keep-alive loop and gets each response in one write, with
+Nagle's algorithm off: a kept-alive response otherwise can wait out the
+peer's delayed ACK, about 40 ms (RFC 896, RFC 1122 §4.2.3.2).
+
+This module imports nothing from the rest of r2o.
 
 CPU per kept-alive GET of a 1.3 KB object from `serve_store` in another
 process, kernel time included, one request at a time on a 2 vCPU Xeon
@@ -80,6 +83,7 @@ class Response:
     status: int
     content_type: str
     body: bytes
+    location: str  # the Location field, "" when absent
 
 
 # -- message heads ------------------------------------------------------------
@@ -291,7 +295,7 @@ def _read_response(rfile, method: str,
     keep = version == b"HTTP/1.1" and delimited and not _closes(fields)
     return Response(status, fields.get("content-type",
                                        "application/octet-stream"),
-                    body), keep
+                    body, fields.get("location", "")), keep
 
 
 def _read_body(rfile, method: str, status: int, fields: dict[str, str],
@@ -351,7 +355,8 @@ class Handler(socketserver.StreamRequestHandler):
     """Request handler base: HTTP/1.1 keep-alive, no Nagle, bounded bodies.
 
     A subclass defines `do_<METHOD>` for each method it serves; it sees the
-    request as `path` and `headers` (a dict keyed by lowercased name).
+    request as `path` and `headers` (a dict keyed by lowercased name), and
+    the host's state as `self.server.backing` or `self.server.service`.
     """
 
     server_version = "r2o"
@@ -424,38 +429,64 @@ class Handler(socketserver.StreamRequestHandler):
                          + b"\r\n\r\n" + body)
 
 
-class _Httpd(socketserver.ThreadingTCPServer):
-    """Threaded server that tracks its live connections.
+class Server(socketserver.ThreadingTCPServer):
+    """A running HTTP server: bound and accepting on its own thread once
+    built, and a context manager that shuts it down.
 
-    The listen backlog is sized for a page's burst of connects; the default
-    of 5 drops SYNs, which then wait out a 1 s retransmit.
+    Handlers reach the host's state as `self.server.backing` (a store) or
+    `self.server.service` (the first party). A failed bind raises the
+    OSError from the bind. The listen backlog is sized for a page's burst
+    of connects; the default of 5 drops SYNs, which then wait out a 1 s
+    retransmit.
     """
 
     allow_reuse_address = True
     request_queue_size = 128
     daemon_threads = True
 
-    def __init__(self, address, handler, base_path: str):
-        super().__init__(address, handler)
+    def __init__(self, bind_address: tuple[str, int], handler: type[Handler],
+                 base_path: str = "", backing=None, service=None):
+        super().__init__(bind_address, handler)
         host, port = self.server_address[:2]
         self.base_url = f"http://{host}:{port}{base_path}"
+        self.backing = backing
+        self.service = service
         self._live: set[socket.socket] = set()
         self._live_lock = threading.Lock()
         self._stopping = False
+        self._thread = threading.Thread(
+            target=self._accept, name=f"{handler.__name__}-{port}",
+            daemon=True)
+        self._thread.start()
 
-    def serve(self) -> None:
-        """Accept connections, waiting without a poll, until `stop`."""
+    def _accept(self) -> None:
+        """Accept connections, waiting without a poll, until `shutdown`."""
         while not self._stopping:
             self.handle_request()
 
-    def stop(self) -> None:
-        """End `serve` now: a listening socket that is shut down wakes the
-        wait for the next connection, whose accept then fails."""
+    def shutdown(self) -> None:
+        """Stop accepting, end kept-alive connections, release the port.
+
+        A listening socket that is shut down wakes the wait for the next
+        connection, whose accept then fails and ends `_accept`.
+        """
         self._stopping = True
         try:
             self.socket.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._thread.join(timeout=5)
+        with self._live_lock:
+            live = list(self._live)
+        for sock in live:  # its handler thread then exits
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self.server_close()
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
 
     def process_request(self, request, client_address):
         with self._live_lock:
@@ -471,52 +502,3 @@ class _Httpd(socketserver.ThreadingTCPServer):
         # a peer that hangs up, or a connection cut by shutdown, is routine
         if not isinstance(sys.exc_info()[1], OSError):
             super().handle_error(request, client_address)
-
-    def close_connections(self) -> None:
-        """End every live connection; its handler thread then exits."""
-        with self._live_lock:
-            live = list(self._live)
-        for sock in live:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-
-
-class Server:
-    """A running HTTP server; context manager with graceful shutdown."""
-
-    def __init__(self, httpd: _Httpd, thread: threading.Thread):
-        self._httpd = httpd
-        self._thread = thread
-        self.base_url = httpd.base_url
-
-    def shutdown(self) -> None:
-        """Stop accepting, end kept-alive connections, release the port."""
-        self._httpd.stop()
-        self._thread.join(timeout=5)
-        self._httpd.close_connections()
-        self._httpd.server_close()
-
-    def __enter__(self) -> "Server":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
-def serve(bind_address: tuple[str, int], handler: type[Handler],
-          attrs: dict, name: str, base_path: str = "") -> Server:
-    """Serve `handler`, bound to `attrs`, on a background thread."""
-    from .store import BindFailure  # store builds on this module
-
-    bound = type(handler.__name__, (handler,), attrs)
-    try:
-        httpd = _Httpd(bind_address, bound, base_path)
-    except OSError as exc:
-        raise BindFailure(f"cannot bind {bind_address}: {exc}") from None
-    thread = threading.Thread(target=httpd.serve,
-                              name=f"{name}-{httpd.server_address[1]}",
-                              daemon=True)
-    thread.start()
-    return Server(httpd, thread)

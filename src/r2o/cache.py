@@ -13,7 +13,7 @@ from collections import OrderedDict
 from copy import copy
 from dataclasses import dataclass, field
 
-from .codec import validate_locator
+from .locator import validate_locator
 
 MAP_HEADER = "r2o-map/1"
 MEDIA_CLASSES = ("image", "text")

@@ -7,12 +7,12 @@ as a PNG here. All operations are pure.
 
 from __future__ import annotations
 
+from ..locator import InvalidPayload, validate_locator
 from .decoder import decode_matrix, decode_qr
 from .encoder import encode_qr, encode_symbol, serialize_payload
 from .errors import (CapacityExceeded, CodecError, DecodeFailure,
-                     InvalidPayload, NotAQrSymbol, TargetTooSmall)
-from .models import (DARK_THRESHOLD, IndirectionPayload, PseudoImage,
-                     QrConfig, validate_locator)
+                     NotAQrSymbol, TargetTooSmall)
+from .models import DARK_THRESHOLD, IndirectionPayload, PseudoImage, QrConfig
 from .png import PNGError, PNGTooLarge, read_png, write_png
 
 __all__ = [

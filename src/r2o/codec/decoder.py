@@ -16,9 +16,10 @@ import itertools
 
 import numpy as np
 
+from ..locator import validate_locator
 from . import gf256, matrix, tables
 from .errors import DecodeFailure, NotAQrSymbol
-from .models import IndirectionPayload, PseudoImage, validate_locator
+from .models import IndirectionPayload, PseudoImage
 
 _FINDER = matrix.base_matrix(1)[:7, :7].ravel()  # 1 = dark, row by row
 

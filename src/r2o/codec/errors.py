@@ -2,12 +2,8 @@
 
 
 class CodecError(Exception):
-    """Base class for codec failures."""
-
-
-class InvalidPayload(CodecError, ValueError):
-    """Payload violates locator rules (empty, bad scheme, a character
-    outside RFC 3986)."""
+    """Base class for codec failures; a bad locator raises
+    `locator.InvalidPayload`, a ValueError, instead."""
 
 
 class CapacityExceeded(CodecError, ValueError):

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from ._http import Handler, Server, serve
+from ._http import Handler, Server
 from .pngheader import PNGError, read_ihdr
 from .store import ContentItem
 
@@ -195,10 +195,9 @@ class FirstPartyService:
 
 class _FirstPartyHandler(Handler):
     server_version = "r2o-fp/1"
-    service: FirstPartyService  # set per bound subclass
 
     def do_POST(self):
-        svc = self.service
+        svc = self.server.service
         body = self._body()
         if body is None:
             return
@@ -225,7 +224,7 @@ class _FirstPartyHandler(Handler):
 
     def do_GET(self):
         try:
-            item = self.service.get(self.path)
+            item = self.server.service.get(self.path)
         except (AlbumNotFound, PhotoNotFound):
             self._reply(404, b"not found\n")
             return
@@ -235,5 +234,5 @@ class _FirstPartyHandler(Handler):
 def serve_firstparty(bind_address: tuple[str, int],
                      service: FirstPartyService | None = None) -> Server:
     """Serve the /fp API over HTTP, backed by `service` or a fresh one."""
-    return serve(bind_address, _FirstPartyHandler,
-                 {"service": service or FirstPartyService()}, name="fp")
+    return Server(bind_address, _FirstPartyHandler,
+                  service=service or FirstPartyService())

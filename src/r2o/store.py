@@ -14,8 +14,10 @@ import random
 import secrets
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urljoin
 
 from ._http import (
     MAX_PAYLOAD_DEFAULT,
@@ -23,8 +25,8 @@ from ._http import (
     Handler,
     HttpError,
     Server,
-    serve,
 )
+from .locator import InvalidPayload, validate_locator
 
 OBJECTS_PATH = "/v1/objects"
 _ID_HEX_LEN = 16
@@ -55,10 +57,6 @@ class NotFound(StoreError):
 
 
 class PayloadTooLarge(StoreError):
-    pass
-
-
-class BindFailure(StoreError):
     pass
 
 
@@ -141,10 +139,10 @@ def _is_valid_id(oid: str) -> bool:
 
 
 class _ProviderBase:
-    """Shared locator parsing and latency floor."""
+    """Shared locator parsing, payload cap and latency floor."""
 
     descriptor: ProviderDescriptor
-    max_payload: int
+    max_payload = MAX_PAYLOAD_DEFAULT
 
     def _sleep_floor(self) -> None:
         s = self.descriptor.simulated_latency
@@ -179,11 +177,9 @@ class MemoryStore(_ProviderBase):
 
     def __init__(self, name: str = "memory",
                  simulated_latency: float | None = None,
-                 base_url: str = "",
-                 max_payload: int = MAX_PAYLOAD_DEFAULT):
+                 base_url: str = ""):
         self.descriptor = ProviderDescriptor(
             name, "memory", base_url, simulated_latency)
-        self.max_payload = max_payload
         self._objects: dict[str, tuple[bytes, str]] = {}
         self._lock = threading.Lock()
 
@@ -223,13 +219,11 @@ class FilesystemStore(_ProviderBase):
 
     def __init__(self, root: str | Path, name: str = "filesystem",
                  simulated_latency: float | None = None,
-                 base_url: str = "",
-                 max_payload: int = MAX_PAYLOAD_DEFAULT):
+                 base_url: str = ""):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.descriptor = ProviderDescriptor(
             name, "filesystem", base_url, simulated_latency, str(root))
-        self.max_payload = max_payload
         self._lock = threading.Lock()
 
     def upload(self, item: ContentItem) -> str:
@@ -267,7 +261,6 @@ class FilesystemStore(_ProviderBase):
 
 class _StoreHandler(Handler):
     server_version = "r2o-store/1"
-    backing: _ProviderBase  # set by serve_store
 
     def _object_id(self) -> str | None:
         prefix = OBJECTS_PATH + "/"
@@ -280,13 +273,14 @@ class _StoreHandler(Handler):
         if self.path != OBJECTS_PATH:
             self._reply(404, b"unknown path\n")
             return
-        body = self._body(self.backing.max_payload)
+        backing = self.server.backing
+        body = self._body(backing.max_payload)
         if body is None:
             return
         media_type = self.headers.get("content-type",
                                       "application/octet-stream")
         try:
-            locator = self.backing.upload(
+            locator = backing.upload(
                 ContentItem(data=body, media_type=media_type))
         except PayloadTooLarge:
             self._reply(413, b"payload too large\n")
@@ -301,8 +295,9 @@ class _StoreHandler(Handler):
         if oid is None:
             self._reply(404, b"unknown path\n")
             return
+        backing = self.server.backing
         try:
-            item = self.backing.fetch(self.backing._locator_for(oid))
+            item = backing.fetch(backing._locator_for(oid))
         except NotFound:
             self._reply(404, b"no such object\n")
             return
@@ -313,26 +308,24 @@ class _StoreHandler(Handler):
         if oid is None:
             self._reply(404, b"unknown path\n")
             return
-        self.backing.delete(self.backing._locator_for(oid))
+        backing = self.server.backing
+        backing.delete(backing._locator_for(oid))
         self._reply(204)
 
 
 def serve_store(bind_address: tuple[str, int],
                 backing: _ProviderBase) -> Server:
     """Serve the v1 object protocol on bind_address backed by a provider."""
-    return serve(bind_address, _StoreHandler, {"backing": backing},
-                 name="store", base_path=OBJECTS_PATH)
+    return Server(bind_address, _StoreHandler, OBJECTS_PATH, backing=backing)
 
 
 class HttpStoreClient(_ProviderBase):
     """Client side of the v1 object protocol, over keep-alive connections."""
 
     def __init__(self, base_url: str, name: str = "http",
-                 timeout: float = 10.0,
-                 max_payload: int = MAX_PAYLOAD_DEFAULT):
+                 timeout: float = 10.0):
         self.descriptor = ProviderDescriptor(name, "http",
                                              base_url.rstrip("/"))
-        self.max_payload = max_payload
         self._pool = ConnectionPool(timeout)
 
     def _request(self, what: str, method: str, url: str, **kwargs):
@@ -343,9 +336,6 @@ class HttpStoreClient(_ProviderBase):
             raise StoreUnavailable(f"{what} failed: {exc}") from None
 
     def upload(self, item: ContentItem) -> str:
-        # imported here: a store server needs no codec, which loads numpy
-        from .codec import InvalidPayload, validate_locator
-
         self._check_size(item)
         resp = self._request("upload", "POST", self.descriptor.base_url,
                              body=item.data,
@@ -358,6 +348,10 @@ class HttpStoreClient(_ProviderBase):
         try:
             return validate_locator(locator)
         except InvalidPayload as exc:
+            # the server kept the object: delete it by the path in Location,
+            # which `delete` takes only when it names an id under base_url
+            with suppress(StoreError):
+                self.delete(urljoin(self.descriptor.base_url, resp.location))
             raise StoreUnavailable(f"upload returned {exc}") from None
 
     def fetch(self, locator: str) -> ContentItem:

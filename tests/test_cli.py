@@ -467,6 +467,16 @@ def test_serve_store_flags(monkeypatch, tmp_path, capsys, flags, kind):
     assert backing.descriptor.root == (str(tmp_path) if flags else None)
 
 
+def test_serve_store_on_a_bound_port_exits_1(capsys):
+    with serve_store(LOOPBACK, MemoryStore(name="lab")) as taken:
+        bind = taken.base_url.split("//")[1].split("/")[0]
+        assert cli.run(["serve-store", "--bind", bind]) == \
+            cli.EXIT_OPERATIONAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("r2o: ") and "Address already in use" in err
+
+
 # -- end-to-end over sockets -------------------------------------------------
 
 def test_upload_resolve_flow(served_world, tmp_path, capsys):

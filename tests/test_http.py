@@ -331,7 +331,8 @@ def test_declared_huge_response_raises_fast():
 def test_undeclared_response_reads_at_most_the_cap(size, ok):
     reply = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + b"y" * size
     with raw_server(reply, close_after=True) as base:
-        client = HttpStoreClient(base + "/v1/objects", max_payload=1000)
+        client = HttpStoreClient(base + "/v1/objects")
+        client.max_payload = 1000
         locator = base + "/v1/objects/" + "0" * 16
         if ok:
             assert client.fetch(locator).data == b"y" * size
@@ -377,8 +378,8 @@ _HOSTILE = {
 @pytest.mark.parametrize("reply, match", _HOSTILE.values(), ids=_HOSTILE)
 def test_hostile_response_fails_fast(reply, match):
     with raw_server(reply, close_after=True) as base:
-        client = HttpStoreClient(base + "/v1/objects", timeout=3,
-                                 max_payload=1000)
+        client = HttpStoreClient(base + "/v1/objects", timeout=3)
+        client.max_payload = 1000
         t0 = time.perf_counter()
         with pytest.raises(StoreUnavailable, match=match):
             client.fetch(base + "/v1/objects/" + "0" * 16)

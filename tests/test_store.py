@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from r2o import bench, store
-from r2o._http import ConnectionPool
+from r2o._http import ConnectionPool, Server
 from r2o.codec.png import write_png
 from r2o.store import (
     LATENCY_PRESETS,
@@ -181,6 +181,43 @@ def test_http_upload_refuses_a_locator_outside_rfc_3986():
         server.shutdown()
 
 
+def _bad_locator_server(backing, location):
+    """A store server that keeps each upload but answers a locator outside
+    RFC 3986, with `location(oid)` as the 201's Location."""
+
+    class BadLocator(store._StoreHandler):
+        def do_POST(self):
+            oid = backing.upload(ContentItem(self._body())).rsplit("/", 1)[1]
+            self._reply(201, b'http://x.example/a"onerror="alert(1)\n',
+                        extra={"Location": location(oid)})
+
+    return Server(("127.0.0.1", 0), BadLocator, store.OBJECTS_PATH,
+                  backing=backing)
+
+
+def test_refused_upload_deletes_the_object_its_location_names():
+    backing = MemoryStore(name="backing")
+    with _bad_locator_server(
+            backing, lambda oid: f"{store.OBJECTS_PATH}/{oid}") as server, \
+            closing(HttpStoreClient(server.base_url)) as client:
+        with pytest.raises(StoreUnavailable, match="RFC 3986"):
+            client.upload(ContentItem(data=b"x", media_type="image/png"))
+    assert len(backing) == 0
+
+
+def test_refused_upload_deletes_nothing_outside_its_base_url():
+    # a Location naming an object on another store leaves that object be
+    victim, backing = MemoryStore(name="victim"), MemoryStore(name="backing")
+    oid = victim.upload(ContentItem(b"kept")).rsplit("/", 1)[1]
+    with serve_store(("127.0.0.1", 0), victim) as other, \
+            _bad_locator_server(
+                backing, lambda _: f"{other.base_url}/{oid}") as server, \
+            closing(HttpStoreClient(server.base_url)) as client:
+        with pytest.raises(StoreUnavailable, match="RFC 3986"):
+            client.upload(ContentItem(data=b"x", media_type="image/png"))
+    assert (len(victim), len(backing)) == (1, 1)
+
+
 _SERVE_BOTH = """
 import json, sys
 from r2o import firstparty, store
@@ -274,7 +311,7 @@ def test_bind_failure():
     server = serve_store(("127.0.0.1", 0), backing)
     try:
         port = int(server.base_url.split(":")[2].split("/")[0])
-        with pytest.raises(store.BindFailure):
+        with pytest.raises(OSError):
             serve_store(("127.0.0.1", port), backing)
     finally:
         server.shutdown()
