@@ -51,6 +51,8 @@ MAX_PAYLOAD_DEFAULT = 16 * 1024 * 1024
 MAX_IDLE_PER_HOST = 64
 # a server handler drops a connection that sends nothing for this long
 IDLE_TIMEOUT_S = 30.0
+# a client socket gives up on a connect, send or read that waits this long
+TIMEOUT_S = 10.0
 # head limits, the same as http.client's: bytes per line, fields per head
 MAX_LINE = 65536
 MAX_FIELDS = 100
@@ -169,8 +171,7 @@ class ConnectionPool:
     on a fresh connection; any other failure raises HttpError.
     """
 
-    def __init__(self, timeout: float):
-        self.timeout = timeout
+    def __init__(self):
         self._idle: dict[tuple, list[_Connection]] = {}
         self._lock = threading.Lock()
 
@@ -216,7 +217,7 @@ class ConnectionPool:
                     raise
                 conn = self._new(key)
                 _send(conn, data)
-            resp, keep = _read_response(conn.rfile, method, max_body)
+            resp, keep = _read_response(conn.rfile, max_body)
         except (OSError, HttpError) as exc:
             if conn is not None:
                 conn.close()
@@ -230,7 +231,7 @@ class ConnectionPool:
     def _new(self, key: tuple) -> _Connection:
         scheme, host, port = key
         sock = socket.create_connection(
-            (host, port or (443 if scheme == "https" else 80)), self.timeout)
+            (host, port or (443 if scheme == "https" else 80)), TIMEOUT_S)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if scheme == "https":
@@ -273,8 +274,7 @@ def _send(conn: _Connection, data: bytes) -> None:
         raise ConnectionResetError("connection closed before the response")
 
 
-def _read_response(rfile, method: str,
-                   max_body: int) -> tuple[Response, bool]:
+def _read_response(rfile, max_body: int) -> tuple[Response, bool]:
     """The final response, and whether its connection can be reused."""
     for _ in range(_MAX_INTERIM + 1):
         head = _read_head(rfile)
@@ -291,14 +291,14 @@ def _read_response(rfile, method: str,
             break
     else:
         raise HttpError(f"more than {_MAX_INTERIM} interim responses")
-    body, delimited = _read_body(rfile, method, status, fields, max_body)
+    body, delimited = _read_body(rfile, status, fields, max_body)
     keep = version == b"HTTP/1.1" and delimited and not _closes(fields)
     return Response(status, fields.get("content-type",
                                        "application/octet-stream"),
                     body, fields.get("location", "")), keep
 
 
-def _read_body(rfile, method: str, status: int, fields: dict[str, str],
+def _read_body(rfile, status: int, fields: dict[str, str],
                max_body: int) -> tuple[bytes, bool]:
     """The whole body, and whether its end was delimited (not by close).
 
@@ -306,7 +306,7 @@ def _read_body(rfile, method: str, status: int, fields: dict[str, str],
     chunked body once its total passes the cap, and an undeclared one reads
     at most cap + 1 bytes.
     """
-    if method == "HEAD" or status in (204, 304):
+    if status in (204, 304):
         return b"", True
     coding = fields.get("transfer-encoding")
     if coding is not None:

@@ -29,7 +29,7 @@ import numpy as np
 from . import codec, core
 from .cache import MappingsCache
 from .codec.png import write_png
-from .firstparty import FirstPartyService
+from .firstparty import DEFAULT_RESPONSE_DELAY_MS, FirstPartyService
 from .store import (
     LATENCY_PRESETS,
     ContentItem,
@@ -45,7 +45,7 @@ URL_LENGTHS = (24, 120)  # shortest and longest random bench URL
 # sweep sizes: (decode symbols, fetches per provider, e2e iterations)
 FULL_SWEEP = (500, 10, 9)
 QUICK_SWEEP = (40, 3, 3)
-FIRSTPARTY_DELAY_MS = 11.0
+FIRSTPARTY_DELAY_MS = DEFAULT_RESPONSE_DELAY_MS
 OFFSITE_DELAYS_MS = (147.0, 306.0)
 
 # bounds: a provider median within its store's latency + 20 ms, a cold

@@ -70,7 +70,6 @@ class MappingsCache:
         self._recent: OrderedDict[str, MappingEntry] = OrderedDict()
         self._clock = 0
         self._lock = threading.RLock()
-        self.skipped_on_last_import = 0  # malformed lines of the last import
 
     def _now(self) -> int:
         self._clock += 1
@@ -182,8 +181,8 @@ class MappingsCache:
                     f"{e.pseudo_locator}\t{e.offsite_locator}\t{e.media_class}")
             return ("\n".join(lines) + "\n").encode("utf-8")
 
-    def import_mappings(self, blob: bytes) -> int:
-        """Merge a mapping blob; returns entries merged, skipping bad lines."""
+    def import_mappings(self, blob: bytes) -> tuple[int, int]:
+        """Merge a mapping blob; returns (merged, skipped) line counts."""
         try:
             text = blob.decode("utf-8")
         except UnicodeDecodeError:
@@ -205,5 +204,4 @@ class MappingsCache:
                 skipped += 1
             else:
                 merged += 1
-        self.skipped_on_last_import = skipped
-        return merged
+        return merged, skipped

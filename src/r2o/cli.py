@@ -66,18 +66,12 @@ def _csv_tuple(raw: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in raw.split(",") if p.strip())
 
 
-def _flag(raw: str) -> bool:
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-
-
 # the keys each section may set, with the cast that reads each value
 _SECTIONS = {
     "r2o": {"firstparty_url": str},
-    "filter": {"path_prefixes": _csv_tuple, "min_edge": int, "max_edge": int,
-               "require_square": _flag, "excluded_subtypes": _csv_tuple,
-               "caption_marker": str},
+    "filter": {"path_prefixes": _csv_tuple, "min_edge": int, "max_edge": int},
     "cache": {"n_frequent": int, "m_recent": int},
-    "qr": {"ec_level": str, "min_version": int, "target_size": int},
+    "qr": {"ec_level": str, "target_size": int},
 }
 _PROVIDER_KEYS = {"kind": str, "latency": float, "base_url": str,
                   "root": str}
@@ -177,7 +171,7 @@ def _wait_for_interrupt(server) -> int:
 
 def _cmd_serve_store(args, cfg: Config, rng) -> int:
     backing = store.open_provider(ProviderDescriptor(
-        args.name, "filesystem" if args.root else "memory",
+        "served", "filesystem" if args.root else "memory",
         simulated_latency=args.latency, root=args.root))
     server = store.serve_store(_parse_bind(args.bind), backing)
     print(f"store serving at {server.base_url}", flush=True)
@@ -201,8 +195,7 @@ def _cmd_upload(args, cfg: Config, rng) -> int:
         album_id = args.album or client.create_album(args.album_title)
         receipt = core.write_path(
             ContentItem(data=data, media_type=media_type), args.caption,
-            album_id, provider, client, qr_config=cfg.qr,
-            filter_cfg=cfg.filter)
+            album_id, provider, client, qr_config=cfg.qr)
     print(f"offsite_locator: {receipt.offsite_locator}")
     print(f"pseudo_locator: {receipt.pseudo_locator}")
     print(f"photo_id: {receipt.photo_id}")
@@ -259,10 +252,9 @@ def _cmd_cache_export(args, cfg: Config, rng) -> int:
 
 def _cmd_cache_import(args, cfg: Config, rng) -> int:
     cache = _load_cache_file(cfg, args.cache)
-    merged = cache.import_mappings(Path(args.file).read_bytes())
+    merged, skipped = cache.import_mappings(Path(args.file).read_bytes())
     _save_cache_file(cache, args.cache)
-    print(f"merged {merged} skipped {cache.skipped_on_last_import} "
-          f"total {len(cache)}")
+    print(f"merged {merged} skipped {skipped} total {len(cache)}")
     return EXIT_OK
 
 
@@ -303,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bind", default=DEFAULT_STORE_BIND, metavar="HOST:PORT")
     s.add_argument("--root", help="back with this directory instead of RAM")
     s.add_argument("--latency", type=float, default=None, metavar="MS")
-    s.add_argument("--name", default="served")
     s.set_defaults(handler=_cmd_serve_store)
 
     s = sub.add_parser("serve-firstparty",

@@ -8,17 +8,16 @@ as a PNG here. All operations are pure.
 from __future__ import annotations
 
 from ..locator import InvalidPayload, validate_locator
-from .decoder import decode_matrix, decode_qr
-from .encoder import encode_qr, encode_symbol, serialize_payload
+from .decoder import decode_qr
+from .encoder import encode_qr, serialize_payload
 from .errors import (CapacityExceeded, CodecError, DecodeFailure,
                      NotAQrSymbol, TargetTooSmall)
-from .models import DARK_THRESHOLD, IndirectionPayload, PseudoImage, QrConfig
-from .png import PNGError, PNGTooLarge, read_png, write_png
+from .models import IndirectionPayload, PseudoImage, QrConfig
+from .png import PNGError, PNGTooLarge
 
 __all__ = [
-    "CapacityExceeded", "CodecError", "DARK_THRESHOLD", "DecodeFailure",
-    "IndirectionPayload", "InvalidPayload", "NotAQrSymbol", "PNGError",
-    "PNGTooLarge", "PseudoImage", "QrConfig", "TargetTooSmall",
-    "decode_matrix", "decode_qr", "encode_qr", "encode_symbol", "read_png",
-    "serialize_payload", "validate_locator", "write_png",
+    "CapacityExceeded", "CodecError", "DecodeFailure", "IndirectionPayload",
+    "InvalidPayload", "NotAQrSymbol", "PNGError", "PNGTooLarge",
+    "PseudoImage", "QrConfig", "TargetTooSmall", "decode_qr", "encode_qr",
+    "serialize_payload", "validate_locator",
 ]

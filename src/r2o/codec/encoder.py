@@ -19,10 +19,8 @@ def serialize_payload(payload: IndirectionPayload) -> bytes:
     return payload.validate().locator.encode("ascii")
 
 
-def choose_version(n_bytes: int, ec_level: str, min_version: int = 1) -> int:
-    if not tables.MIN_VERSION <= min_version <= tables.MAX_VERSION:
-        raise ValueError(f"min_version out of range: {min_version}")
-    for version in range(min_version, tables.MAX_VERSION + 1):
+def choose_version(n_bytes: int, ec_level: str) -> int:
+    for version in range(tables.MIN_VERSION, tables.MAX_VERSION + 1):
         if n_bytes <= tables.byte_capacity(version, ec_level):
             return version
     raise CapacityExceeded(
@@ -62,10 +60,10 @@ def interleave_blocks(data_cw: list[int], version: int, ec_level: str) -> list[i
     return out.tolist()
 
 
-def encode_symbol(data: bytes, ec_level: str = "M",
-                  min_version: int = 1) -> tuple[np.ndarray, int, int]:
+def encode_symbol(data: bytes,
+                  ec_level: str = "M") -> tuple[np.ndarray, int, int]:
     """Encode raw bytes to a module matrix; returns (matrix, version, mask)."""
-    version = choose_version(len(data), ec_level, min_version)
+    version = choose_version(len(data), ec_level)
     data_cw = build_data_codewords(data, version, ec_level)
     codewords = interleave_blocks(data_cw, version, ec_level)
 
@@ -116,5 +114,5 @@ def encode_qr(payload: IndirectionPayload,
     if config.ec_level not in tables.EC_LEVELS:
         raise ValueError(f"unknown EC level {config.ec_level!r}")
     data = serialize_payload(payload)
-    modules, _, _ = encode_symbol(data, config.ec_level, config.min_version)
+    modules, _, _ = encode_symbol(data, config.ec_level)
     return render(modules, config)

@@ -58,5 +58,4 @@ class QrConfig:
     """Encoder knobs; the defaults render a 512x512 symbol at EC level M."""
 
     ec_level: str = "M"
-    min_version: int = 1
     target_size: int = 512

@@ -79,8 +79,8 @@ class Resolution:
 class HttpFetcher:
     """GET over kept-alive sockets; the normal fetcher for served pages."""
 
-    def __init__(self, timeout: float = 10.0):
-        self._pool = ConnectionPool(timeout)
+    def __init__(self):
+        self._pool = ConnectionPool()
 
     def fetch(self, url: str) -> ContentItem:
         try:
@@ -131,10 +131,10 @@ class InProcessFetcher:
 class InProcessFirstPartyClient:
     """Write-side adapter over a FirstPartyService instance."""
 
-    def __init__(self, service: FirstPartyService,
-                 base_url: str = "http://firstparty.invalid"):
+    base_url = "http://firstparty.invalid"
+
+    def __init__(self, service: FirstPartyService):
         self.service = service
-        self.base_url = base_url.rstrip("/")
 
     def upload_photo(self, album_id: str, item: ContentItem,
                      caption: str) -> tuple[str, str]:
@@ -149,9 +149,9 @@ class InProcessFirstPartyClient:
 class HttpFirstPartyClient:
     """Write-side adapter speaking the /fp HTTP API."""
 
-    def __init__(self, base_url: str, timeout: float = 10.0):
+    def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
-        self._pool = ConnectionPool(timeout)
+        self._pool = ConnectionPool()
 
     def _post(self, path: str, body: bytes,
               headers: dict[str, str]) -> bytes:
@@ -189,25 +189,22 @@ class HttpFirstPartyClient:
 def write_path(image: ContentItem, caption: str | None, album_id: str,
                offsite_provider, firstparty_client,
                qr_config: codec.QrConfig | None = None,
-               cache: MappingsCache | None = None,
-               filter_cfg: FilterConfig | None = None) -> WriteReceipt:
+               cache: MappingsCache | None = None) -> WriteReceipt:
     """Intercept content: store it off-site, place a schema first-party.
 
     The original bytes never reach the first party; on failure after the
     off-site upload, the orphaned object is deleted.
     """
     image.validate()
-    filter_cfg = filter_cfg or FilterConfig()
     offsite_locator = offsite_provider.upload(image)
     try:
         pseudo = codec.encode_qr(
             codec.IndirectionPayload(locator=offsite_locator),
             qr_config or codec.QrConfig())
-        full_caption = make_caption(caption, filter_cfg)
         photo_id, pseudo_locator = firstparty_client.upload_photo(
             album_id,
             ContentItem(data=pseudo.to_png(), media_type="image/png"),
-            full_caption)
+            make_caption(caption))
     except Exception:
         try:
             offsite_provider.delete(offsite_locator)
@@ -224,24 +221,15 @@ def write_path(image: ContentItem, caption: str | None, album_id: str,
 
 # -- read path --------------------------------------------------------------
 
-# fan-out threads shared by every page view and created on first use, so a
-# page view starts and joins no threads of its own; one per idle connection
-# the HTTP layer keeps for a host
-_io_pool: ThreadPoolExecutor | None = None
-_io_pool_lock = threading.Lock()
+# fan-out threads shared by every page view, each started on a submit that
+# finds none idle, so a page view starts and joins no threads of its own;
+# one per idle connection the HTTP layer keeps for a host
+_io_pool = ThreadPoolExecutor(max_workers=MAX_IDLE_PER_HOST,
+                              thread_name_prefix="r2o-io")
 
 # PNG reads and decodes (the CPU stage) in flight across every page view
 _DECODE_SLOTS = 8
 _decode_gate = threading.BoundedSemaphore(_DECODE_SLOTS)
-
-
-def _io_executor() -> ThreadPoolExecutor:
-    global _io_pool
-    with _io_pool_lock:
-        if _io_pool is None:
-            _io_pool = ThreadPoolExecutor(max_workers=MAX_IDLE_PER_HOST,
-                                          thread_name_prefix="r2o-io")
-        return _io_pool
 
 
 def _decode(e: ElementDescriptor, fetched: Future,
@@ -285,7 +273,7 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
     filter_cfg = filter_cfg or FilterConfig()
     elements = list(elements)
     results: list[Resolution | None] = [None] * len(elements)
-    submit = _io_executor().submit
+    submit = _io_pool.submit
     pseudo: dict[Future, int] = {}
     offsite: dict[Future, tuple[int, str, str]] = {}  # index, via, locator
     try:

@@ -4,6 +4,12 @@ Decides, without decoding anything, whether an element might be a
 pseudo-object worth handing to the codec. Rejection reasons are stable
 strings so corpus tests can assert exact outcomes. The filter is advisory:
 decode failure remains the backstop for false positives.
+
+The rules that say what a stand-in looks like are fixed, because every
+reader must recognise every publisher's stand-ins without help from the
+host: a caption, when present, holds `CAPTION_MARKER`; a GIF is never a
+stand-in; and an element whose width and height are known is square. Only
+the deployment's photo path prefixes and the edge bounds are configured.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-CAPTION_MARKER_DEFAULT = "r2o:1"
+CAPTION_MARKER = "r2o:1"
+EXCLUDED_SUBTYPES = frozenset({"gif"})
 
 # rule names, cheapest first; the first failing rule is reported
 RULE_PREFIX = "prefix"
@@ -35,9 +42,6 @@ class FilterConfig:
     path_prefixes: tuple[str, ...] = ("/fp/photos/",)
     min_edge: int = 64
     max_edge: int = 1024
-    require_square: bool = True
-    excluded_subtypes: frozenset[str] = frozenset({"gif"})
-    caption_marker: str | None = CAPTION_MARKER_DEFAULT
 
     def __post_init__(self):
         if not self.path_prefixes:
@@ -45,8 +49,6 @@ class FilterConfig:
         if self.min_edge > self.max_edge:
             raise ValueError("min_edge must not exceed max_edge")
         object.__setattr__(self, "path_prefixes", tuple(self.path_prefixes))
-        object.__setattr__(self, "excluded_subtypes",
-                           frozenset(s.lower() for s in self.excluded_subtypes))
 
 
 @dataclass(frozen=True)
@@ -72,25 +74,22 @@ def is_candidate(e: ElementDescriptor, cfg: FilterConfig) -> Decision:
     path = _path_of(e.source_url)
     if not any(path.startswith(p) for p in cfg.path_prefixes):
         return Decision(False, RULE_PREFIX)
-    if e.media_subtype.lower() in cfg.excluded_subtypes:
+    if e.media_subtype.lower() in EXCLUDED_SUBTYPES:
         return Decision(False, RULE_SUBTYPE)
     dims_known = e.width > 0 and e.height > 0
     if dims_known:
         if not (cfg.min_edge <= e.width <= cfg.max_edge
                 and cfg.min_edge <= e.height <= cfg.max_edge):
             return Decision(False, RULE_BOUNDS)
-        if cfg.require_square and e.width != e.height:
+        if e.width != e.height:
             return Decision(False, RULE_ASPECT)
-    if cfg.caption_marker and e.caption is not None:
-        if cfg.caption_marker not in e.caption:
-            return Decision(False, RULE_CAPTION)
+    if e.caption is not None and CAPTION_MARKER not in e.caption:
+        return Decision(False, RULE_CAPTION)
     return CANDIDATE
 
 
-def make_caption(user_caption: str | None, cfg: FilterConfig) -> str:
+def make_caption(user_caption: str | None) -> str:
     """Produce the caption the write path attaches to a pseudo-object."""
-    if not cfg.caption_marker:
-        return user_caption or ""
     if user_caption:
-        return f"{cfg.caption_marker} {user_caption}"
-    return cfg.caption_marker
+        return f"{CAPTION_MARKER} {user_caption}"
+    return CAPTION_MARKER

@@ -18,10 +18,10 @@ from urllib.parse import urlsplit
 
 from ._http import Handler, Server
 from .pngheader import PNGError, read_ihdr
-from .store import ContentItem
+from .store import LATENCY_PRESETS, ContentItem
 
 PHOTO_PATH_PREFIX = "/fp/photos/"
-DEFAULT_RESPONSE_DELAY_MS = 11.0  # plays the "facebook_cdn" latency preset
+DEFAULT_RESPONSE_DELAY_MS = float(LATENCY_PRESETS["facebook_cdn"])
 
 
 def album_page_path(album_id: str) -> str:

@@ -89,17 +89,6 @@ class ScannedElement:
     quote: bytes  # the value's quote: b'"', b"'", or b"" when bare
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    elements: tuple[ScannedElement, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
 def _attributes(tag: bytes) -> dict[bytes, re.Match]:
     """Lower-cased name -> its attribute; the first of a name wins, as in
     HTML."""
@@ -198,7 +187,7 @@ def _element(document: bytes, start: int, end: int) -> ScannedElement | None:
                           quote=quote if quote in (b'"', b"'") else b"")
 
 
-def scan_html(document: bytes) -> ScanResult:
+def scan_html(document: bytes) -> tuple[ScannedElement, ...]:
     """Extract img elements as descriptors with exact src byte spans."""
     out: list[ScannedElement] = []
     pos = 0
@@ -206,7 +195,7 @@ def scan_html(document: bytes) -> ScanResult:
         m = _SCAN.match(document, pos)
         pos = m.end()
         if m.group(2) is None:  # the end, or a tag cut off by it
-            return ScanResult(elements=tuple(out))
+            return tuple(out)
         name = m.group(1).lower()
         if name != b"img":
             pos = _raw_text_end(document, name, pos)

@@ -322,11 +322,10 @@ def serve_store(bind_address: tuple[str, int],
 class HttpStoreClient(_ProviderBase):
     """Client side of the v1 object protocol, over keep-alive connections."""
 
-    def __init__(self, base_url: str, name: str = "http",
-                 timeout: float = 10.0):
+    def __init__(self, base_url: str, name: str = "http"):
         self.descriptor = ProviderDescriptor(name, "http",
                                              base_url.rstrip("/"))
-        self._pool = ConnectionPool(timeout)
+        self._pool = ConnectionPool()
 
     def _request(self, what: str, method: str, url: str, **kwargs):
         try:

@@ -173,9 +173,7 @@ def test_import_round_trip():
     for i in range(5):
         source.record_created(entry(i))
     sink = MappingsCache()
-    merged = sink.import_mappings(source.export_mappings())
-    assert merged == 5
-    assert sink.skipped_on_last_import == 0
+    assert sink.import_mappings(source.export_mappings()) == (5, 0)
     for i in range(5):
         assert sink.lookup(P(i)) == O(i)
 
@@ -186,8 +184,7 @@ def test_wire_format_keeps_image_and_text_lines():
     blob = (f"{MAP_HEADER}\n{P(1)}\t{O(1)}\timage\n"
             f"{P(2)}\t{O(2)}\ttext\n").encode()
     cache = MappingsCache()
-    assert cache.import_mappings(blob) == 2
-    assert cache.skipped_on_last_import == 0
+    assert cache.import_mappings(blob) == (2, 0)
     assert cache.export_mappings() == blob
 
 
@@ -212,8 +209,7 @@ def test_import_skips_malformed_lines():
         f"{P(4)}\t{O(4)}\timage",
     ]).encode() + b"\n"
     cache = MappingsCache()
-    assert cache.import_mappings(blob) == 2
-    assert cache.skipped_on_last_import == 3
+    assert cache.import_mappings(blob) == (2, 3)
 
 
 def test_import_skips_offsite_locators_outside_rfc_3986():
@@ -225,8 +221,7 @@ def test_import_skips_offsite_locators_outside_rfc_3986():
         f"{P(4)}\tftp://off.example/4\timage",
     ]).encode() + b"\n"
     cache = MappingsCache()
-    assert cache.import_mappings(blob) == 1
-    assert cache.skipped_on_last_import == 3
+    assert cache.import_mappings(blob) == (1, 3)
     assert cache.lookup(P(2)) is None
 
 

@@ -137,7 +137,6 @@ def test_load_config_sections(tmp_path):
         "[filter]\n"
         "path_prefixes = /fp/photos/, /mirror/\n"
         "min_edge = 32\n"
-        "excluded_subtypes = gif, bmp\n"
         "[cache]\n"
         "n_frequent = 7\n"
         "m_recent = 9\n"
@@ -154,7 +153,6 @@ def test_load_config_sections(tmp_path):
     assert cfg.firstparty_url == "http://fp.example:9"
     assert cfg.filter.path_prefixes == ("/fp/photos/", "/mirror/")
     assert cfg.filter.min_edge == 32
-    assert cfg.filter.excluded_subtypes == frozenset({"gif", "bmp"})
     assert cfg.cache.n_frequent == 7 and cfg.cache.m_recent == 9
     assert cfg.qr.ec_level == "Q" and cfg.qr.target_size == 256
     # declared providers replace the preset defaults entirely
@@ -220,6 +218,11 @@ def test_load_config_rejects_bad_values(tmp_path):
 @pytest.mark.parametrize("text, named", [
     ("[r2o]\nparallelism = 3\n", "'parallelism' in [r2o]"),
     ("[qr]\nmodule_scale = 2\n", "'module_scale' in [qr]"),
+    ("[qr]\nmin_version = 6\n", "'min_version' in [qr]"),
+    ("[filter]\ncaption_marker = mine:1\n", "'caption_marker' in [filter]"),
+    ("[filter]\nrequire_square = no\n", "'require_square' in [filter]"),
+    ("[filter]\nexcluded_subtypes = bmp\n",
+     "'excluded_subtypes' in [filter]"),
     ("[qrr]\nec_level = H\n", "[qrr]"),
     ("[provider:lab]\nkind = memory\nlatancy = 4\n",
      "'latancy' in [provider:lab]"),
@@ -457,12 +460,11 @@ def test_serve_store_flags(monkeypatch, tmp_path, capsys, flags, kind):
     monkeypatch.setattr(cli, "_wait_for_interrupt",
                         lambda server: server.shutdown() or cli.EXIT_OK)
     flags = [str(tmp_path) if f == "ROOT" else f for f in flags]
-    assert cli.run(["serve-store", "--bind", "127.0.0.1:0", "--name", "lab",
+    assert cli.run(["serve-store", "--bind", "127.0.0.1:0",
                     "--latency", "7", *flags]) == cli.EXIT_OK
     assert "store serving at http://127.0.0.1:" in capsys.readouterr().out
     (backing,) = served
     assert type(backing) is kind
-    assert backing.descriptor.name == "lab"
     assert backing.descriptor.simulated_latency == 7.0
     assert backing.descriptor.root == (str(tmp_path) if flags else None)
 

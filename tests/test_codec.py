@@ -120,12 +120,6 @@ def test_round_trip_spans_versions(rng):
         assert codec.decode_qr(image).locator == url
 
 
-def test_min_version_is_honored():
-    url = "http://a.example/x"
-    _, version, _ = encoder.encode_symbol(url.encode(), min_version=6)
-    assert version == 6
-
-
 def test_capacity_exceeded():
     url = "http://a.example/" + "a" * 240  # beyond version 10 at level M
     with pytest.raises(codec.CapacityExceeded):

@@ -378,7 +378,10 @@ def _render_reference(modules, canvas_edge, quiet_zone=4):
 ])
 @pytest.mark.parametrize("version", [1, 2, 5, 10])
 def test_render_matches_kron(target_size, scale, version):
-    modules, _, _ = encoder.encode_symbol(b"x" * 10, "M", version)
+    # the shortest payload that needs the version
+    n = tables.byte_capacity(version - 1, "M") + 1 if version > 1 else 10
+    modules, version_used, _ = encoder.encode_symbol(b"x" * n, "M")
+    assert version_used == version
     edge = modules.shape[0] + 8
     config = codec.QrConfig(target_size=target_size or edge * scale)
     if config.target_size < edge:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from r2o.filter import (
     CANDIDATE,
+    CAPTION_MARKER,
     RULE_ASPECT,
     RULE_BOUNDS,
     RULE_CAPTION,
@@ -99,28 +100,21 @@ def test_config_validation():
 
 
 def test_custom_config():
-    cfg = FilterConfig(path_prefixes=("/gallery/",), require_square=False,
-                       excluded_subtypes=frozenset({"bmp"}),
-                       caption_marker=None)
-    assert is_candidate(ElementDescriptor(source_url="/gallery/a.png",
-                                          width=100, height=80,
-                                          media_subtype="png",
-                                          caption="anything"), cfg)
+    cfg = FilterConfig(path_prefixes=("/gallery/",))
+    assert is_candidate(elem(source_url="/gallery/a.png"), cfg)
+    assert is_candidate(elem(), cfg).reason == RULE_PREFIX
 
 
 def test_make_caption():
-    assert make_caption("holiday", CFG) == "r2o:1 holiday"
-    assert make_caption(None, CFG) == "r2o:1"
-    assert make_caption("", CFG) == "r2o:1"
-    bare = FilterConfig(caption_marker=None)
-    assert make_caption("holiday", bare) == "holiday"
-    assert make_caption(None, bare) == ""
+    assert make_caption("holiday") == "r2o:1 holiday"
+    assert make_caption(None) == "r2o:1"
+    assert make_caption("") == "r2o:1"
 
 
 def test_write_read_agreement():
     # whatever the write path stamps on a photo must pass the read filter
     for user_caption in (None, "", "picnic", "r2o:1 already"):
-        caption = make_caption(user_caption, CFG)
+        caption = make_caption(user_caption)
         assert is_candidate(elem(caption=caption), CFG)
 
 
@@ -143,6 +137,6 @@ def test_property_square_gate(width, height):
 
 @given(st.text(min_size=0, max_size=40))
 def test_property_marked_caption_always_passes(user_caption):
-    caption = make_caption(user_caption or None, CFG)
-    assert CFG.caption_marker in caption
+    caption = make_caption(user_caption or None)
+    assert CAPTION_MARKER in caption
     assert is_candidate(elem(caption=caption), CFG)

@@ -237,7 +237,7 @@ def test_in_process_and_http_reads_share_one_route():
              (f"{page}?x", True), (f"{page}/", False),
              (f"/fp/photos/{'0' * 16}.png", False),
              (album_page_path("0" * 16), False)]
-    fetchers = (InProcessFetcher(firstparty=svc), HttpFetcher(timeout=5))
+    fetchers = (InProcessFetcher(firstparty=svc), HttpFetcher())
     with serve_firstparty(("127.0.0.1", 0), svc) as served:
         try:
             for path, found in cases:

@@ -193,7 +193,7 @@ def test_fetch_after_shutdown_fails_cleanly():
     uploader = HttpStoreClient(server.base_url)
     locator = uploader.upload(ContentItem(data=b"x"))
     uploader.close()
-    fetcher = HttpFetcher(timeout=3)
+    fetcher = HttpFetcher()
     assert fetcher.fetch(locator).data == b"x"
     server.shutdown()
     t0 = time.perf_counter()
@@ -239,12 +239,12 @@ def test_fresh_connection_is_not_retried(connects):
     port = listener.getsockname()[1]
     listener.close()  # nothing listens on the port now
     with pytest.raises(FetchError):
-        HttpFetcher(timeout=3).fetch(f"http://127.0.0.1:{port}/x")
+        HttpFetcher().fetch(f"http://127.0.0.1:{port}/x")
     assert len(connects) == 1
     # nor is one whose server hangs up before answering
     with raw_server(b"", close_after=True) as base:
         with pytest.raises(FetchError):
-            HttpFetcher(timeout=3).fetch(base + "/x")
+            HttpFetcher().fetch(base + "/x")
     assert len(connects) == 2
 
 
@@ -319,7 +319,7 @@ def test_declared_huge_response_raises_fast():
     with raw_server(reply, close_after=False) as base:
         t0 = time.perf_counter()
         with pytest.raises(FetchError, match="cap"):
-            HttpFetcher(timeout=3).fetch(base + "/page")
+            HttpFetcher().fetch(base + "/page")
         assert time.perf_counter() - t0 < 1.0
     with raw_server(reply, close_after=False) as base:
         with pytest.raises(StoreUnavailable, match="cap"):
@@ -378,7 +378,7 @@ _HOSTILE = {
 @pytest.mark.parametrize("reply, match", _HOSTILE.values(), ids=_HOSTILE)
 def test_hostile_response_fails_fast(reply, match):
     with raw_server(reply, close_after=True) as base:
-        client = HttpStoreClient(base + "/v1/objects", timeout=3)
+        client = HttpStoreClient(base + "/v1/objects")
         client.max_payload = 1000
         t0 = time.perf_counter()
         with pytest.raises(StoreUnavailable, match=match):
@@ -391,7 +391,7 @@ def test_https_to_a_plain_http_server_is_an_http_error():
     # the TLS handshake reads an HTTP status line and fails
     reply = b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
     with raw_server(reply, close_after=True) as base:
-        pool = _http.ConnectionPool(timeout=3)
+        pool = _http.ConnectionPool()
         with pytest.raises(_http.HttpError):
             pool.request("GET", base.replace("http:", "https:") + "/x")
         pool.close()
@@ -405,7 +405,7 @@ def test_https_to_a_plain_http_server_is_an_http_error():
 ])
 def test_interim_and_chunked_responses_are_read(reply):
     with raw_server(reply, close_after=False) as base:
-        fetcher = HttpFetcher(timeout=3)
+        fetcher = HttpFetcher()
         assert fetcher.fetch(base + "/x").data == b"ok"
         fetcher.close()
 
@@ -418,7 +418,7 @@ def test_closing_response_is_not_reused(reply):
     # the raw server waits for the client to hang up; a pooled connection
     # would keep it waiting until the pool closes
     with raw_server(reply, close_after=False) as base:
-        fetcher = HttpFetcher(timeout=3)
+        fetcher = HttpFetcher()
         assert fetcher.fetch(base + "/x").data == b"ok"
         t0 = time.perf_counter()
     assert time.perf_counter() - t0 < 1.0
@@ -441,7 +441,7 @@ _LINES = st.sampled_from([
              max_size=14).map(b"\r\n".join)))
 def test_property_any_response_bytes_give_response_or_http_error(reply):
     with raw_server(reply, close_after=True) as base:
-        pool = _http.ConnectionPool(timeout=3)
+        pool = _http.ConnectionPool()
         try:
             resp = pool.request("GET", base + "/x", max_body=100)
         except _http.HttpError:
@@ -454,7 +454,7 @@ def test_property_any_response_bytes_give_response_or_http_error(reply):
 
 
 def test_request_head_cannot_be_forged():
-    pool = _http.ConnectionPool(timeout=1)
+    pool = _http.ConnectionPool()
     with pytest.raises(ValueError, match="CR or LF"):
         pool.request("POST", "http://127.0.0.1:9/fp/albums", body=b"x",
                      headers={"X-Caption": "r2o:1 a\r\nX-Author: mallory"})
@@ -463,7 +463,7 @@ def test_request_head_cannot_be_forged():
 
 
 def test_text_outside_latin1_is_refused_before_sending(connects):
-    pool = _http.ConnectionPool(timeout=1)
+    pool = _http.ConnectionPool()
     with pytest.raises(_http.HttpError, match="unsupported URL"):
         pool.request("GET", "http://127.0.0.1:9/fp/photos/\u00e9.png")
     with pytest.raises(_http.HttpError, match="not latin-1"):

@@ -113,8 +113,8 @@ def test_scan_subtype_from_extension():
 
 def test_scan_caption_comes_from_adjacent_figcaption():
     result = scan_html(PAGE)
-    assert result.elements[0].descriptor.caption == "r2o:1 sunrise & surf"
-    assert result.elements[1].descriptor.caption is None
+    assert result[0].descriptor.caption == "r2o:1 sunrise & surf"
+    assert result[1].descriptor.caption is None
 
 
 def test_scan_caption_requires_adjacency():
@@ -294,7 +294,7 @@ def test_scan_skips_tags_browsers_do_not_make(hidden):
     b'<img ="a>" src="/fp/photos/a.png">',  # the name is ="a
 ])
 def test_scan_finds_no_element(doc):
-    assert scan_html(doc).elements == ()
+    assert scan_html(doc) == ()
 
 
 def test_scan_script_escapes_end_where_browsers_do():

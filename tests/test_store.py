@@ -240,7 +240,7 @@ def test_servers_start_without_numpy():
         env={**os.environ, "PYTHONPATH": src})
     # leaving the block closes the child's stdin, so it ends even when an
     # assertion fails
-    with serving as proc, closing(ConnectionPool(timeout=10.0)) as pool:
+    with serving as proc, closing(ConnectionPool()) as pool:
         fp, objects = json.loads(proc.stdout.readline())
         album = pool.request("POST", f"{fp}/fp/albums", b"trip")
         assert album.status == 201
