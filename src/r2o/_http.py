@@ -11,10 +11,11 @@ agree. Anything else is a `HttpError`.
 Clients send every request through a `ConnectionPool`: a per-host set of
 idle keep-alive connections (RFC 9112 §9), so a page's fetches reuse
 sockets instead of paying a TCP handshake each. A request goes out in one
-write. Interim 1xx responses are skipped and redirects are not followed. A
-response body is `chunked` (no other transfer coding is accepted), delimited
-by `Content-Length`, or runs to the connection's close, and is capped
-before it is read.
+write, and fails once `TIMEOUT_S` has passed since it started. Interim 1xx
+responses are skipped and redirects are not followed. A response body is
+`chunked` (no other transfer coding is accepted), delimited by
+`Content-Length`, or runs to the connection's close, and is capped before
+it is read.
 
 A running server is one `Server` object, a `socketserver.ThreadingTCPServer`
 that accepts on its own thread from the moment it is built and is its own
@@ -35,11 +36,13 @@ against 130 µs through `http.server`.
 
 from __future__ import annotations
 
+import io
 import re
 import socket
 import socketserver
 import sys
 import threading
+import time
 from dataclasses import dataclass
 from email.utils import formatdate
 from http import HTTPStatus
@@ -51,7 +54,7 @@ MAX_PAYLOAD_DEFAULT = 16 * 1024 * 1024
 MAX_IDLE_PER_HOST = 64
 # a server handler drops a connection that sends nothing for this long
 IDLE_TIMEOUT_S = 30.0
-# a client socket gives up on a connect, send or read that waits this long
+# a client request gives up once this long has passed since it started
 TIMEOUT_S = 10.0
 # head limits, the same as http.client's: bytes per line, fields per head
 MAX_LINE = 65536
@@ -149,16 +152,60 @@ def _closes(fields: dict[str, str]) -> bool:
 
 # -- client -----------------------------------------------------------------
 
-class _Connection:
-    """A connected socket and the buffered file its responses are read from."""
+class _Connection(io.RawIOBase):
+    """A connected socket, read through the buffered file `rfile`. Each
+    connect attempt, send and socket read waits at most until `deadline`,
+    the `time.monotonic()` by which the current request must be done, and
+    none starts after it. A name lookup is not bounded.
+    """
 
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.rfile = sock.makefile("rb")
+    sock: socket.socket | None = None  # None until the connect succeeds
+
+    def __init__(self, key: tuple, deadline: float):
+        super().__init__()
+        scheme, host, port = key
+        self.deadline = deadline
+        self.sock = socket.create_connection(
+            (host, port or (443 if scheme == "https" else 80)), self._left())
+        try:
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                # imported here: no server, and no plain-HTTP client, uses
+                # it, and it takes 7-11 ms to load
+                import ssl
+
+                self.sock = ssl.create_default_context().wrap_socket(
+                    self.sock, server_hostname=host)
+        except OSError:
+            self.close()
+            raise
+        self.rfile = io.BufferedReader(self)
+
+    def _left(self) -> float:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError(f"no response within {TIMEOUT_S:g} s")
+        return left
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        self.sock.settimeout(self._left())
+        return self.sock.recv_into(buf)
+
+    def send(self, data: bytes) -> None:
+        """Write a request and wait for the first byte of its response."""
+        self.sock.settimeout(self._left())
+        self.sock.sendall(data)
+        if not self.rfile.peek(1):
+            raise ConnectionResetError("connection closed before the response")
 
     def close(self) -> None:
-        self.rfile.close()
-        self.sock.close()
+        super().close()
+        if self.sock is not None:
+            self.sock.close()
+        self.rfile = None  # it refers back here: unlinked, both free now
 
 
 class ConnectionPool:
@@ -168,7 +215,8 @@ class ConnectionPool:
     only when the response was HTTP/1.1 without `Connection: close` and a
     delimited body was read to its end; requests never ask to close. A
     reused connection that fails before any response byte is retried once
-    on a fresh connection; any other failure raises HttpError.
+    on a fresh connection; any other failure raises HttpError, and so does
+    a request that is not done `TIMEOUT_S` after it started.
     """
 
     def __init__(self):
@@ -202,21 +250,23 @@ class ConnectionPool:
             raise HttpError("request head is not latin-1") from None
         if body:
             data += body
+        deadline = time.monotonic() + TIMEOUT_S
         with self._lock:
             idle = self._idle.get(key)
             conn = idle.pop() if idle else None
         reused = conn is not None
         try:
             if conn is None:
-                conn = self._new(key)
+                conn = _Connection(key, deadline)
+            conn.deadline = deadline
             try:
-                _send(conn, data)
+                conn.send(data)
             except _STALE:
                 conn.close()
                 if not reused:
                     raise
-                conn = self._new(key)
-                _send(conn, data)
+                conn = _Connection(key, deadline)
+                conn.send(data)
             resp, keep = _read_response(conn.rfile, max_body)
         except (OSError, HttpError) as exc:
             if conn is not None:
@@ -227,24 +277,6 @@ class ConnectionPool:
         else:
             conn.close()
         return resp
-
-    def _new(self, key: tuple) -> _Connection:
-        scheme, host, port = key
-        sock = socket.create_connection(
-            (host, port or (443 if scheme == "https" else 80)), TIMEOUT_S)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if scheme == "https":
-                # imported here: no server, and no plain-HTTP client, uses
-                # it, and it takes 7-11 ms to load
-                import ssl
-
-                sock = ssl.create_default_context().wrap_socket(
-                    sock, server_hostname=host)
-        except OSError:
-            sock.close()
-            raise
-        return _Connection(sock)
 
     def _put(self, key: tuple, conn: _Connection) -> None:
         with self._lock:
@@ -265,13 +297,6 @@ class ConnectionPool:
     def __del__(self):
         # a client dropped without close() still releases its sockets
         self.close()
-
-
-def _send(conn: _Connection, data: bytes) -> None:
-    """Write a request and wait for the first byte of its response."""
-    conn.sock.sendall(data)
-    if not conn.rfile.peek(1):
-        raise ConnectionResetError("connection closed before the response")
 
 
 def _read_response(rfile, max_body: int) -> tuple[Response, bool]:

@@ -21,6 +21,7 @@ import random
 import secrets
 import statistics
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,8 +141,9 @@ def bench_providers(providers=None,
                     repetitions: int = 10) -> list[tuple[str, float]]:
     """Median fetch time per provider, in the shape of the preset table.
 
-    Each provider gets one random item uploaded and then fetched
-    `repetitions` times back to back, every fetch checked byte for byte.
+    Each provider gets one random item uploaded, fetched `repetitions`
+    times back to back with every fetch checked byte for byte, and then
+    deleted, also when a fetch fails.
     With providers=None every shipped latency preset is measured, in
     ascending-latency order. Returns (name, median ms) rows.
     """
@@ -155,13 +157,17 @@ def bench_providers(providers=None,
         payload = secrets.token_bytes(ITEM_SIZE)
         locator = provider.upload(ContentItem(data=payload))
         samples = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            item = provider.fetch(locator)
-            samples.append((time.perf_counter() - t0) * 1000.0)
-            if item.data != payload:
-                raise StoreError("fetched bytes differ from uploaded bytes")
-        rows.append((provider.descriptor.name, statistics.median(samples)))
+        try:
+            for _ in range(repetitions):
+                t0 = time.perf_counter()
+                item = provider.fetch(locator)
+                samples.append((time.perf_counter() - t0) * 1000.0)
+                if item.data != payload:
+                    raise StoreError("fetched bytes differ from the upload")
+        finally:
+            with suppress(StoreError):  # best-effort; a fetch error wins
+                provider.delete(locator)
+        rows.append((provider.name, statistics.median(samples)))
     return rows
 
 
@@ -235,7 +241,7 @@ def check_provider_bounds(providers,
     bound."""
     problems = []
     for provider, (name, median) in zip(providers, rows, strict=True):
-        floor = provider.descriptor.simulated_latency
+        floor = provider.simulated_latency
         if floor is None:
             continue
         if not floor <= median <= floor + PROVIDER_TOLERANCE_MS:

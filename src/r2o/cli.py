@@ -26,7 +26,8 @@ from pathlib import Path
 from . import bench, codec, core, firstparty, store
 from .cache import CacheConfig, MappingsCache, UnsupportedVersion
 from .filter import FilterConfig
-from .store import ContentItem, ProviderDescriptor
+from .locator import validate_locator
+from .store import ContentItem
 
 ENV_CONFIG = "R2O_CONFIG"
 DEFAULT_FIRSTPARTY_URL = "http://127.0.0.1:8601"
@@ -51,15 +52,16 @@ class Config:
     filter: FilterConfig = field(default_factory=FilterConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
     qr: codec.QrConfig = field(default_factory=codec.QrConfig)
-    providers: dict[str, ProviderDescriptor] = field(
-        default_factory=store.PRESET_PROVIDERS.copy)
+    # each configured provider's name and the base URL of its served store
+    providers: dict[str, str] = field(default_factory=dict)
     firstparty_url: str = DEFAULT_FIRSTPARTY_URL
 
-    def provider(self, name: str) -> ProviderDescriptor:
+    def provider(self, name: str) -> store.HttpStoreClient:
+        """A client for the served store a configured provider names."""
         if name not in self.providers:
             known = ", ".join(sorted(self.providers)) or "(none)"
             raise UsageError(f"unknown provider {name!r}; known: {known}")
-        return self.providers[name]
+        return store.HttpStoreClient(self.providers[name], name=name)
 
 
 def _csv_tuple(raw: str) -> tuple[str, ...]:
@@ -73,8 +75,7 @@ _SECTIONS = {
     "cache": {"n_frequent": int, "m_recent": int},
     "qr": {"ec_level": str, "target_size": int},
 }
-_PROVIDER_KEYS = {"kind": str, "latency": float, "base_url": str,
-                  "root": str}
+_PROVIDER_KEYS = {"base_url": validate_locator}
 
 
 def _read_section(parser, name: str, casts: dict) -> dict:
@@ -104,28 +105,24 @@ def load_config(path: str | None) -> Config:
         raise UsageError(f"config file not found: {path}")
 
     values: dict[str, dict] = {name: {} for name in _SECTIONS}
-    providers: dict[str, ProviderDescriptor] = {}
+    providers: dict[str, str] = {}
     for section_name in parser.sections():
         if section_name.startswith("provider:"):
             name = section_name.split(":", 1)[1]
             s = _read_section(parser, section_name, _PROVIDER_KEYS)
-            try:
-                providers[name] = ProviderDescriptor(
-                    name, s.get("kind", "memory"), s.get("base_url", ""),
-                    s.get("latency"), s.get("root"))
-            except ValueError as exc:
-                raise UsageError(f"provider {name!r}: {exc}") from None
+            if "base_url" not in s:
+                raise UsageError(f"provider {name!r} needs base_url")
+            providers[name] = s["base_url"].rstrip("/")
         elif section_name in _SECTIONS:
             values[section_name] = _read_section(parser, section_name,
                                                  _SECTIONS[section_name])
         else:
             raise UsageError(f"unknown config section [{section_name}]")
     try:
-        # declared providers replace the preset defaults entirely
         return Config(filter=replace(cfg.filter, **values["filter"]),
                       cache=replace(cfg.cache, **values["cache"]),
                       qr=replace(cfg.qr, **values["qr"]),
-                      providers=providers or cfg.providers,
+                      providers=providers,
                       firstparty_url=values["r2o"].get("firstparty_url",
                                                        cfg.firstparty_url))
     except ValueError as exc:
@@ -169,27 +166,26 @@ def _wait_for_interrupt(server) -> int:
 
 # -- subcommand handlers ----------------------------------------------------
 
-def _cmd_serve_store(args, cfg: Config, rng) -> int:
-    backing = store.open_provider(ProviderDescriptor(
-        "served", "filesystem" if args.root else "memory",
-        simulated_latency=args.latency, root=args.root))
+def _cmd_serve_store(args, cfg: Config) -> int:
+    backing = (store.FilesystemStore(args.root, "served", args.latency)
+               if args.root else store.MemoryStore("served", args.latency))
     server = store.serve_store(_parse_bind(args.bind), backing)
     print(f"store serving at {server.base_url}", flush=True)
     return _wait_for_interrupt(server)
 
 
-def _cmd_serve_firstparty(args, cfg: Config, rng) -> int:
+def _cmd_serve_firstparty(args, cfg: Config) -> int:
     service = firstparty.FirstPartyService(response_delay_ms=args.delay)
     server = firstparty.serve_firstparty(_parse_bind(args.bind), service)
     print(f"firstparty serving at {server.base_url}/fp", flush=True)
     return _wait_for_interrupt(server)
 
 
-def _cmd_upload(args, cfg: Config, rng) -> int:
+def _cmd_upload(args, cfg: Config) -> int:
     data = Path(args.file).read_bytes()
     media_type = ("image/png" if args.file.lower().endswith(".png")
                   else "application/octet-stream")
-    provider = store.open_provider(cfg.provider(args.provider))
+    provider = cfg.provider(args.provider)
     client = core.HttpFirstPartyClient(args.firstparty or cfg.firstparty_url)
     with closing(provider), closing(client):
         album_id = args.album or client.create_album(args.album_title)
@@ -203,7 +199,7 @@ def _cmd_upload(args, cfg: Config, rng) -> int:
     return EXIT_OK
 
 
-def _cmd_resolve(args, cfg: Config, rng) -> int:
+def _cmd_resolve(args, cfg: Config) -> int:
     cache = _load_cache_file(cfg, args.cache_file)
     with closing(core.HttpFetcher()) as fetcher:
         html_bytes = core.resolve_page(args.page, fetcher,
@@ -218,7 +214,7 @@ def _cmd_resolve(args, cfg: Config, rng) -> int:
     return EXIT_OK
 
 
-def _cmd_encode(args, cfg: Config, rng) -> int:
+def _cmd_encode(args, cfg: Config) -> int:
     qr = cfg.qr
     if args.ec_level:
         qr = replace(qr, ec_level=args.ec_level)
@@ -234,14 +230,14 @@ def _cmd_encode(args, cfg: Config, rng) -> int:
     return EXIT_OK
 
 
-def _cmd_decode(args, cfg: Config, rng) -> int:
+def _cmd_decode(args, cfg: Config) -> int:
     image = codec.PseudoImage.from_png(Path(args.file).read_bytes())
     payload = codec.decode_qr(image)
     print(payload.locator)
     return EXIT_OK
 
 
-def _cmd_cache_export(args, cfg: Config, rng) -> int:
+def _cmd_cache_export(args, cfg: Config) -> int:
     cache = _load_cache_file(cfg, args.cache)
     blob = cache.export_mappings(args.selection, prefix=args.prefix)
     Path(args.out).write_bytes(blob)
@@ -250,7 +246,7 @@ def _cmd_cache_export(args, cfg: Config, rng) -> int:
     return EXIT_OK
 
 
-def _cmd_cache_import(args, cfg: Config, rng) -> int:
+def _cmd_cache_import(args, cfg: Config) -> int:
     cache = _load_cache_file(cfg, args.cache)
     merged, skipped = cache.import_mappings(Path(args.file).read_bytes())
     _save_cache_file(cache, args.cache)
@@ -258,7 +254,7 @@ def _cmd_cache_import(args, cfg: Config, rng) -> int:
     return EXIT_OK
 
 
-def _cmd_cache_stats(args, cfg: Config, rng) -> int:
+def _cmd_cache_stats(args, cfg: Config) -> int:
     cache = _load_cache_file(cfg, args.cache)
     frequent, recent = cache.snapshot()
     print(f"entries: {len(cache)}")
@@ -267,11 +263,11 @@ def _cmd_cache_stats(args, cfg: Config, rng) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args, cfg: Config, rng) -> int:
+def _cmd_bench(args, cfg: Config) -> int:
+    rng = random.Random(args.seed) if args.seed is not None else None
     with ExitStack() as stack:
-        providers = [
-            stack.enter_context(closing(store.open_provider(cfg.provider(n))))
-            for n in _csv_tuple(args.providers)]
+        providers = [stack.enter_context(closing(cfg.provider(n)))
+                     for n in _csv_tuple(args.providers)]
         violations = bench.evaluate(args.quick, cfg.qr, providers or None,
                                     rng, args.out_dir)
     for line in violations:
@@ -361,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="small sweeps for a fast smoke run")
     s.add_argument("--out-dir", help="write samples.csv and cdf.csv here")
     s.add_argument("--providers", default="",
-                   help="comma-separated configured names "
-                        "(default: all latency presets)")
+                   help="comma-separated configured providers "
+                        "(default: the in-process latency presets)")
     s.set_defaults(handler=_cmd_bench)
 
     return p
@@ -380,10 +376,9 @@ def run(argv) -> int:
 
     store.seed_ids(args.seed)
     firstparty.seed_ids(args.seed)
-    rng = random.Random(args.seed) if args.seed is not None else None
     try:
         cfg = load_config(args.config or os.environ.get(ENV_CONFIG))
-        return args.handler(args, cfg, rng)
+        return args.handler(args, cfg)
     except UsageError as exc:
         print(f"r2o: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -113,7 +113,7 @@ class InProcessFetcher:
 
     def fetch(self, url: str) -> ContentItem:
         for provider in self.providers:
-            if url.startswith(provider.descriptor.base_url + "/"):
+            if url.startswith(provider.base_url + "/"):
                 try:
                     return provider.fetch(url)
                 except Exception as exc:

@@ -71,52 +71,6 @@ class ContentItem:
         return self
 
 
-PROVIDER_KINDS = ("memory", "filesystem", "http")
-
-
-def default_base_url(name: str) -> str:
-    """Base URL of a named provider that was given none."""
-    return f"http://{name}.offsite.invalid{OBJECTS_PATH}"
-
-
-@dataclass(frozen=True)
-class ProviderDescriptor:
-    """A provider's settings; `open_provider` builds the store it names.
-
-    An empty base_url becomes `default_base_url(name)`, except for the
-    http kind, which needs one and takes no simulated_latency: its server
-    sets its own. The filesystem kind needs a root.
-    """
-
-    name: str
-    kind: str  # one of PROVIDER_KINDS
-    base_url: str = ""
-    simulated_latency: float | None = None  # milliseconds, upload and fetch
-    root: str | None = None  # filesystem kind: the directory of objects
-
-    def __post_init__(self):
-        if self.kind not in PROVIDER_KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "http" and not self.base_url:
-            raise ValueError("http kind needs base_url")
-        if self.kind == "http" and self.simulated_latency is not None:
-            raise ValueError("http kind takes no latency; its server sets "
-                             "its own")
-        if self.kind == "filesystem" and not self.root:
-            raise ValueError("filesystem kind needs root")
-        if self.simulated_latency is not None and self.simulated_latency < 0:
-            raise ValueError("simulated_latency must be >= 0")
-        if not self.base_url:
-            object.__setattr__(self, "base_url", default_base_url(self.name))
-
-
-# one in-memory provider per latency preset: the default provider table
-PRESET_PROVIDERS = {
-    name: ProviderDescriptor(name, "memory", simulated_latency=float(ms))
-    for name, ms in LATENCY_PRESETS.items()
-}
-
-
 _id_rng: random.Random | None = None
 
 
@@ -139,13 +93,15 @@ def _is_valid_id(oid: str) -> bool:
 
 
 class _ProviderBase:
-    """Shared locator parsing, payload cap and latency floor."""
+    """Shared locator parsing, payload cap and latency floor. A store has a
+    `name`, the `base_url` its locators start with, and a
+    `simulated_latency` (ms, or None) slept before each request."""
 
-    descriptor: ProviderDescriptor
+    simulated_latency: float | None = None
     max_payload = MAX_PAYLOAD_DEFAULT
 
     def _sleep_floor(self) -> None:
-        s = self.descriptor.simulated_latency
+        s = self.simulated_latency
         if s:
             time.sleep(s / 1000.0)
 
@@ -159,29 +115,38 @@ class _ProviderBase:
         """Release held connections; local stores hold none."""
 
     def _locator_for(self, oid: str) -> str:
-        return f"{self.descriptor.base_url}/{oid}"
+        return f"{self.base_url}/{oid}"
 
     def _id_from(self, locator: str) -> str:
-        prefix = self.descriptor.base_url + "/"
+        prefix = self.base_url + "/"
         if not locator.startswith(prefix):
-            raise NotFound(f"locator {locator!r} is not under "
-                           f"{self.descriptor.base_url}")
+            raise NotFound(f"locator {locator!r} is not under {self.base_url}")
         oid = locator[len(prefix):]
         if not _is_valid_id(oid):
             raise NotFound(f"malformed object id {oid!r}")
         return oid
 
 
-class MemoryStore(_ProviderBase):
-    """Dict-backed provider; the default latency-simulation vehicle."""
+class _LocalStore(_ProviderBase):
+    """A store in this process. Its locators sit under a private `.invalid`
+    base that no reader can reach; `serve_store` puts it behind a URL."""
+
+    def __init__(self, name: str, simulated_latency: float | None):
+        if simulated_latency is not None and simulated_latency < 0:
+            raise ValueError("simulated_latency must be >= 0")
+        self.name = name
+        self.base_url = f"http://{name}.offsite.invalid{OBJECTS_PATH}"
+        self.simulated_latency = simulated_latency
+        self._lock = threading.Lock()
+
+
+class MemoryStore(_LocalStore):
+    """Dict-backed store; the default latency-simulation vehicle."""
 
     def __init__(self, name: str = "memory",
-                 simulated_latency: float | None = None,
-                 base_url: str = ""):
-        self.descriptor = ProviderDescriptor(
-            name, "memory", base_url, simulated_latency)
+                 simulated_latency: float | None = None):
+        super().__init__(name, simulated_latency)
         self._objects: dict[str, tuple[bytes, str]] = {}
-        self._lock = threading.Lock()
 
     def upload(self, item: ContentItem) -> str:
         self._check_size(item)
@@ -214,17 +179,14 @@ class MemoryStore(_ProviderBase):
             return len(self._objects)
 
 
-class FilesystemStore(_ProviderBase):
-    """Directory-backed provider: <root>/<id> plus <root>/<id>.meta."""
+class FilesystemStore(_LocalStore):
+    """Directory-backed store: <root>/<id> plus <root>/<id>.meta."""
 
     def __init__(self, root: str | Path, name: str = "filesystem",
-                 simulated_latency: float | None = None,
-                 base_url: str = ""):
+                 simulated_latency: float | None = None):
+        super().__init__(name, simulated_latency)
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.descriptor = ProviderDescriptor(
-            name, "filesystem", base_url, simulated_latency, str(root))
-        self._lock = threading.Lock()
 
     def upload(self, item: ContentItem) -> str:
         self._check_size(item)
@@ -323,8 +285,8 @@ class HttpStoreClient(_ProviderBase):
     """Client side of the v1 object protocol, over keep-alive connections."""
 
     def __init__(self, base_url: str, name: str = "http"):
-        self.descriptor = ProviderDescriptor(name, "http",
-                                             base_url.rstrip("/"))
+        self.name = name
+        self.base_url = base_url.rstrip("/")
         self._pool = ConnectionPool()
 
     def _request(self, what: str, method: str, url: str, **kwargs):
@@ -336,7 +298,7 @@ class HttpStoreClient(_ProviderBase):
 
     def upload(self, item: ContentItem) -> str:
         self._check_size(item)
-        resp = self._request("upload", "POST", self.descriptor.base_url,
+        resp = self._request("upload", "POST", self.base_url,
                              body=item.data,
                              headers={"Content-Type": item.media_type})
         if resp.status == 413:
@@ -350,7 +312,7 @@ class HttpStoreClient(_ProviderBase):
             # the server kept the object: delete it by the path in Location,
             # which `delete` takes only when it names an id under base_url
             with suppress(StoreError):
-                self.delete(urljoin(self.descriptor.base_url, resp.location))
+                self.delete(urljoin(self.base_url, resp.location))
             raise StoreUnavailable(f"upload returned {exc}") from None
 
     def fetch(self, locator: str) -> ContentItem:
@@ -373,19 +335,9 @@ class HttpStoreClient(_ProviderBase):
         self._pool.close()
 
 
-def open_provider(desc: ProviderDescriptor) -> _ProviderBase:
-    """The memory, filesystem or HTTP store that a descriptor names."""
-    if desc.kind == "memory":
-        return MemoryStore(desc.name, desc.simulated_latency, desc.base_url)
-    if desc.kind == "filesystem":
-        return FilesystemStore(desc.root, desc.name, desc.simulated_latency,
-                               desc.base_url)
-    return HttpStoreClient(desc.base_url, name=desc.name)
-
-
 def preset_store(name: str) -> MemoryStore:
     """Memory store with one of the shipped latency presets."""
-    if name not in PRESET_PROVIDERS:
+    if name not in LATENCY_PRESETS:
         raise KeyError(f"unknown preset {name!r}; "
-                       f"choose from {sorted(PRESET_PROVIDERS)}")
-    return open_provider(PRESET_PROVIDERS[name])
+                       f"choose from {sorted(LATENCY_PRESETS)}")
+    return MemoryStore(name, float(LATENCY_PRESETS[name]))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from r2o import bench, codec
-from r2o.store import (LATENCY_PRESETS, HttpStoreClient, MemoryStore,
-                       preset_store)
+from r2o.store import (LATENCY_PRESETS, ContentItem, HttpStoreClient,
+                       MemoryStore, StoreError, preset_store, serve_store)
 
 
 # -- report construction -----------------------------------------------------
@@ -89,6 +89,26 @@ def test_bench_providers_subset():
     for name, median in rows:
         preset = LATENCY_PRESETS[name]
         assert preset <= median <= preset + bench.PROVIDER_TOLERANCE_MS
+
+
+def test_bench_providers_deletes_its_probe():
+    backing = MemoryStore(name="lab")
+    with serve_store(("127.0.0.1", 0), backing) as server, \
+            closing(HttpStoreClient(server.base_url, name="lab")) as client:
+        ((name, _),) = bench.bench_providers([client], repetitions=2)
+    assert name == "lab"
+    assert len(backing) == 0
+
+
+def test_bench_providers_deletes_its_probe_when_a_fetch_fails():
+    class Corrupting(MemoryStore):
+        def fetch(self, locator):
+            return ContentItem(data=super().fetch(locator).data[1:])
+
+    corrupting = Corrupting(name="bad")
+    with pytest.raises(StoreError, match="differ"):
+        bench.bench_providers([corrupting], repetitions=2)
+    assert len(corrupting) == 0
 
 
 def test_bench_providers_rejects_empty():

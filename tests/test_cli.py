@@ -15,6 +15,7 @@ from r2o.codec.png import write_png
 from r2o.filter import FilterConfig
 from r2o.firstparty import FirstPartyService, serve_firstparty
 from r2o.store import (
+    LATENCY_PRESETS,
     FilesystemStore,
     HttpStoreClient,
     MemoryStore,
@@ -35,7 +36,6 @@ def served_world(tmp_path):
         "[r2o]\n"
         f"firstparty_url = {fp_server.base_url}\n"
         "[provider:lab]\n"
-        "kind = http\n"
         f"base_url = {store_server.base_url}\n")
     try:
         yield {"config": str(config), "store": store_server,
@@ -67,12 +67,37 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_provider_names_the_candidates(tmp_path, capsys):
     path, _ = png_file(tmp_path)
-    code = cli.run(["upload", "--provider", "nosuch", "--file", str(path),
-                    "--album", "a1"])
+    config = tmp_path / "lab.ini"
+    config.write_text(
+        "[provider:lab]\nbase_url = http://127.0.0.1:9/v1/objects\n")
+    code = cli.run(["--config", str(config), "upload", "--provider",
+                    "nosuch", "--file", str(path), "--album", "a1"])
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert "nosuch" in err
-    assert "imgur" in err  # the known names are listed
+    assert "known: lab" in err  # the configured names are listed
+
+
+def test_upload_to_an_unconfigured_preset_posts_nothing(tmp_path, capsys):
+    # a preset is an in-process store no reader could fetch from
+    created = []
+
+    class Recording(FirstPartyService):
+        def create_album(self, title):
+            created.append(title)
+            return super().create_album(title)
+
+    path, _ = png_file(tmp_path)
+    config = tmp_path / "fp.ini"
+    with serve_firstparty(LOOPBACK, Recording(response_delay_ms=0.0)) as fp:
+        config.write_text(f"[r2o]\nfirstparty_url = {fp.base_url}\n")
+        code = cli.run(["--config", str(config), "upload", "--provider",
+                        "imgur", "--file", str(path)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "unknown provider 'imgur'; known: (none)" in err
+    assert created == []
 
 
 def test_encode_rejects_bad_scheme(tmp_path, capsys):
@@ -130,7 +155,6 @@ def test_encode_ec_level_choices(tmp_path, capsys):
 
 def test_load_config_sections(tmp_path):
     path = tmp_path / "full.ini"
-    root = tmp_path / "blobs"
     path.write_text(
         "[r2o]\n"
         "firstparty_url = http://fp.example:9\n"
@@ -143,53 +167,36 @@ def test_load_config_sections(tmp_path):
         "[qr]\n"
         "ec_level = Q\n"
         "target_size = 256\n"
-        "[provider:disk]\n"
-        "kind = filesystem\n"
-        f"root = {root}\n"
-        "[provider:fast]\n"
-        "kind = memory\n"
-        "latency = 4\n")
+        "[provider:lab]\n"
+        "base_url = http://127.0.0.1:9/v1/objects/\n")
     cfg = cli.load_config(str(path))
     assert cfg.firstparty_url == "http://fp.example:9"
     assert cfg.filter.path_prefixes == ("/fp/photos/", "/mirror/")
     assert cfg.filter.min_edge == 32
     assert cfg.cache.n_frequent == 7 and cfg.cache.m_recent == 9
     assert cfg.qr.ec_level == "Q" and cfg.qr.target_size == 256
-    # declared providers replace the preset defaults entirely
-    assert set(cfg.providers) == {"disk", "fast"}
-    assert cfg.providers["fast"].simulated_latency == 4.0
-    disk = store.open_provider(cfg.providers["disk"])
-    assert isinstance(disk, FilesystemStore)
-    assert disk.root == root
-    assert disk.descriptor == cfg.providers["disk"]
-    assert disk.descriptor.root == str(root)
+    assert cfg.providers == {"lab": "http://127.0.0.1:9/v1/objects"}
 
 
 def test_provider_sections_build_their_stores(tmp_path):
     path = tmp_path / "providers.ini"
     path.write_text(
-        "[provider:ram]\nkind = memory\nlatency = 3\n"
-        f"[provider:disk]\nkind = filesystem\nroot = {tmp_path / 'o'}\n"
-        "base_url = http://disk.example/v1/objects\nlatency = 1.5\n"
-        "[provider:lab]\nkind = http\n"
-        "base_url = http://127.0.0.1:9/v1/objects/\n")
+        "[provider:lab]\nbase_url = http://127.0.0.1:9/v1/objects/\n"
+        "[provider:cdn]\nbase_url = https://cdn.example/v1/objects\n")
     cfg = cli.load_config(str(path))
-    built = {name: store.open_provider(cfg.provider(name))
-             for name in ("ram", "disk", "lab")}
+    built = {name: cfg.provider(name) for name in ("lab", "cdn")}
     try:
-        got = {name: (type(s), s.descriptor.name, s.descriptor.base_url,
-                      s.descriptor.simulated_latency, s.descriptor.root)
+        got = {name: (type(s), s.name, s.base_url, s.simulated_latency)
                for name, s in built.items()}
     finally:
-        built["lab"].close()
+        for client in built.values():
+            client.close()
+    # an HTTP client carries no simulated latency of its own
     assert got == {
-        "ram": (MemoryStore, "ram",
-                "http://ram.offsite.invalid/v1/objects", 3.0, None),
-        "disk": (FilesystemStore, "disk", "http://disk.example/v1/objects",
-                 1.5, str(tmp_path / "o")),
-        # an HTTP client carries no simulated latency of its own
         "lab": (HttpStoreClient, "lab", "http://127.0.0.1:9/v1/objects",
-                None, None),
+                None),
+        "cdn": (HttpStoreClient, "cdn", "https://cdn.example/v1/objects",
+                None),
     }
 
 
@@ -199,19 +206,17 @@ def test_load_config_rejects_bad_values(tmp_path):
     with pytest.raises(cli.UsageError):
         cli.load_config(str(path))
 
-    path.write_text("[provider:x]\nkind = http\n")
-    with pytest.raises(cli.UsageError):
+    path.write_text("[provider:x]\n")
+    with pytest.raises(cli.UsageError, match="provider 'x' needs base_url"):
         cli.load_config(str(path))
 
-    path.write_text("[provider:x]\nkind = carrier-pigeon\n")
-    with pytest.raises(cli.UsageError):
+    path.write_text("[provider:x]\nbase_url = ftp://x.example/v1/objects\n")
+    with pytest.raises(cli.UsageError, match="bad config value base_url = "
+                                             "'ftp://x.example/v1/objects'"):
         cli.load_config(str(path))
 
-    # an HTTP store's server sets its own delay
-    path.write_text("[provider:lab]\nkind = http\n"
-                    "base_url = http://127.0.0.1:9/v1/objects\nlatency = 4\n")
-    with pytest.raises(cli.UsageError, match="provider 'lab': http kind "
-                                             "takes no latency"):
+    path.write_text('[provider:x]\nbase_url = http://x.example/"a\n')
+    with pytest.raises(cli.UsageError, match="bad config value base_url"):
         cli.load_config(str(path))
 
 
@@ -225,7 +230,9 @@ def test_load_config_rejects_bad_values(tmp_path):
      "'excluded_subtypes' in [filter]"),
     ("[qrr]\nec_level = H\n", "[qrr]"),
     ("[provider:lab]\nkind = memory\nlatancy = 4\n",
-     "'latancy' in [provider:lab]"),
+     "'kind' in [provider:lab]"),
+    ("[provider:lab]\nbase_url = http://127.0.0.1:9/v1/objects\n"
+     "latancy = 4\n", "'latancy' in [provider:lab]"),
 ])
 def test_load_config_names_unknown_sections_and_keys(tmp_path, text, named):
     path = tmp_path / "unknown.ini"
@@ -244,26 +251,41 @@ def test_config_fields_are_exactly_the_ini_keys(section, config):
 
 def test_load_config_reads_provider_sections(tmp_path):
     path = tmp_path / "providers.ini"
-    path.write_text("[provider:lab]\nkind = http\n"
+    path.write_text("[provider:lab]\n"
                     "base_url = http://127.0.0.1:9/v1/objects\n"
-                    "[provider:slow]\nkind = memory\nlatency = 147\n")
+                    "[provider:slow]\nbase_url = http://127.0.0.1:10/v1/o\n")
     cfg = cli.load_config(str(path))
-    assert cfg.providers["lab"].base_url == "http://127.0.0.1:9/v1/objects"
-    assert cfg.providers["slow"].simulated_latency == 147.0
+    assert cfg.providers == {"lab": "http://127.0.0.1:9/v1/objects",
+                             "slow": "http://127.0.0.1:10/v1/o"}
 
 
-@pytest.mark.parametrize("text, named", [
-    ("[provider:slow]\nkind = preset\n", "unknown kind 'preset'"),
-    ("[provider:slow]\nkind = memory\npreset = flickr\n",
-     "'preset' in [provider:slow]"),
-    ("[provider:slow]\nlatency = -1\n", "simulated_latency must be >= 0"),
-])
-def test_preset_provider_form_is_gone(tmp_path, text, named):
-    # `kind = memory` plus `latency = N` says what `kind = preset` said
-    path = tmp_path / "preset.ini"
-    path.write_text(text)
-    with pytest.raises(cli.UsageError, match=re.escape(named)):
-        cli.load_config(str(path))
+@pytest.mark.parametrize("key", ["kind = memory", "latency = 4",
+                                 "root = objects"])
+def test_provider_sections_take_only_base_url(tmp_path, capsys, key):
+    # a provider is the base URL of a served store; how that store keeps
+    # its objects, and how slowly, is set where it is served
+    path = tmp_path / "provider.ini"
+    path.write_text("[provider:x]\n"
+                    f"base_url = http://127.0.0.1:9/v1/objects\n{key}\n")
+    assert cli.run(["--config", str(path), "cache", "stats", "--cache",
+                    str(tmp_path / "none.tsv")]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    name = key.split(" ")[0]
+    assert f"unknown config key '{name}' in [provider:x]" in err
+
+
+@pytest.mark.parametrize("section", [
+    "[provider:x]\n",
+    "[provider:x]\nbase_url = ftp://x.example/v1/objects\n"])
+def test_provider_without_an_http_base_url_exits_2(tmp_path, capsys,
+                                                    section):
+    path = tmp_path / "provider.ini"
+    path.write_text(section)
+    assert cli.run(["--config", str(path), "cache", "stats", "--cache",
+                    str(tmp_path / "none.tsv")]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("r2o: ") and "base_url" in err
 
 
 def test_removed_parallelism_flag_is_a_usage_error(capsys):
@@ -273,11 +295,13 @@ def test_removed_parallelism_flag_is_a_usage_error(capsys):
 
 
 def test_default_providers_follow_presets():
+    # no provider is configured by default; `bench` measures the presets
     cfg = cli.Config()
-    assert "flickr" in cfg.providers
-    assert cfg.providers["flickr"].simulated_latency == 147.0
-    with pytest.raises(cli.UsageError):
-        cfg.provider("bitbucket")
+    assert cfg.providers == {}
+    with pytest.raises(cli.UsageError, match=r"known: \(none\)"):
+        cfg.provider("flickr")
+    assert [(s.name, s.simulated_latency) for s in bench._preset_stores()] \
+        == [(name, float(ms)) for name, ms in LATENCY_PRESETS.items()]
 
 
 def test_parse_bind():
@@ -343,18 +367,18 @@ def test_cache_export_selection_prefix(tmp_path, capsys):
 
 @pytest.fixture
 def small_sweeps(monkeypatch):
-    """`bench --quick` with 4 symbols and 2+5 / 2+9 ms reads."""
+    """`bench --quick` with 4 symbols, the two fastest presets and 2+5 /
+    2+9 ms reads."""
     monkeypatch.setattr(bench, "QUICK_SWEEP", (4, 3, 3))
+    monkeypatch.setattr(bench, "LATENCY_PRESETS",
+                        {"facebook_cdn": 11, "imgur": 12})
     monkeypatch.setattr(bench, "FIRSTPARTY_DELAY_MS", 2.0)
     monkeypatch.setattr(bench, "OFFSITE_DELAYS_MS", (5.0, 9.0))
 
 
-FAST_PRESETS = ["--providers", "facebook_cdn,imgur"]
-
-
 def test_bench_decode_subcommand(small_sweeps, tmp_path, capsys):
-    assert cli.run(["bench", "--quick", "--out-dir", str(tmp_path / "r"),
-                    *FAST_PRESETS]) == cli.EXIT_OK
+    assert cli.run(["bench", "--quick", "--out-dir",
+                    str(tmp_path / "r")]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "decode-4 " in out
     samples = (tmp_path / "r" / "samples.csv").read_text().splitlines()
@@ -371,7 +395,7 @@ def test_bench_decode_subcommand(small_sweeps, tmp_path, capsys):
 def test_bench_decode_violation_exits_nonzero(small_sweeps, monkeypatch,
                                               capsys):
     monkeypatch.setattr(bench, "DECODE_CEILING_MS", 0.0)
-    code = cli.run(["bench", "--quick", *FAST_PRESETS])
+    code = cli.run(["bench", "--quick"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_OPERATIONAL
     (line,) = captured.err.splitlines()
@@ -379,37 +403,44 @@ def test_bench_decode_violation_exits_nonzero(small_sweeps, monkeypatch,
     assert "decode-4" in captured.out  # the tables still print
 
 
-def test_bench_providers_subcommand(small_sweeps, tmp_path, capsys):
-    assert cli.run(["bench", "--quick", *FAST_PRESETS]) == cli.EXIT_OK
+def test_bench_providers_subcommand(small_sweeps, served_world, capsys):
+    assert cli.run(["bench", "--quick"]) == cli.EXIT_OK
     rows = capsys.readouterr().out.split("== provider medians ==")[1]
     assert "facebook_cdn" in rows and "imgur" in rows
     assert "flickr" not in rows
 
-    # a configured provider is measured under its own name
-    config = tmp_path / "lab.ini"
-    config.write_text("[provider:lab]\nkind = memory\nlatency = 1\n")
-    assert cli.run(["--config", str(config), "bench", "--quick",
+    # a configured provider is measured under its own name, and its served
+    # store keeps nothing of the run
+    config = served_world["config"]
+    assert cli.run(["--config", config, "bench", "--quick",
                     "--providers", "lab"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert re.search(r"^lab +\d", out, re.MULTILINE)
+    assert len(served_world["store"].backing) == 0
 
-    assert cli.run(["--config", str(config), "bench", "--quick",
+    assert cli.run(["--config", config, "bench", "--quick",
                     "--providers", "imgur"]) == cli.EXIT_USAGE
     assert "known: lab" in capsys.readouterr().err
 
 
-def test_bench_bounds_a_provider_by_its_configured_latency(small_sweeps,
-                                                           tmp_path, capsys):
-    # named like the 12 ms preset, but configured at 1 ms
-    config = tmp_path / "imgur.ini"
-    config.write_text("[provider:imgur]\nkind = memory\nlatency = 1\n")
-    assert cli.run(["--config", str(config), "bench", "--quick",
-                    "--providers", "imgur"]) == cli.EXIT_OK
-    assert "bound violated" not in capsys.readouterr().err
+def test_bench_holds_a_configured_provider_to_no_preset_bound(
+        small_sweeps, tmp_path, capsys):
+    # named like the 12 ms preset, but served 30 ms slower than its bound
+    slow = MemoryStore(name="imgur", simulated_latency=62.0)
+    with serve_store(LOOPBACK, slow) as server:
+        config = tmp_path / "imgur.ini"
+        config.write_text(
+            f"[provider:imgur]\nbase_url = {server.base_url}\n")
+        assert cli.run(["--config", str(config), "bench", "--quick",
+                        "--providers", "imgur"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    median = re.search(r"^imgur +([\d.]+)", captured.out, re.MULTILINE)
+    assert float(median.group(1)) >= 62.0
+    assert "bound violated" not in captured.err
 
 
 def test_bench_e2e_subcommand(small_sweeps, capsys):
-    assert cli.run(["bench", "--quick", *FAST_PRESETS]) == cli.EXIT_OK
+    assert cli.run(["bench", "--quick"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     for scenario in ("e2e-f2-o5-cold", "e2e-f2-o5-warm", "e2e-f2-o9-cold",
                      "e2e-f2-o9-warm"):
@@ -426,8 +457,8 @@ def test_bench_decodes_under_the_configured_qr(small_sweeps, monkeypatch,
         seen.append(qr), decode(count, qr, rng))[1])
     config = tmp_path / "qr.ini"
     config.write_text("[qr]\nec_level = H\ntarget_size = 256\n")
-    assert cli.run(["--config", str(config), "bench", "--quick",
-                    *FAST_PRESETS]) == cli.EXIT_OK
+    assert cli.run(["--config", str(config), "bench",
+                    "--quick"]) == cli.EXIT_OK
     capsys.readouterr()
     assert seen == [codec.QrConfig(ec_level="H", target_size=256)]
 
@@ -437,7 +468,7 @@ def test_reproduce_eval_script_runs_bench(small_sweeps, monkeypatch,
     script = pathlib.Path(__file__).parents[1] / "scripts" / \
         "reproduce_eval.py"
     monkeypatch.setattr(sys, "argv", [str(script), "--quick", "--out-dir",
-                                      str(tmp_path), *FAST_PRESETS])
+                                      str(tmp_path)])
     with pytest.raises(SystemExit) as exited:
         runpy.run_path(str(script), run_name="__main__")
     assert exited.value.code == cli.EXIT_OK
@@ -465,8 +496,8 @@ def test_serve_store_flags(monkeypatch, tmp_path, capsys, flags, kind):
     assert "store serving at http://127.0.0.1:" in capsys.readouterr().out
     (backing,) = served
     assert type(backing) is kind
-    assert backing.descriptor.simulated_latency == 7.0
-    assert backing.descriptor.root == (str(tmp_path) if flags else None)
+    assert backing.simulated_latency == 7.0
+    assert getattr(backing, "root", None) == (tmp_path if flags else None)
 
 
 def test_serve_store_on_a_bound_port_exits_1(capsys):
@@ -532,7 +563,6 @@ def test_seeded_runs_are_reproducible(tmp_path, capsys):
             "[r2o]\n"
             f"firstparty_url = {fp_server.base_url}\n"
             "[provider:lab]\n"
-            "kind = http\n"
             f"base_url = {store_server.base_url}\n")
         try:
             assert cli.run(["--config", str(config), "--seed", "42",

@@ -43,8 +43,7 @@ class World:
 
     def __init__(self, delay_ms=0.0, latency_ms=None):
         self.service = FirstPartyService(response_delay_ms=delay_ms)
-        self.store = MemoryStore(name="offsite", simulated_latency=latency_ms,
-                                 base_url="http://off.example/v1/objects")
+        self.store = MemoryStore(name="offsite", simulated_latency=latency_ms)
         self.client = InProcessFirstPartyClient(self.service)
         self.fetcher = InProcessFetcher(
             firstparty=self.service, providers=[self.store])
@@ -70,7 +69,7 @@ def test_write_path_receipt_and_placement():
     receipt = write_path(item, "holiday", w.album, w.store, w.client,
                          cache=w.cache)
     assert receipt.album_id == w.album
-    assert receipt.offsite_locator.startswith("http://off.example/v1/objects/")
+    assert receipt.offsite_locator.startswith(w.store.base_url + "/")
     assert receipt.pseudo_locator.startswith(
         w.client.base_url + "/fp/photos/")
 

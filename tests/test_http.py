@@ -387,6 +387,37 @@ def test_hostile_response_fails_fast(reply, match):
         client.close()
 
 
+def test_a_trickling_response_fails_at_the_request_deadline(monkeypatch):
+    # every byte comes well inside TIMEOUT_S, but the whole body does not
+    monkeypatch.setattr(_http, "TIMEOUT_S", 0.5)
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def trickle():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+            try:
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n")
+                for byte in b"fourteen bytes":
+                    time.sleep(0.2)
+                    conn.sendall(bytes([byte]))
+            except OSError:
+                pass  # the client gave up
+
+    thread = threading.Thread(target=trickle, daemon=True)
+    thread.start()
+    fetcher = HttpFetcher()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(FetchError):
+            fetcher.fetch(f"http://127.0.0.1:{listener.getsockname()[1]}/x")
+        assert time.perf_counter() - t0 < 1.5
+    finally:
+        fetcher.close()
+        listener.close()
+        thread.join(timeout=5)
+
+
 def test_https_to_a_plain_http_server_is_an_http_error():
     # the TLS handshake reads an HTTP status line and fails
     reply = b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"

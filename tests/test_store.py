@@ -58,7 +58,7 @@ def test_locators_are_distinct(provider):
 
 
 def test_fetch_unknown_and_malformed(provider):
-    base = provider.descriptor.base_url
+    base = provider.base_url
     with pytest.raises(NotFound):
         provider.fetch(f"{base}/{'0' * 16}")
     with pytest.raises(NotFound):
@@ -107,9 +107,24 @@ def test_presets_table():
     assert LATENCY_PRESETS["imageshack"] == 434
     assert len(LATENCY_PRESETS) == 8
     s = preset_store("imgur")
-    assert s.descriptor.simulated_latency == 12
-    with pytest.raises(KeyError):
+    assert (s.name, s.simulated_latency) == ("imgur", 12)
+    with pytest.raises(KeyError, match="unknown preset 'geocities'"):
         preset_store("geocities")
+
+
+def test_local_stores_live_under_a_private_base(tmp_path):
+    # a reader reaches a local store only through `serve_store`
+    ram = MemoryStore("ram", 3.0)
+    disk = FilesystemStore(tmp_path / "o", "disk")
+    assert (ram.name, ram.base_url, ram.simulated_latency) == (
+        "ram", "http://ram.offsite.invalid/v1/objects", 3.0)
+    assert (disk.name, disk.base_url, disk.simulated_latency, disk.root) == (
+        "disk", "http://disk.offsite.invalid/v1/objects", None,
+        tmp_path / "o")
+    with pytest.raises(ValueError, match="simulated_latency must be >= 0"):
+        MemoryStore("ram", -1.0)
+    with pytest.raises(ValueError, match="simulated_latency must be >= 0"):
+        FilesystemStore(tmp_path / "o", "disk", -1.0)
 
 
 def test_measure_store_respects_floor():
@@ -158,7 +173,7 @@ def test_http_round_trip(http_pair):
 def test_http_404_and_413(http_pair):
     client, backing = http_pair
     with pytest.raises(NotFound):
-        client.fetch(f"{client.descriptor.base_url}/{'a' * 16}")
+        client.fetch(f"{client.base_url}/{'a' * 16}")
     backing.max_payload = 100
     with pytest.raises(PayloadTooLarge):
         client.upload(ContentItem(data=b"z" * 200))
