@@ -8,9 +8,10 @@ optionally writes each report's samples and CDF to CSV, and returns the
 bounds they violated; `r2o bench` exits 1 on any.
 
 Timing uses the monotonic performance counter, one timed call per
-sample: a decode takes about 0.1 ms on a 2 vCPU Xeon with Python 3.11,
-far above the counter's resolution. Three untimed warm-up decodes precede
-the decode samples; end-to-end loops prime once before timing.
+sample: reading and decoding a 512 px stand-in's PNG takes about 0.1 ms
+on a 2 vCPU Xeon with Python 3.11, far above the counter's resolution.
+Three untimed warm-up decodes precede the decode samples; end-to-end
+loops prime once before timing.
 """
 
 from __future__ import annotations
@@ -112,22 +113,29 @@ def _time_once(fn) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
+def _read_stand_in(data: bytes) -> codec.IndirectionPayload:
+    return codec.decode_qr(codec.PseudoImage.from_png(data))
+
+
 def bench_decode(count: int, qr_config: codec.QrConfig | None = None,
                  rng: random.Random | None = None) -> BenchReport:
-    """Time decode_qr over `count` symbols from random URLs.
+    """Time reading stand-ins over `count` symbols from random URLs.
 
-    Each sample is one timed decode, after three excluded warm-ups.
+    Each sample is one timed `PseudoImage.from_png` and `decode_qr` of a
+    symbol's PNG bytes, what a cold read pays a stand-in, after three
+    excluded warm-ups.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = rng or random.Random(0)
     cfg = qr_config or codec.QrConfig()
-    symbols = [codec.encode_qr(codec.IndirectionPayload(locator=url), cfg)
-               for url in random_urls(count, rng)]
+    files = [codec.encode_qr(codec.IndirectionPayload(locator=url),
+                             cfg).to_png()
+             for url in random_urls(count, rng)]
     for _ in range(WARMUP_ITERATIONS):
-        codec.decode_qr(symbols[0])
-    samples = [_time_once(lambda s=sym: codec.decode_qr(s))
-               for sym in symbols]
+        _read_stand_in(files[0])
+    samples = [_time_once(lambda d=data: _read_stand_in(d))
+               for data in files]
     return make_report(f"decode-{count}", samples)
 
 

@@ -101,19 +101,33 @@ def rs_encode(data: bytes, nsym: int) -> list[int]:
 
 
 @functools.cache
-def _syndrome_powers(n: int, nsym: int) -> np.ndarray:
-    """The (nsym, n) exponents i * (n-1-j) mod 255, built once per shape."""
-    return (np.arange(nsym)[:, None] * np.arange(n - 1, -1, -1)[None, :]) % 255
+def _syndrome_exponents(lengths: tuple[int, ...],
+                        nsym: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exponents, starts) for blocks of `lengths` codewords back to back.
+
+    Exponents is (nsym, sum(lengths)): coefficient j of a block of n (most
+    significant first) meets alpha^(i * (n-1-j)) in S_i. Starts holds each
+    block's first column. Built once per layout.
+    """
+    degrees = np.concatenate([np.arange(n - 1, -1, -1) for n in lengths])
+    starts = np.cumsum((0,) + lengths[:-1])
+    return np.arange(nsym)[:, None] * degrees % 255, starts
+
+
+def syndromes(words: np.ndarray, lengths: tuple[int, ...],
+              nsym: int) -> np.ndarray:
+    """S_i = block(alpha^i) for i < nsym of every block in `words`, uint8
+    codewords of blocks of `lengths` back to back: a (blocks, nsym) array
+    from one table gather and one segmented reduction."""
+    exponents, starts = _syndrome_exponents(lengths, nsym)
+    terms = _EXP_NP[exponents + _LOG_NP[words]]
+    return np.bitwise_xor.reduceat(terms, starts, axis=1).T
 
 
 def _syndromes(codeword: list[int], nsym: int) -> list[int]:
-    """S_i = codeword(alpha^i) for i < nsym, as one table lookup.
-
-    Coefficient j (of n, most significant first) meets alpha^(i * (n-1-j)).
-    """
+    """The syndromes of one codeword, as a list."""
     c = np.frombuffer(bytes(codeword), dtype=np.uint8)
-    terms = _EXP_NP[_syndrome_powers(c.size, nsym) + _LOG_NP[c]]
-    return np.bitwise_xor.reduce(terms, axis=1).tolist()
+    return syndromes(c, (c.size,), nsym)[0].tolist()
 
 
 def _berlekamp_massey(synd: list[int]) -> list[int]:

@@ -6,10 +6,12 @@ mapping. The read path walks page elements the other way: filter gate,
 cache lookup, pseudo fetch, decode, off-site fetch. A page's fetches run
 at once on a shared fan-out pool, so a page costs about one network round
 trip, not one per element; the pool threads only fetch. The thread
-that resolves the page decodes each stand-in as its bytes arrive and
-starts that element's off-site fetch at once. One decode gate serves the
-whole process, so the memory held by PNG reads in flight is bounded
-however many pages resolve at once.
+that resolves the page takes every stand-in that has arrived, reads,
+decodes and records them back to back, and only then starts their
+off-site fetches: a fetch started between two decodes wakes a pool
+thread that takes the interpreter lock from the next one. One decode
+gate serves the whole process, so the memory held by PNG reads in flight
+is bounded however many pages resolve at once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import base64
 import re
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed, wait
+from concurrent.futures import (FIRST_COMPLETED, Future, ThreadPoolExecutor,
+                                wait)
 from dataclasses import dataclass
 from urllib.parse import urljoin
 
@@ -262,13 +265,14 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
     """Resolve page elements to real content; order-preserving.
 
     Every fetch runs on the shared fan-out pool, so k independent elements
-    cost about one round trip. The calling thread reads and decodes each
-    stand-in as it arrives, under the process-wide gate of 8, and submits
-    that element's off-site fetch at once; a cache hit goes straight to
-    its off-site fetch. A stand-in whose PNG header declares an edge
-    above `filter_cfg.max_edge` is refused before its pixels are inflated,
-    whatever the page's width and height attributes said. No fetch
-    outlives the call, even when it raises.
+    cost about one round trip. The calling thread works in batches: it
+    waits for at least one stand-in, reads, decodes and records every one
+    that has arrived, in element order, each under the process-wide gate
+    of 8, and then submits their off-site fetches; a cache hit goes
+    straight to its off-site fetch. A stand-in whose PNG header declares
+    an edge above `filter_cfg.max_edge` is refused before its pixels are
+    inflated, whatever the page's width and height attributes said. No
+    fetch outlives the call, even when it raises.
     """
     filter_cfg = filter_cfg or FilterConfig()
     elements = list(elements)
@@ -289,16 +293,23 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
             else:
                 offsite[submit(fetcher.fetch, cached)] = (i, VIA_CACHE_HIT,
                                                           cached)
-        for fut in as_completed(pseudo):
-            i = pseudo[fut]
-            found = _decode(elements[i], fut, filter_cfg.max_edge)
-            if isinstance(found, Resolution):
-                results[i] = found
-                continue
-            cache.record_resolved(MappingEntry(
-                pseudo_locator=elements[i].source_url,
-                offsite_locator=found, hit_count=1))
-            offsite[submit(fetcher.fetch, found)] = (i, VIA_DECODED, found)
+        waiting = set(pseudo)
+        while waiting:
+            arrived, waiting = wait(waiting, return_when=FIRST_COMPLETED)
+            located = []
+            for fut in sorted(arrived, key=pseudo.get):
+                i = pseudo[fut]
+                found = _decode(elements[i], fut, filter_cfg.max_edge)
+                if isinstance(found, Resolution):
+                    results[i] = found
+                    continue
+                cache.record_resolved(MappingEntry(
+                    pseudo_locator=elements[i].source_url,
+                    offsite_locator=found, hit_count=1))
+                located.append((i, found))
+            for i, found in located:
+                offsite[submit(fetcher.fetch, found)] = (i, VIA_DECODED,
+                                                         found)
         for fut, (i, via, locator) in offsite.items():
             try:
                 results[i] = Resolution(elements[i], OUTCOME_REPLACED,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from r2o import codec
-from r2o.codec import decoder, encoder, matrix, tables
+from r2o.codec import decoder, encoder, gf256, matrix, tables
 from qr_oracle import TOTAL_CODEWORDS
 from resize import image_of, light_of, pad_with_border, tight, upscale
 
@@ -204,6 +204,67 @@ def test_single_module_flips_are_corrected(rng):
         light = light_of(image)
         light[r, c] ^= True
         assert codec.decode_qr(image_of(light)).locator == url
+
+
+def _flip_codewords(modules, version, mask_id, errors):
+    """The matrix with one bit flipped in each of errors[b] codewords of
+    block b, data and EC codewords alike: one byte error each."""
+    index, _ = decoder._stream_gather(version, "M", mask_id)
+    _, ks, nsym = tables.block_layout(version, "M")
+    starts = np.cumsum([0] + [k + nsym for k in ks])
+    damaged = modules.copy().ravel()
+    for block, count in errors.items():
+        gen = np.random.default_rng(block)
+        words = starts[block] + gen.choice(ks[block] + nsym, count,
+                                           replace=False)
+        damaged[index[8 * words + gen.integers(0, 8, count)]] ^= 1
+    return damaged.reshape(modules.shape)
+
+
+def test_blocks_of_unequal_length_correct_up_to_capacity():
+    url = "https://host.example/" + "u" * 120
+    modules, version, mask_id = encoder.encode_symbol(url.encode("ascii"))
+    _, ks, nsym = tables.block_layout(version, "M")
+    assert (version, ks, nsym) == (8, (38, 38, 39, 39), 22)
+    capacity = nsym // 2
+    # a short block and a long block, each at capacity
+    damaged = _flip_codewords(modules, version, mask_id,
+                              {1: capacity, 2: capacity})
+    assert decoder.decode_matrix(damaged) == url.encode("ascii")
+    for block in range(len(ks)):
+        damaged = _flip_codewords(modules, version, mask_id,
+                                  {block: capacity + 1})
+        with pytest.raises(codec.DecodeFailure):
+            decoder.decode_matrix(damaged)
+
+
+_MEMO_BOUND = 256  # most entries any decoder memo may hold
+
+
+def test_decoder_memos_stay_bounded_over_many_placements():
+    # a memo keyed on where a symbol sits, or on its pitch, must be
+    # bounded; the others are keyed on versions and block layouts only
+    url = "http://a.example/placed.png"
+    symbols = [codec.encode_qr(codec.IndirectionPayload(locator=url),
+                               tight(url, scale)) for scale in (1, 2, 3, 4)]
+    memos = [f for module in (decoder, gf256, matrix, tables)
+             for f in vars(module).values() if hasattr(f, "cache_info")]
+    for symbol in symbols:
+        codec.decode_qr(symbol)
+    settled = {f: f.cache_info().currsize for f in memos}
+    gen = np.random.default_rng(200)
+    for i in range(200):
+        symbol = symbols[i % len(symbols)]
+        extra_w, extra_h = gen.integers(0, 160, size=2)
+        placed = pad_with_border(symbol, symbol.width + int(extra_w),
+                                 symbol.height + int(extra_h))
+        assert codec.decode_qr(placed).locator == url
+    for f in memos:
+        info = f.cache_info()
+        if info.maxsize is None:
+            assert info.currsize == settled[f], f.__name__
+        else:
+            assert info.currsize <= info.maxsize <= _MEMO_BOUND, f.__name__
 
 
 # -- rendering, padding, upscaling ------------------------------------------

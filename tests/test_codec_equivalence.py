@@ -678,7 +678,8 @@ def _one_bit_file(light, pad_bits):
                          depth=1)
 
 
-@pytest.mark.parametrize("width", [*range(1, 18), 63, 65, 512])
+@pytest.mark.parametrize("width", [*range(1, 18), 63, 64, 65, 128, 512,
+                                   520, 576])
 def test_packed_grid_search_matches_bool_reference_across_widths(width):
     gen = np.random.default_rng(width)
     rasters = [gen.random((width, width)) < p for p in (0.02, 0.5, 0.98)]

@@ -364,11 +364,13 @@ def test_read_path_decodes_on_the_calling_thread(monkeypatch):
 
 
 class CountingFetcher:
-    """Counts fetches started and still running; each takes `delay` s."""
+    """Counts fetches started and still running; each takes `delay` s, or
+    the time `delays` gives its URL."""
 
-    def __init__(self, inner, delay):
+    def __init__(self, inner, delay, delays=None):
         self.inner = inner
         self.delay = delay
+        self.delays = delays or {}
         self.started = 0
         self.running = 0
         self._lock = threading.Lock()
@@ -378,7 +380,7 @@ class CountingFetcher:
             self.started += 1
             self.running += 1
         try:
-            time.sleep(self.delay)
+            time.sleep(self.delays.get(url, self.delay))
             return self.inner.fetch(url)
         finally:
             with self._lock:
@@ -398,7 +400,12 @@ def test_read_path_error_leaves_no_fetch_running(monkeypatch):
         return decode_qr(image)
 
     monkeypatch.setattr(codec, "decode_qr", third_decode_raises)
-    fetcher = CountingFetcher(w.fetcher, delay=0.05)
+    # the stand-ins arrive in two waves, and a wave's off-site fetches
+    # start once all of its stand-ins are decoded: the first wave's two
+    # are still running when the second wave's first decode raises
+    waves = {e.source_url: 0.05 if n < 2 else 0.3
+             for n, e in enumerate(elements)}
+    fetcher = CountingFetcher(w.fetcher, delay=0.6, delays=waves)
     with pytest.raises(RuntimeError, match="decoder bug"):
         read_path(elements, None, MappingsCache(), fetcher)
     # two off-site fetches had started when the third decode raised
