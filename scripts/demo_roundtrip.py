@@ -18,7 +18,6 @@ from r2o.cache import MappingsCache  # noqa: E402
 from r2o.codec.png import write_png  # noqa: E402
 from r2o.core import (  # noqa: E402
     InProcessFetcher,
-    InProcessFirstPartyClient,
     resolve_page,
     write_path,
 )
@@ -29,14 +28,13 @@ from r2o.store import ContentItem, MemoryStore  # noqa: E402
 def main() -> int:
     service = FirstPartyService(response_delay_ms=11.0)
     store = MemoryStore(name="demo", simulated_latency=147.0)
-    client = InProcessFirstPartyClient(service)
     fetcher = InProcessFetcher(firstparty=service, providers=[store])
     album = service.create_album("demo album")
 
     pixels = np.random.default_rng(7).integers(0, 256, size=(96, 96),
                                                dtype=np.uint8)
     original = ContentItem(data=write_png(pixels), media_type="image/png")
-    receipt = write_path(original, "harbor at dusk", album, store, client)
+    receipt = write_path(original, "harbor at dusk", album, store, service)
     print("receipt:")
     print(f"  offsite_locator: {receipt.offsite_locator}")
     print(f"  pseudo_locator:  {receipt.pseudo_locator}")
@@ -45,7 +43,7 @@ def main() -> int:
     print(f"\noriginal is {len(original.data)} bytes; the first party "
           f"holds a {len(placed)}-byte pseudo-image instead")
 
-    page_url = client.page_url(album)
+    page_url = service.page_url(album)
     before = fetcher.fetch(page_url).data
     cache = MappingsCache()
     after = resolve_page(page_url, fetcher, cache=cache)

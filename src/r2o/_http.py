@@ -381,7 +381,7 @@ class Handler(socketserver.StreamRequestHandler):
 
     A subclass defines `do_<METHOD>` for each method it serves; it sees the
     request as `path` and `headers` (a dict keyed by lowercased name), and
-    the host's state as `self.server.backing` or `self.server.service`.
+    the host's state as `self.server.backing`.
     """
 
     server_version = "r2o"
@@ -458,11 +458,10 @@ class Server(socketserver.ThreadingTCPServer):
     """A running HTTP server: bound and accepting on its own thread once
     built, and a context manager that shuts it down.
 
-    Handlers reach the host's state as `self.server.backing` (a store) or
-    `self.server.service` (the first party). A failed bind raises the
-    OSError from the bind. The listen backlog is sized for a page's burst
-    of connects; the default of 5 drops SYNs, which then wait out a 1 s
-    retransmit.
+    Handlers reach the host's state, a store or the first-party service,
+    as `self.server.backing`. A failed bind raises the OSError from the
+    bind. The listen backlog is sized for a page's burst of connects; the
+    default of 5 drops SYNs, which then wait out a 1 s retransmit.
     """
 
     allow_reuse_address = True
@@ -470,12 +469,11 @@ class Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, bind_address: tuple[str, int], handler: type[Handler],
-                 base_path: str = "", backing=None, service=None):
+                 base_path: str, backing):
         super().__init__(bind_address, handler)
         host, port = self.server_address[:2]
         self.base_url = f"http://{host}:{port}{base_path}"
         self.backing = backing
-        self.service = service
         self._live: set[socket.socket] = set()
         self._live_lock = threading.Lock()
         self._stopping = False

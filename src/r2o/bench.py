@@ -192,11 +192,10 @@ def _e2e_world(firstparty_delay: float, offsite_delay: float,
                rng: random.Random):
     service = FirstPartyService(response_delay_ms=firstparty_delay)
     provider = MemoryStore(name="bench", simulated_latency=offsite_delay)
-    client = core.InProcessFirstPartyClient(service)
     album_id = service.create_album("bench album")
-    core.write_path(_random_png(rng), None, album_id, provider, client)
+    core.write_path(_random_png(rng), None, album_id, provider, service)
     fetcher = core.InProcessFetcher(firstparty=service, providers=[provider])
-    return fetcher, client.page_url(album_id)
+    return fetcher, service.page_url(album_id)
 
 
 def bench_end_to_end(firstparty_delay: float, offsite_delay: float,

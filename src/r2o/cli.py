@@ -375,7 +375,6 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     store.seed_ids(args.seed)
-    firstparty.seed_ids(args.seed)
     try:
         cfg = load_config(args.config or os.environ.get(ENV_CONFIG))
         return args.handler(args, cfg)
@@ -389,7 +388,6 @@ def run(argv) -> int:
         return EXIT_OPERATIONAL
     finally:
         store.seed_ids(None)
-        firstparty.seed_ids(None)
 
 
 def main() -> None:

@@ -2,16 +2,20 @@
 
 The write path uploads real bytes off-site, encodes the returned locator
 into a QR pseudo-image, places that on the first party, and records the
-mapping. The read path walks page elements the other way: filter gate,
-cache lookup, pseudo fetch, decode, off-site fetch. A page's fetches run
-at once on a shared fan-out pool, so a page costs about one network round
-trip, not one per element; the pool threads only fetch. The thread
-that resolves the page takes every stand-in that has arrived, reads,
-decodes and records them back to back, and only then starts their
-off-site fetches: a fetch started between two decodes wakes a pool
-thread that takes the interpreter lock from the next one. One decode
-gate serves the whole process, so the memory held by PNG reads in flight
-is bounded however many pages resolve at once.
+mapping. The first-party client is `FirstPartyService` itself in process,
+or `HttpFirstPartyClient` over HTTP (defined in `firstparty`, beside the
+server, and re-exported here); either answers a photo's path, and the
+write path alone joins it to the client's `base_url`. The read path walks
+page elements the other way: filter gate, cache lookup, pseudo fetch,
+decode, off-site fetch. A page's fetches run at once on a shared fan-out
+pool, so a page costs about one network round trip, not one per element;
+the pool threads only fetch. The thread that resolves the page takes
+every stand-in that has arrived, reads, decodes and records them back to
+back, and only then starts their off-site fetches: a fetch started
+between two decodes wakes a pool thread that takes the interpreter lock
+from the next one. One decode gate serves the whole process, so the
+memory held by PNG reads in flight is bounded however many pages resolve
+at once.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from . import codec, rewriter
 from ._http import MAX_IDLE_PER_HOST, ConnectionPool, HttpError
 from .cache import MappingEntry, MappingsCache
 from .filter import ElementDescriptor, FilterConfig, is_candidate, make_caption
-from .firstparty import FirstPartyError, FirstPartyService, album_page_path
+from .firstparty import (FirstPartyError, FirstPartyService,
+                         HttpFirstPartyClient)  # re-exported
+from .locator import InvalidPayload, validate_locator
 from .store import ContentItem
 
 OUTCOME_REPLACED = "replaced"
@@ -103,91 +109,41 @@ class HttpFetcher:
 class InProcessFetcher:
     """Routes URLs to in-process components without sockets.
 
-    A locator under a registered provider's base goes to that provider; any
-    other URL goes through `FirstPartyService.get`, the route the HTTP first
-    party serves, so both give the same bytes, media type and misses.
-    Useful for tight latency measurements where socket noise is unwanted.
+    A URL under a registered provider's base goes to that provider, and
+    one under the first party's base through `FirstPartyService.get`, the
+    route the HTTP first party serves, so both give the same bytes, media
+    type and misses. A URL under no host's base is a miss. Useful for
+    tight latency measurements where socket noise is unwanted.
     """
 
     def __init__(self, firstparty: FirstPartyService | None = None,
                  providers=()):
-        self.firstparty = firstparty
-        self.providers = list(providers)
+        self.routes = [(p.base_url + "/", p.fetch) for p in providers]
+        if firstparty is not None:
+            self.routes.append((firstparty.base_url + "/", firstparty.get))
 
     def fetch(self, url: str) -> ContentItem:
-        for provider in self.providers:
-            if url.startswith(provider.base_url + "/"):
+        for base, route in self.routes:
+            if url.startswith(base):
                 try:
-                    return provider.fetch(url)
+                    return route(url)
                 except Exception as exc:
                     raise FetchError(str(exc)) from None
-        if self.firstparty is None:
-            raise FetchError(f"no route for {url!r}")
-        try:
-            return self.firstparty.get(url)
-        except FirstPartyError as exc:
-            raise FetchError(str(exc)) from None
-
-
-# -- first-party clients ----------------------------------------------------
-
-class InProcessFirstPartyClient:
-    """Write-side adapter over a FirstPartyService instance."""
-
-    base_url = "http://firstparty.invalid"
-
-    def __init__(self, service: FirstPartyService):
-        self.service = service
-
-    def upload_photo(self, album_id: str, item: ContentItem,
-                     caption: str) -> tuple[str, str]:
-        photo_id, static_url = self.service.upload_photo(album_id, item,
-                                                         caption)
-        return photo_id, self.base_url + static_url
-
-    def page_url(self, album_id: str) -> str:
-        return self.base_url + album_page_path(album_id)
-
-
-class HttpFirstPartyClient:
-    """Write-side adapter speaking the /fp HTTP API."""
-
-    def __init__(self, base_url: str):
-        self.base_url = base_url.rstrip("/")
-        self._pool = ConnectionPool()
-
-    def _post(self, path: str, body: bytes,
-              headers: dict[str, str]) -> bytes:
-        try:
-            resp = self._pool.request("POST", self.base_url + path,
-                                      body=body, headers=headers)
-        except HttpError as exc:
-            raise FetchError(f"POST {path} failed: {exc}") from None
-        if not 200 <= resp.status < 300:
-            raise FetchError(f"POST {path} -> {resp.status}")
-        return resp.body
-
-    def close(self) -> None:
-        """Close the kept-alive connections."""
-        self._pool.close()
-
-    def create_album(self, title: str) -> str:
-        return self._post("/fp/albums", title.encode("utf-8"),
-                          {}).decode().strip()
-
-    def upload_photo(self, album_id: str, item: ContentItem,
-                     caption: str) -> tuple[str, str]:
-        body = self._post(f"/fp/albums/{album_id}/photos", item.data,
-                          {"Content-Type": item.media_type,
-                           "X-Caption": caption})
-        photo_id, static_url = body.decode().splitlines()[:2]
-        return photo_id, self.base_url + static_url
-
-    def page_url(self, album_id: str) -> str:
-        return self.base_url + album_page_path(album_id)
+        raise FetchError(f"no route for {url!r}")
 
 
 # -- write path -------------------------------------------------------------
+
+def _photo_locator(base_url: str, path: str) -> str:
+    """A placed photo's locator: the path the first party answered, which
+    must start with '/', under its client's base URL."""
+    try:
+        if path.startswith("/"):
+            return validate_locator(base_url + path)
+    except InvalidPayload:
+        pass
+    raise FirstPartyError(f"first party answered a bad photo path {path!r}")
+
 
 def write_path(image: ContentItem, caption: str | None, album_id: str,
                offsite_provider, firstparty_client,
@@ -196,7 +152,10 @@ def write_path(image: ContentItem, caption: str | None, album_id: str,
     """Intercept content: store it off-site, place a schema first-party.
 
     The original bytes never reach the first party; on failure after the
-    off-site upload, the orphaned object is deleted.
+    off-site upload, the orphaned object is deleted. The pseudo-locator is
+    `firstparty_client.base_url` + the photo path the first party answers;
+    a path that does not start with '/', or that joins into no valid
+    locator, fails the write.
     """
     image.validate()
     offsite_locator = offsite_provider.upload(image)
@@ -204,10 +163,11 @@ def write_path(image: ContentItem, caption: str | None, album_id: str,
         pseudo = codec.encode_qr(
             codec.IndirectionPayload(locator=offsite_locator),
             qr_config or codec.QrConfig())
-        photo_id, pseudo_locator = firstparty_client.upload_photo(
+        photo_id, path = firstparty_client.upload_photo(
             album_id,
             ContentItem(data=pseudo.to_png(), media_type="image/png"),
             make_caption(caption))
+        pseudo_locator = _photo_locator(firstparty_client.base_url, path)
     except Exception:
         try:
             offsite_provider.delete(offsite_locator)

@@ -1,48 +1,47 @@
 """Simulated first-party social service: albums, photos, captions.
 
-Stands in for the social service hosting pseudo-objects. Photos are
-PNG-only and pages render deterministically. An optional response delay on
-static photo reads lets the simulator play the CDN row of the latency table.
+Stands in for the social service hosting pseudo-objects, and holds its
+`/fp` protocol whole: the service, its server and its HTTP client, as
+`store` holds a store's. Photos are PNG-only and pages render
+deterministically. An optional response delay on static photo reads lets
+the simulator play the CDN row of the latency table. The service is its
+own in-process client, under a private `.invalid` base that no reader
+can reach; `serve_firstparty` puts it behind a URL.
 """
 
 from __future__ import annotations
 
 import html
-import random
 import re
-import secrets
 import threading
 import time
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from ._http import Handler, Server
+from ._http import ConnectionPool, Handler, HttpError, Server
 from .pngheader import PNGError, read_ihdr
-from .store import LATENCY_PRESETS, ContentItem
+# `seed_ids` is re-exported: one seeded stream mints every host's ids
+from .store import LATENCY_PRESETS, ContentItem, fresh_id, seed_ids
 
+ALBUMS_PATH = "/fp/albums"
 PHOTO_PATH_PREFIX = "/fp/photos/"
 DEFAULT_RESPONSE_DELAY_MS = float(LATENCY_PRESETS["facebook_cdn"])
 
 
 def album_page_path(album_id: str) -> str:
     """The path of an album's rendered page."""
-    return f"/fp/albums/{album_id}/page"
+    return f"{ALBUMS_PATH}/{album_id}/page"
 
 
 _PHOTO_PATH_RE = re.compile(PHOTO_PATH_PREFIX + r"([0-9a-f]+)\.png")
 _PAGE_PATH_RE = re.compile(album_page_path("([0-9a-f]+)"))
 
-_id_rng: random.Random | None = None
-
-
-def seed_ids(seed: int | None) -> None:
-    """Mint album/photo ids from a seeded stream; None restores secure ids."""
-    global _id_rng
-    # the string seed keeps equal seeds from colliding across modules
-    _id_rng = None if seed is None else random.Random(f"firstparty:{seed}")
-
 
 class FirstPartyError(Exception):
+    pass
+
+
+class FirstPartyUnavailable(FirstPartyError):
     pass
 
 
@@ -76,7 +75,13 @@ class Album:
 
 
 class FirstPartyService:
-    """In-process service core; the HTTP layer is a thin adapter over it."""
+    """In-process service core; the HTTP layer is a thin adapter over it.
+
+    It is also its own client: `upload_photo` answers a photo's path, and
+    `base_url + path` is its locator, which `InProcessFetcher` routes here.
+    """
+
+    base_url = "http://firstparty.invalid"
 
     def __init__(self, response_delay_ms: float | None = DEFAULT_RESPONSE_DELAY_MS):
         self.response_delay_ms = response_delay_ms or 0.0
@@ -84,18 +89,13 @@ class FirstPartyService:
         self._photos: dict[str, PhotoObject] = {}
         self._lock = threading.RLock()
 
-    def _fresh_id(self) -> str:
-        if _id_rng is not None:
-            return f"{_id_rng.getrandbits(64):016x}"
-        return secrets.token_hex(8)
-
     # -- albums ------------------------------------------------------------
 
     def create_album(self, title: str) -> str:
         with self._lock:
-            album_id = self._fresh_id()
+            album_id = fresh_id()
             while album_id in self._albums:
-                album_id = self._fresh_id()
+                album_id = fresh_id()
             self._albums[album_id] = Album(album_id=album_id, title=title)
             return album_id
 
@@ -115,9 +115,9 @@ class FirstPartyService:
             album = self._albums.get(album_id)
             if album is None:
                 raise AlbumNotFound(album_id)
-            photo_id = self._fresh_id()
+            photo_id = fresh_id()
             while photo_id in self._photos:
-                photo_id = self._fresh_id()
+                photo_id = fresh_id()
             static_url = f"{PHOTO_PATH_PREFIX}{photo_id}.png"
             self._photos[photo_id] = PhotoObject(
                 photo_id=photo_id,
@@ -127,6 +127,9 @@ class FirstPartyService:
                 width=width, height=height)
             album.photo_ids.append(photo_id)
             return photo_id, static_url
+
+    def page_url(self, album_id: str) -> str:
+        return self.base_url + album_page_path(album_id)
 
     def get_photo(self, photo_id: str) -> PhotoObject:
         with self._lock:
@@ -197,16 +200,16 @@ class _FirstPartyHandler(Handler):
     server_version = "r2o-fp/1"
 
     def do_POST(self):
-        svc = self.server.service
+        svc = self.server.backing
         body = self._body()
         if body is None:
             return
         try:
-            if self.path == "/fp/albums":
+            if self.path == ALBUMS_PATH:
                 album_id = svc.create_album(body.decode("utf-8"))
                 self._reply(201, (album_id + "\n").encode())
                 return
-            m = re.fullmatch(r"/fp/albums/([0-9a-f]+)/photos", self.path)
+            m = re.fullmatch(ALBUMS_PATH + r"/([0-9a-f]+)/photos", self.path)
             if m:
                 caption = self.headers.get("x-caption", "")
                 item = ContentItem(data=body, media_type="image/png")
@@ -224,7 +227,7 @@ class _FirstPartyHandler(Handler):
 
     def do_GET(self):
         try:
-            item = self.server.service.get(self.path)
+            item = self.server.backing.get(self.path)
         except (AlbumNotFound, PhotoNotFound):
             self._reply(404, b"not found\n")
             return
@@ -234,5 +237,44 @@ class _FirstPartyHandler(Handler):
 def serve_firstparty(bind_address: tuple[str, int],
                      service: FirstPartyService | None = None) -> Server:
     """Serve the /fp API over HTTP, backed by `service` or a fresh one."""
-    return Server(bind_address, _FirstPartyHandler,
-                  service=service or FirstPartyService())
+    return Server(bind_address, _FirstPartyHandler, "",
+                  service or FirstPartyService())
+
+
+class HttpFirstPartyClient:
+    """Client side of the /fp API, over keep-alive connections."""
+
+    def __init__(self, base_url: str):
+        self.base_url = base_url.rstrip("/")
+        self._pool = ConnectionPool()
+
+    def _post(self, path: str, body: bytes,
+              headers: dict[str, str]) -> bytes:
+        try:
+            resp = self._pool.request("POST", self.base_url + path,
+                                      body=body, headers=headers)
+        except HttpError as exc:
+            raise FirstPartyUnavailable(f"POST {path} failed: {exc}") from None
+        if not 200 <= resp.status < 300:
+            raise FirstPartyUnavailable(f"POST {path} -> {resp.status}")
+        return resp.body
+
+    def close(self) -> None:
+        """Close the kept-alive connections."""
+        self._pool.close()
+
+    def create_album(self, title: str) -> str:
+        return self._post(ALBUMS_PATH, title.encode("utf-8"),
+                          {}).decode().strip()
+
+    def upload_photo(self, album_id: str, item: ContentItem,
+                     caption: str) -> tuple[str, str]:
+        """(photo id, photo path), as the service answers them."""
+        body = self._post(f"{ALBUMS_PATH}/{album_id}/photos", item.data,
+                          {"Content-Type": item.media_type,
+                           "X-Caption": caption})
+        photo_id, _, path = body.decode("ascii", "replace").partition("\n")
+        return photo_id, path.strip()
+
+    def page_url(self, album_id: str) -> str:
+        return self.base_url + album_page_path(album_id)

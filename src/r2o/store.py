@@ -75,13 +75,14 @@ _id_rng: random.Random | None = None
 
 
 def seed_ids(seed: int | None) -> None:
-    """Mint object ids from a seeded stream; None restores secure ids."""
+    """Mint every host's ids (store objects, first-party albums and photos)
+    from one seeded stream; None restores secure ids."""
     global _id_rng
-    # the string seed keeps equal seeds from colliding across modules
-    _id_rng = None if seed is None else random.Random(f"store:{seed}")
+    _id_rng = None if seed is None else random.Random(seed)
 
 
-def _fresh_id() -> str:
+def fresh_id() -> str:
+    """A new id of 16 lowercase hex digits."""
     if _id_rng is not None:
         return f"{_id_rng.getrandbits(4 * _ID_HEX_LEN):0{_ID_HEX_LEN}x}"
     return secrets.token_hex(_ID_HEX_LEN // 2)
@@ -152,9 +153,9 @@ class MemoryStore(_LocalStore):
         self._check_size(item)
         self._sleep_floor()
         with self._lock:
-            oid = _fresh_id()
+            oid = fresh_id()
             while oid in self._objects:
-                oid = _fresh_id()
+                oid = fresh_id()
             self._objects[oid] = (bytes(item.data), item.media_type)
         return self._locator_for(oid)
 
@@ -192,9 +193,9 @@ class FilesystemStore(_LocalStore):
         self._check_size(item)
         self._sleep_floor()
         with self._lock:
-            oid = _fresh_id()
+            oid = fresh_id()
             while (self.root / oid).exists():
-                oid = _fresh_id()
+                oid = fresh_id()
             (self.root / oid).write_bytes(item.data)
             (self.root / f"{oid}.meta").write_text(item.media_type + "\n")
         return self._locator_for(oid)
@@ -278,7 +279,7 @@ class _StoreHandler(Handler):
 def serve_store(bind_address: tuple[str, int],
                 backing: _ProviderBase) -> Server:
     """Serve the v1 object protocol on bind_address backed by a provider."""
-    return Server(bind_address, _StoreHandler, OBJECTS_PATH, backing=backing)
+    return Server(bind_address, _StoreHandler, OBJECTS_PATH, backing)
 
 
 class HttpStoreClient(_ProviderBase):

@@ -19,7 +19,6 @@ from r2o.cache import CacheConfig, MappingEntry, MappingsCache
 from r2o.codec.png import write_png
 from r2o.core import (
     InProcessFetcher,
-    InProcessFirstPartyClient,
     read_path,
     resolve_page,
     write_path,
@@ -61,7 +60,7 @@ class World:
     def __init__(self, delay_ms=0.0, latency_ms=None):
         self.service = FirstPartyService(response_delay_ms=delay_ms)
         self.store = MemoryStore(name="offsite", simulated_latency=latency_ms)
-        self.client = InProcessFirstPartyClient(self.service)
+        self.client = self.service
         self.fetcher = InProcessFetcher(
             firstparty=self.service, providers=[self.store])
         self.album = self.service.create_album("gate")
@@ -441,6 +440,7 @@ class RecordingFirstPartyClient:
 
     def __init__(self, inner):
         self.inner = inner
+        self.base_url = inner.base_url
         self.payloads: list[bytes] = []
 
     def upload_photo(self, album_id, item, caption):

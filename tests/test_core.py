@@ -19,7 +19,6 @@ from r2o.core import (
     VIA_CACHE_HIT,
     VIA_DECODED,
     InProcessFetcher,
-    InProcessFirstPartyClient,
     PageUnreachable,
     read_path,
     resolve_page,
@@ -44,7 +43,7 @@ class World:
     def __init__(self, delay_ms=0.0, latency_ms=None):
         self.service = FirstPartyService(response_delay_ms=delay_ms)
         self.store = MemoryStore(name="offsite", simulated_latency=latency_ms)
-        self.client = InProcessFirstPartyClient(self.service)
+        self.client = self.service
         self.fetcher = InProcessFetcher(
             firstparty=self.service, providers=[self.store])
         self.album = self.service.create_album("vacation")

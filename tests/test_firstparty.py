@@ -8,18 +8,19 @@ import urllib.request
 import numpy as np
 import pytest
 
-from r2o import firstparty
+from r2o import codec, firstparty
 from r2o.codec.png import write_png
-from r2o.core import FetchError, HttpFetcher, InProcessFetcher
+from r2o.core import FetchError, HttpFetcher, InProcessFetcher, write_path
 from r2o.firstparty import (
     AlbumNotFound,
     FirstPartyService,
+    HttpFirstPartyClient,
     PhotoNotFound,
     UnsupportedMediaType,
     album_page_path,
     serve_firstparty,
 )
-from r2o.store import ContentItem
+from r2o.store import ContentItem, MemoryStore
 
 
 def png_item(edge=96, seed=0):
@@ -228,7 +229,9 @@ def test_upload_refuses_png_without_leading_ihdr(svc, served):
 
 
 def test_in_process_and_http_reads_share_one_route():
-    """The same URLs give the same bytes and media type, or fail, on both."""
+    """The same paths give the same bytes and media type, or fail, on both,
+    each under its own base; a write through either client places a
+    stand-in that its transport reads back."""
     svc = FirstPartyService(response_delay_ms=0)
     album = svc.create_album("parity")
     _, photo = svc.upload_photo(album, png_item(), "")
@@ -237,19 +240,35 @@ def test_in_process_and_http_reads_share_one_route():
              (f"{page}?x", True), (f"{page}/", False),
              (f"/fp/photos/{'0' * 16}.png", False),
              (album_page_path("0" * 16), False)]
-    fetchers = (InProcessFetcher(firstparty=svc), HttpFetcher())
+    foreign = "http://127.0.0.1:9"  # under no host's base
+
+    def read(fetcher, url):
+        try:
+            item = fetcher.fetch(url)
+        except FetchError:
+            return None
+        return item.data, item.media_type
+
     with serve_firstparty(("127.0.0.1", 0), svc) as served:
+        transports = [(svc, InProcessFetcher(firstparty=svc)),
+                      (HttpFirstPartyClient(served.base_url), HttpFetcher())]
         try:
             for path, found in cases:
-                got = []
-                for fetcher in fetchers:
-                    try:
-                        item = fetcher.fetch(served.base_url + path)
-                    except FetchError:
-                        got.append(None)
-                    else:
-                        got.append((item.data, item.media_type))
+                got = [read(fetcher, client.base_url + path)
+                       for client, fetcher in transports]
                 assert got[0] == got[1], path
                 assert (got[0] is not None) == found, path
+            for client, fetcher in transports:
+                assert read(fetcher, foreign + photo) is None
+                receipt = write_path(png_item(seed=1), "parity", album,
+                                     MemoryStore(), client)
+                assert receipt.pseudo_locator == (
+                    f"{client.base_url}/fp/photos/{receipt.photo_id}.png")
+                item = fetcher.fetch(receipt.pseudo_locator)
+                assert item.media_type == "image/png"
+                assert codec.decode_qr(codec.PseudoImage.from_png(
+                    item.data)).locator == receipt.offsite_locator
         finally:
-            fetchers[1].close()
+            for client, fetcher in transports[1:]:
+                client.close()
+                fetcher.close()

@@ -25,7 +25,12 @@ from r2o.core import (
     write_path,
 )
 from r2o.filter import ElementDescriptor
-from r2o.firstparty import FirstPartyService, serve_firstparty
+from r2o.firstparty import (
+    FirstPartyError,
+    FirstPartyService,
+    FirstPartyUnavailable,
+    serve_firstparty,
+)
 from r2o.store import (
     MAX_PAYLOAD_DEFAULT,
     ContentItem,
@@ -522,11 +527,35 @@ def test_caption_outside_latin1_fails_the_write_and_deletes(fp_server):
             offsite.delete(locator)
 
     album = fp.create_album("euro")
-    with pytest.raises(FetchError, match="not latin-1"):
+    with pytest.raises(FirstPartyUnavailable, match="not latin-1"):
         write_path(png_item(3), "5\u20ac", album, SpyingStore(), fp)
     assert len(uploaded) == 1
     with pytest.raises(NotFound):
         offsite.fetch(uploaded[0])
+
+
+@pytest.mark.parametrize("path", ["@evil.example/x", "evil.example/x",
+                                  '/x"onerror="alert(1)', ""])
+def test_a_photo_path_off_the_first_partys_base_fails_the_write(path):
+    # joined to the base URL, "@evil.example/x" names another host
+    class OffBase(_http.Handler):
+        def do_POST(self):
+            self._body()
+            if self.path == "/fp/albums":
+                self._reply(201, b"00000000000000aa\n")
+            else:
+                self._reply(201, f"00000000000000bb\n{path}\n".encode())
+
+    offsite = MemoryStore(name="offsite")
+    with _http.Server(("127.0.0.1", 0), OffBase, "", None) as server:
+        fp = HttpFirstPartyClient(server.base_url)
+        try:
+            album = fp.create_album("evil")
+            with pytest.raises(FirstPartyError, match="photo path"):
+                write_path(png_item(4), "x", album, offsite, fp)
+        finally:
+            fp.close()
+    assert len(offsite) == 0
 
 
 def _send_raw(base_url: str, data: bytes) -> bytes:

@@ -1,4 +1,5 @@
-"""Layering: the modules under core load no codec, and import at the top."""
+"""Layering: the modules under core load no codec, import at the top, and
+only `firstparty` speaks the /fp protocol."""
 
 import ast
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 
 import r2o
+from r2o import core, firstparty
 
 PACKAGE = pathlib.Path(r2o.__file__).parent
 
@@ -54,3 +56,19 @@ def test_the_only_function_level_import_is_https_ssl():
                   ast.parse(path.read_text(encoding="utf-8")))
               if in_function]
     assert inside == [("_http.py", "ssl")]
+
+
+def test_only_firstparty_spells_the_album_routes():
+    # the /fp protocol is written and read in one module
+    holders = sorted(
+        str(path.relative_to(PACKAGE))
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "/fp/albums" in node.value)
+    assert set(holders) == {"firstparty.py"}
+
+
+def test_core_reexports_the_first_party_client_class():
+    # a patch on either name reaches the client that callers build
+    assert core.HttpFirstPartyClient is firstparty.HttpFirstPartyClient
