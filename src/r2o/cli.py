@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import bench, codec, core, firstparty, store
-from .cache import CacheConfig, MappingsCache, UnsupportedVersion
+from .cache import CacheConfig, MappingsCache
 from .filter import FilterConfig
 from .locator import validate_locator
 from .store import ContentItem
@@ -71,7 +71,7 @@ def _csv_tuple(raw: str) -> tuple[str, ...]:
 # the keys each section may set, with the cast that reads each value
 _SECTIONS = {
     "r2o": {"firstparty_url": str},
-    "filter": {"path_prefixes": _csv_tuple, "min_edge": int, "max_edge": int},
+    "filter": {"path_prefixes": _csv_tuple},
     "cache": {"n_frequent": int, "m_recent": int},
     "qr": {"ec_level": str, "target_size": int},
 }
@@ -218,12 +218,13 @@ def _cmd_encode(args, cfg: Config) -> int:
     qr = cfg.qr
     if args.ec_level:
         qr = replace(qr, ec_level=args.ec_level)
-    if args.target_size:
+    if args.target_size is not None:
         qr = replace(qr, target_size=args.target_size)
     try:
         image = codec.encode_qr(codec.IndirectionPayload(locator=args.url),
                                 qr)
-    except (codec.InvalidPayload, codec.CapacityExceeded) as exc:
+    except (codec.InvalidPayload, codec.CapacityExceeded,
+            codec.TargetTooSmall) as exc:
         raise UsageError(str(exc)) from None
     Path(args.out).write_bytes(image.to_png())
     print(f"wrote {args.out} ({image.width}x{image.height} px)")
@@ -382,8 +383,7 @@ def run(argv) -> int:
         print(f"r2o: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (core.CoreError, store.StoreError, firstparty.FirstPartyError,
-            codec.CodecError, codec.PNGError, UnsupportedVersion,
-            OSError, ValueError) as exc:
+            codec.CodecError, OSError, ValueError) as exc:
         print(f"r2o: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
     finally:

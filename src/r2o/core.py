@@ -1,7 +1,8 @@
 """Write/read orchestration: content out to the store, schemata in its place.
 
 The write path uploads real bytes off-site, encodes the returned locator
-into a QR pseudo-image, places that on the first party, and records the
+into a QR pseudo-image whose edge every reader accepts (`filter.MIN_EDGE`
+to `filter.MAX_EDGE`), places that on the first party, and records the
 mapping. The first-party client is `FirstPartyService` itself in process,
 or `HttpFirstPartyClient` over HTTP (defined in `firstparty`, beside the
 server, and re-exported here); either answers a photo's path, and the
@@ -15,7 +16,8 @@ back, and only then starts their off-site fetches: a fetch started
 between two decodes wakes a pool thread that takes the interpreter lock
 from the next one. One decode gate serves the whole process, so the
 memory held by PNG reads in flight is bounded however many pages resolve
-at once.
+at once. A fetched object's media type is its host's Content-Type as sent,
+over HTTP and in process alike, so inlining decides the same on both.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from urllib.parse import urljoin
 from . import codec, rewriter
 from ._http import MAX_IDLE_PER_HOST, ConnectionPool, HttpError
 from .cache import MappingEntry, MappingsCache
-from .filter import ElementDescriptor, FilterConfig, is_candidate, make_caption
+from .filter import (MAX_EDGE, MIN_EDGE, ElementDescriptor, FilterConfig,
+                     is_candidate, make_caption)
 from .firstparty import (FirstPartyError, FirstPartyService,
                          HttpFirstPartyClient)  # re-exported
 from .locator import InvalidPayload, validate_locator
@@ -98,8 +101,7 @@ class HttpFetcher:
             raise FetchError(f"GET {url} failed: {exc}") from None
         if resp.status != 200:
             raise FetchError(f"GET {url} -> {resp.status}")
-        return ContentItem(data=resp.body,
-                           media_type=resp.content_type.split(";")[0])
+        return ContentItem(data=resp.body, media_type=resp.content_type)
 
     def close(self) -> None:
         """Close the kept-alive connections."""
@@ -152,17 +154,21 @@ def write_path(image: ContentItem, caption: str | None, album_id: str,
     """Intercept content: store it off-site, place a schema first-party.
 
     The original bytes never reach the first party; on failure after the
-    off-site upload, the orphaned object is deleted. The pseudo-locator is
-    `firstparty_client.base_url` + the photo path the first party answers;
-    a path that does not start with '/', or that joins into no valid
-    locator, fails the write.
+    off-site upload, the orphaned object is deleted. A `target_size`
+    outside the filter's edges fails before the upload. The pseudo-locator
+    is `firstparty_client.base_url` + the photo path the first party
+    answers; a path that does not start with '/', or that joins into no
+    valid locator, fails the write.
     """
     image.validate()
+    qr_config = qr_config or codec.QrConfig()
+    if not MIN_EDGE <= qr_config.target_size <= MAX_EDGE:
+        raise ValueError(f"target_size {qr_config.target_size} is outside "
+                         f"the stand-in edges {MIN_EDGE}-{MAX_EDGE}")
     offsite_locator = offsite_provider.upload(image)
     try:
         pseudo = codec.encode_qr(
-            codec.IndirectionPayload(locator=offsite_locator),
-            qr_config or codec.QrConfig())
+            codec.IndirectionPayload(locator=offsite_locator), qr_config)
         photo_id, path = firstparty_client.upload_photo(
             album_id,
             ContentItem(data=pseudo.to_png(), media_type="image/png"),
@@ -195,8 +201,7 @@ _DECODE_SLOTS = 8
 _decode_gate = threading.BoundedSemaphore(_DECODE_SLOTS)
 
 
-def _decode(e: ElementDescriptor, fetched: Future,
-            max_edge: int) -> Resolution | str:
+def _decode(e: ElementDescriptor, fetched: Future) -> Resolution | str:
     """The off-site locator in a fetched stand-in, or its final Resolution."""
     try:
         data = fetched.result().data
@@ -204,10 +209,10 @@ def _decode(e: ElementDescriptor, fetched: Future,
         return Resolution(e, OUTCOME_FAILED, reason=str(exc))
     with _decode_gate:
         try:
-            image = codec.PseudoImage.from_png(data, max_edge=max_edge)
+            image = codec.PseudoImage.from_png(data, max_edge=MAX_EDGE)
         except codec.PNGTooLarge:
             return Resolution(e, OUTCOME_NOT_INDIRECTION,
-                              reason=f"pseudo-image edge above {max_edge}")
+                              reason=f"pseudo-image edge above {MAX_EDGE}")
         except codec.PNGError:
             return Resolution(e, OUTCOME_NOT_INDIRECTION,
                               reason="not a PNG pseudo-object")
@@ -230,7 +235,7 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
     that has arrived, in element order, each under the process-wide gate
     of 8, and then submits their off-site fetches; a cache hit goes
     straight to its off-site fetch. A stand-in whose PNG header declares
-    an edge above `filter_cfg.max_edge` is refused before its pixels are
+    an edge above `MAX_EDGE` is refused before its pixels are
     inflated, whatever the page's width and height attributes said. No
     fetch outlives the call, even when it raises.
     """
@@ -259,7 +264,7 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
             located = []
             for fut in sorted(arrived, key=pseudo.get):
                 i = pseudo[fut]
-                found = _decode(elements[i], fut, filter_cfg.max_edge)
+                found = _decode(elements[i], fut)
                 if isinstance(found, Resolution):
                     results[i] = found
                     continue

@@ -8,8 +8,9 @@ decode failure remains the backstop for false positives.
 The rules that say what a stand-in looks like are fixed, because every
 reader must recognise every publisher's stand-ins without help from the
 host: a caption, when present, holds `CAPTION_MARKER`; a GIF is never a
-stand-in; and an element whose width and height are known is square. Only
-the deployment's photo path prefixes and the edge bounds are configured.
+stand-in; and an element whose width and height are known is square,
+with an edge from `MIN_EDGE` to `MAX_EDGE`, as the write path draws it.
+Only the deployment's photo path prefixes are configured.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 CAPTION_MARKER = "r2o:1"
+MIN_EDGE = 64
+MAX_EDGE = 1024
 EXCLUDED_SUBTYPES = frozenset({"gif"})
 
 # rule names, cheapest first; the first failing rule is reported
@@ -40,14 +43,10 @@ class ElementDescriptor:
 @dataclass(frozen=True)
 class FilterConfig:
     path_prefixes: tuple[str, ...] = ("/fp/photos/",)
-    min_edge: int = 64
-    max_edge: int = 1024
 
     def __post_init__(self):
         if not self.path_prefixes:
             raise ValueError("path_prefixes must be non-empty")
-        if self.min_edge > self.max_edge:
-            raise ValueError("min_edge must not exceed max_edge")
         object.__setattr__(self, "path_prefixes", tuple(self.path_prefixes))
 
 
@@ -78,8 +77,8 @@ def is_candidate(e: ElementDescriptor, cfg: FilterConfig) -> Decision:
         return Decision(False, RULE_SUBTYPE)
     dims_known = e.width > 0 and e.height > 0
     if dims_known:
-        if not (cfg.min_edge <= e.width <= cfg.max_edge
-                and cfg.min_edge <= e.height <= cfg.max_edge):
+        if not (MIN_EDGE <= e.width <= MAX_EDGE
+                and MIN_EDGE <= e.height <= MAX_EDGE):
             return Decision(False, RULE_BOUNDS)
         if e.width != e.height:
             return Decision(False, RULE_ASPECT)

@@ -3,10 +3,11 @@
 Stands in for the social service hosting pseudo-objects, and holds its
 `/fp` protocol whole: the service, its server and its HTTP client, as
 `store` holds a store's. Photos are PNG-only and pages render
-deterministically. An optional response delay on static photo reads lets
-the simulator play the CDN row of the latency table. The service is its
-own in-process client, under a private `.invalid` base that no reader
-can reach; `serve_firstparty` puts it behind a URL.
+deterministically. Ids are `store.ID_PATTERN`'s on every route and in
+every answer the client takes. An optional response delay on static
+photo reads lets the simulator play the CDN row of the latency table. The
+service is its own in-process client, under a private `.invalid` base
+that no reader can reach; `serve_firstparty` puts it behind a URL.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from urllib.parse import urlsplit
 from ._http import ConnectionPool, Handler, HttpError, Server
 from .pngheader import PNGError, read_ihdr
 # `seed_ids` is re-exported: one seeded stream mints every host's ids
-from .store import LATENCY_PRESETS, ContentItem, fresh_id, seed_ids
+from .store import ID_PATTERN, LATENCY_PRESETS, ContentItem, fresh_id, seed_ids
 
 ALBUMS_PATH = "/fp/albums"
 PHOTO_PATH_PREFIX = "/fp/photos/"
@@ -33,8 +34,9 @@ def album_page_path(album_id: str) -> str:
     return f"{ALBUMS_PATH}/{album_id}/page"
 
 
-_PHOTO_PATH_RE = re.compile(PHOTO_PATH_PREFIX + r"([0-9a-f]+)\.png")
-_PAGE_PATH_RE = re.compile(album_page_path("([0-9a-f]+)"))
+_PHOTO_PATH_RE = re.compile(f"{PHOTO_PATH_PREFIX}({ID_PATTERN.pattern})\\.png")
+_PAGE_PATH_RE = re.compile(album_page_path(f"({ID_PATTERN.pattern})"))
+_UPLOAD_PATH_RE = re.compile(f"{ALBUMS_PATH}/({ID_PATTERN.pattern})/photos")
 
 
 class FirstPartyError(Exception):
@@ -84,6 +86,8 @@ class FirstPartyService:
     base_url = "http://firstparty.invalid"
 
     def __init__(self, response_delay_ms: float | None = DEFAULT_RESPONSE_DELAY_MS):
+        if response_delay_ms is not None and response_delay_ms < 0:
+            raise ValueError("response_delay_ms must be >= 0")
         self.response_delay_ms = response_delay_ms or 0.0
         self._albums: dict[str, Album] = {}
         self._photos: dict[str, PhotoObject] = {}
@@ -93,9 +97,7 @@ class FirstPartyService:
 
     def create_album(self, title: str) -> str:
         with self._lock:
-            album_id = fresh_id()
-            while album_id in self._albums:
-                album_id = fresh_id()
+            album_id = fresh_id(self._albums.__contains__)
             self._albums[album_id] = Album(album_id=album_id, title=title)
             return album_id
 
@@ -115,9 +117,7 @@ class FirstPartyService:
             album = self._albums.get(album_id)
             if album is None:
                 raise AlbumNotFound(album_id)
-            photo_id = fresh_id()
-            while photo_id in self._photos:
-                photo_id = fresh_id()
+            photo_id = fresh_id(self._photos.__contains__)
             static_url = f"{PHOTO_PATH_PREFIX}{photo_id}.png"
             self._photos[photo_id] = PhotoObject(
                 photo_id=photo_id,
@@ -209,7 +209,7 @@ class _FirstPartyHandler(Handler):
                 album_id = svc.create_album(body.decode("utf-8"))
                 self._reply(201, (album_id + "\n").encode())
                 return
-            m = re.fullmatch(ALBUMS_PATH + r"/([0-9a-f]+)/photos", self.path)
+            m = _UPLOAD_PATH_RE.fullmatch(self.path)
             if m:
                 caption = self.headers.get("x-caption", "")
                 item = ContentItem(data=body, media_type="image/png")
@@ -249,7 +249,8 @@ class HttpFirstPartyClient:
         self._pool = ConnectionPool()
 
     def _post(self, path: str, body: bytes,
-              headers: dict[str, str]) -> bytes:
+              headers: dict[str, str]) -> tuple[str, str]:
+        """(the answered id, the rest of the answer); refuses a bad id."""
         try:
             resp = self._pool.request("POST", self.base_url + path,
                                       body=body, headers=headers)
@@ -257,24 +258,26 @@ class HttpFirstPartyClient:
             raise FirstPartyUnavailable(f"POST {path} failed: {exc}") from None
         if not 200 <= resp.status < 300:
             raise FirstPartyUnavailable(f"POST {path} -> {resp.status}")
-        return resp.body
+        text = resp.body.decode("ascii", "replace")
+        answered, _, rest = text.partition("\n")
+        if not ID_PATTERN.fullmatch(answered):
+            raise FirstPartyUnavailable(
+                f"POST {path} answered a bad id {answered!r}")
+        return answered, rest.strip()
 
     def close(self) -> None:
         """Close the kept-alive connections."""
         self._pool.close()
 
     def create_album(self, title: str) -> str:
-        return self._post(ALBUMS_PATH, title.encode("utf-8"),
-                          {}).decode().strip()
+        return self._post(ALBUMS_PATH, title.encode("utf-8"), {})[0]
 
     def upload_photo(self, album_id: str, item: ContentItem,
                      caption: str) -> tuple[str, str]:
         """(photo id, photo path), as the service answers them."""
-        body = self._post(f"{ALBUMS_PATH}/{album_id}/photos", item.data,
+        return self._post(f"{ALBUMS_PATH}/{album_id}/photos", item.data,
                           {"Content-Type": item.media_type,
                            "X-Caption": caption})
-        photo_id, _, path = body.decode("ascii", "replace").partition("\n")
-        return photo_id, path.strip()
 
     def page_url(self, album_id: str) -> str:
         return self.base_url + album_page_path(album_id)

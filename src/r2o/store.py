@@ -1,22 +1,25 @@
 """Pluggable off-site content hosting with simulated latency.
 
 Three interchangeable providers (in-memory, filesystem, HTTP client) speak
-one locator shape: <base_url>/<16-hex-id>. The HTTP pieces implement the v1
-object protocol on r2o's one HTTP layer (`_http`): a keep-alive server
-scaffold and a pooled client over r2o's own HTTP/1.1 wire code, so
-desk-scale measurements cross a real socket. Latency floors are a
-pre-response sleep of exactly the configured duration.
+one locator shape: <base_url>/<id>, where every host's ids (the first
+party's too) come from `fresh_id` and match `ID_PATTERN`. The HTTP pieces
+implement the v1 object protocol on r2o's one HTTP layer (`_http`): a
+keep-alive server scaffold and a pooled client over r2o's own HTTP/1.1
+wire code, so desk-scale measurements cross a real socket. Latency floors
+are a pre-response sleep of exactly the configured duration.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import secrets
 import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 from urllib.parse import urljoin
 
 from ._http import (
@@ -30,6 +33,7 @@ from .locator import InvalidPayload, validate_locator
 
 OBJECTS_PATH = "/v1/objects"
 _ID_HEX_LEN = 16
+ID_PATTERN = re.compile("[0-9a-f]{%d}" % _ID_HEX_LEN)
 
 # median retrieval times of popular image hosts, ms; shipped as presets
 LATENCY_PRESETS = {
@@ -81,16 +85,15 @@ def seed_ids(seed: int | None) -> None:
     _id_rng = None if seed is None else random.Random(seed)
 
 
-def fresh_id() -> str:
-    """A new id of 16 lowercase hex digits."""
-    if _id_rng is not None:
-        return f"{_id_rng.getrandbits(4 * _ID_HEX_LEN):0{_ID_HEX_LEN}x}"
-    return secrets.token_hex(_ID_HEX_LEN // 2)
-
-
-def _is_valid_id(oid: str) -> bool:
-    return (len(oid) == _ID_HEX_LEN
-            and all(c in "0123456789abcdef" for c in oid))
+def fresh_id(taken: Callable[[str], bool]) -> str:
+    """A new id matching `ID_PATTERN` that is not `taken`."""
+    while True:
+        if _id_rng is not None:
+            oid = f"{_id_rng.getrandbits(4 * _ID_HEX_LEN):0{_ID_HEX_LEN}x}"
+        else:
+            oid = secrets.token_hex(_ID_HEX_LEN // 2)
+        if not taken(oid):
+            return oid
 
 
 class _ProviderBase:
@@ -123,7 +126,7 @@ class _ProviderBase:
         if not locator.startswith(prefix):
             raise NotFound(f"locator {locator!r} is not under {self.base_url}")
         oid = locator[len(prefix):]
-        if not _is_valid_id(oid):
+        if not ID_PATTERN.fullmatch(oid):
             raise NotFound(f"malformed object id {oid!r}")
         return oid
 
@@ -153,9 +156,7 @@ class MemoryStore(_LocalStore):
         self._check_size(item)
         self._sleep_floor()
         with self._lock:
-            oid = fresh_id()
-            while oid in self._objects:
-                oid = fresh_id()
+            oid = fresh_id(self._objects.__contains__)
             self._objects[oid] = (bytes(item.data), item.media_type)
         return self._locator_for(oid)
 
@@ -193,9 +194,7 @@ class FilesystemStore(_LocalStore):
         self._check_size(item)
         self._sleep_floor()
         with self._lock:
-            oid = fresh_id()
-            while (self.root / oid).exists():
-                oid = fresh_id()
+            oid = fresh_id(lambda oid: (self.root / oid).exists())
             (self.root / oid).write_bytes(item.data)
             (self.root / f"{oid}.meta").write_text(item.media_type + "\n")
         return self._locator_for(oid)
@@ -230,7 +229,7 @@ class _StoreHandler(Handler):
         if not self.path.startswith(prefix):
             return None
         oid = self.path[len(prefix):]
-        return oid if _is_valid_id(oid) else None
+        return oid if ID_PATTERN.fullmatch(oid) else None
 
     def do_POST(self):
         if self.path != OBJECTS_PATH:

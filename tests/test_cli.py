@@ -141,6 +141,16 @@ def test_encode_decode_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == url
 
 
+@pytest.mark.parametrize("size", ["0", "10"])
+def test_encode_refuses_a_target_size_that_holds_no_symbol(tmp_path, capsys,
+                                                           size):
+    out = tmp_path / "sym.png"
+    assert cli.run(["encode", "http://a.example/x", "--out", str(out),
+                    "--target-size", size]) == cli.EXIT_USAGE
+    assert "cannot hold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_encode_ec_level_choices(tmp_path, capsys):
     out = tmp_path / "sym.png"
     assert cli.run(["encode", "http://a.example/x", "--out", str(out),
@@ -160,7 +170,6 @@ def test_load_config_sections(tmp_path):
         "firstparty_url = http://fp.example:9\n"
         "[filter]\n"
         "path_prefixes = /fp/photos/, /mirror/\n"
-        "min_edge = 32\n"
         "[cache]\n"
         "n_frequent = 7\n"
         "m_recent = 9\n"
@@ -172,7 +181,6 @@ def test_load_config_sections(tmp_path):
     cfg = cli.load_config(str(path))
     assert cfg.firstparty_url == "http://fp.example:9"
     assert cfg.filter.path_prefixes == ("/fp/photos/", "/mirror/")
-    assert cfg.filter.min_edge == 32
     assert cfg.cache.n_frequent == 7 and cfg.cache.m_recent == 9
     assert cfg.qr.ec_level == "Q" and cfg.qr.target_size == 256
     assert cfg.providers == {"lab": "http://127.0.0.1:9/v1/objects"}
@@ -228,6 +236,8 @@ def test_load_config_rejects_bad_values(tmp_path):
     ("[filter]\nrequire_square = no\n", "'require_square' in [filter]"),
     ("[filter]\nexcluded_subtypes = bmp\n",
      "'excluded_subtypes' in [filter]"),
+    ("[filter]\nmin_edge = 32\n", "'min_edge' in [filter]"),
+    ("[filter]\nmax_edge = 2048\n", "'max_edge' in [filter]"),
     ("[qrr]\nec_level = H\n", "[qrr]"),
     ("[provider:lab]\nkind = memory\nlatancy = 4\n",
      "'kind' in [provider:lab]"),

@@ -24,7 +24,7 @@ from r2o.core import (
     resolve_page,
     write_path,
 )
-from r2o.filter import ElementDescriptor, FilterConfig
+from r2o.filter import ElementDescriptor
 from r2o.firstparty import FirstPartyService
 from r2o.store import ContentItem, MemoryStore, NotFound
 from recording_fetcher import RecordingFetcher
@@ -114,6 +114,23 @@ def test_write_path_cleans_orphan_on_firstparty_failure():
     assert len(uploaded) == 1
     with pytest.raises(NotFound):
         w.store.fetch(uploaded[0])
+
+
+@pytest.mark.parametrize("outside, inside", [(63, 64), (1025, 1024)])
+def test_write_path_draws_only_stand_ins_a_reader_takes(outside, inside):
+    # the stand-in is target_size pixels square, and a default reader
+    # skips one whose edge is outside MIN_EDGE..MAX_EDGE
+    w = World()
+    with pytest.raises(ValueError, match=f"target_size {outside} "):
+        write_path(png_item(), "c", w.album, w.store, w.client,
+                   qr_config=codec.QrConfig(target_size=outside))
+    page_url = w.client.page_url(w.album)
+    assert len(w.store) == 0
+    assert b"<img" not in w.fetcher.fetch(page_url).data
+    receipt = write_path(png_item(), "c", w.album, w.store, w.client,
+                         qr_config=codec.QrConfig(target_size=inside))
+    out = resolve_page(page_url, w.fetcher)
+    assert f'src="{receipt.offsite_locator}"'.encode() in out
 
 
 def test_write_path_without_cache_is_fine():
@@ -233,7 +250,7 @@ def test_read_path_refuses_stand_in_above_edge_limit():
             return bomb
 
     # the page claims 512 x 512, which passes the filter; the PNG header
-    # says 4096 x 4096, above FilterConfig().max_edge
+    # says 4096 x 4096, above filter.MAX_EDGE
     elem = ElementDescriptor(source_url="http://fp.example/fp/photos/x.png",
                              width=512, height=512, media_subtype="png",
                              caption="r2o:1 bomb")
@@ -242,9 +259,6 @@ def test_read_path_refuses_stand_in_above_edge_limit():
     assert time.perf_counter() - t0 < 0.5
     assert res.outcome == OUTCOME_NOT_INDIRECTION
     assert res.reason == "pseudo-image edge above 1024"
-    (res,) = read_path([elem], FilterConfig(max_edge=600), MappingsCache(),
-                       BombFetcher())
-    assert res.reason == "pseudo-image edge above 600"
 
 
 def test_read_path_refuses_paeth_stand_in_fast():

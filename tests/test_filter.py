@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from r2o.filter import (
     CANDIDATE,
     CAPTION_MARKER,
+    MAX_EDGE,
+    MIN_EDGE,
     RULE_ASPECT,
     RULE_BOUNDS,
     RULE_CAPTION,
@@ -95,8 +97,6 @@ def test_rule_order_reports_first_failure():
 def test_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(path_prefixes=())
-    with pytest.raises(ValueError):
-        FilterConfig(min_edge=100, max_edge=50)
 
 
 def test_custom_config():
@@ -123,8 +123,8 @@ def test_write_read_agreement():
 def test_property_square_gate(width, height):
     d = is_candidate(elem(width=width, height=height, caption=None), CFG)
     known = width > 0 and height > 0
-    in_bounds = (CFG.min_edge <= width <= CFG.max_edge
-                 and CFG.min_edge <= height <= CFG.max_edge)
+    in_bounds = (MIN_EDGE <= width <= MAX_EDGE
+                 and MIN_EDGE <= height <= MAX_EDGE)
     if not known:
         assert d
     elif not in_bounds:

@@ -81,6 +81,8 @@ def test_photo_id_from_path(svc):
         svc.photo_id_from_path("/elsewhere/abc.png")
     with pytest.raises(PhotoNotFound):
         svc.photo_id_from_path("/fp/photos/abc.jpg")
+    with pytest.raises(PhotoNotFound):
+        svc.photo_id_from_path("/fp/photos/abc.png")
 
 
 def test_album_page_is_deterministic_and_escaped(svc):
@@ -122,6 +124,8 @@ def test_response_delay_applies_only_to_photo_reads():
     svc.get_photo_bytes(photo_id)
     read_ms = (time.perf_counter() - t0) * 1000
     assert read_ms >= 60
+    with pytest.raises(ValueError, match="response_delay_ms must be >= 0"):
+        FirstPartyService(response_delay_ms=-5)
 
 
 def test_seeded_ids_are_reproducible():

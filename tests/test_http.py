@@ -150,19 +150,21 @@ def test_second_resolve_of_a_page_opens_no_connection(store_server,
 
 def test_inline_refuses_markup_in_the_stores_content_type(store_server,
                                                           fp_server):
-    # over HTTP the off-site media type is the store's Content-Type
+    # over HTTP the off-site media type is the store's Content-Type as
+    # sent, so "image/png;q=1" is no image/<token> here either
     server, _ = store_server
     fp = HttpFirstPartyClient(fp_server.base_url)
     offsite = HttpStoreClient(server.base_url)
     fetcher = HttpFetcher()
     try:
         album = fp.create_album("inline")
-        evil = write_path(ContentItem(data=png_item(2).data,
-                                      media_type='image/png"onerror="x'),
-                          "evil", album, offsite, fp)
+        for media_type in ('image/png"onerror="x', "image/png;q=1"):
+            refused = write_path(ContentItem(data=png_item(2).data,
+                                             media_type=media_type),
+                                 "refused", album, offsite, fp)
+            assert fetcher.fetch(refused.offsite_locator).media_type == \
+                media_type
         write_path(png_item(3), "ok", album, offsite, fp)
-        assert fetcher.fetch(evil.offsite_locator).media_type == \
-            'image/png"onerror="x'
         original = fetcher.fetch(fp.page_url(album)).data
         out = resolve_page(fp.page_url(album), fetcher, inline=True)
     finally:
@@ -170,8 +172,8 @@ def test_inline_refuses_markup_in_the_stores_content_type(store_server,
             client.close()
     assert b"onerror" not in out
     assert out.count(b"data:image/png;base64,") == 1
-    # the refused element is the first: its tag is unchanged
-    assert out.split(b"<img ")[1] == original.split(b"<img ")[1]
+    # the refused elements are the first two: their tags are unchanged
+    assert out.split(b"<img ")[1:3] == original.split(b"<img ")[1:3]
 
 
 def test_sequential_gets_do_not_stall(store_server):
@@ -534,25 +536,44 @@ def test_caption_outside_latin1_fails_the_write_and_deletes(fp_server):
         offsite.fetch(uploaded[0])
 
 
-@pytest.mark.parametrize("path", ["@evil.example/x", "evil.example/x",
-                                  '/x"onerror="alert(1)', ""])
-def test_a_photo_path_off_the_first_partys_base_fails_the_write(path):
-    # joined to the base URL, "@evil.example/x" names another host
+_ALBUM_ID, _PHOTO_ID = b"00000000000000aa", b"00000000000000bb"
+_PHOTO_PATH = "/fp/photos/00000000000000bb.png"
+# answered ids off the pattern: not ASCII, a path, one hex digit short
+_BAD_IDS = {"not-ascii": b"\xff\xfe", "path": b"../../x?y",
+            "15-hex": b"0" * 15}
+
+
+@pytest.mark.parametrize("album, photo, path, error, match", [
+    *(pytest.param(_ALBUM_ID, _PHOTO_ID, path, FirstPartyError, "photo path",
+                   id=path)
+      for path in ["@evil.example/x", "evil.example/x",
+                   '/x"onerror="alert(1)', ""]),
+    *(pytest.param(bad, _PHOTO_ID, _PHOTO_PATH, FirstPartyUnavailable,
+                   "bad id", id=f"album-{name}")
+      for name, bad in _BAD_IDS.items()),
+    *(pytest.param(_ALBUM_ID, bad, _PHOTO_PATH, FirstPartyUnavailable,
+                   "bad id", id=f"photo-{name}")
+      for name, bad in _BAD_IDS.items()),
+])
+def test_a_photo_path_off_the_first_partys_base_fails_the_write(
+        album, photo, path, error, match):
+    # joined to the base URL, "@evil.example/x" names another host, and an
+    # id is spliced into the next request's path
     class OffBase(_http.Handler):
         def do_POST(self):
             self._body()
             if self.path == "/fp/albums":
-                self._reply(201, b"00000000000000aa\n")
+                self._reply(201, album + b"\n")
             else:
-                self._reply(201, f"00000000000000bb\n{path}\n".encode())
+                self._reply(201, photo + f"\n{path}\n".encode())
 
     offsite = MemoryStore(name="offsite")
     with _http.Server(("127.0.0.1", 0), OffBase, "", None) as server:
         fp = HttpFirstPartyClient(server.base_url)
         try:
-            album = fp.create_album("evil")
-            with pytest.raises(FirstPartyError, match="photo path"):
-                write_path(png_item(4), "x", album, offsite, fp)
+            with pytest.raises(error, match=match):
+                album_id = fp.create_album("evil")
+                write_path(png_item(4), "x", album_id, offsite, fp)
         finally:
             fp.close()
     assert len(offsite) == 0

@@ -1,7 +1,9 @@
 """Layering: the modules under core load no codec, import at the top, and
-only `firstparty` speaks the /fp protocol."""
+only `firstparty` speaks the /fp protocol; one module owns each rule that
+writers and readers share."""
 
 import ast
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -9,6 +11,7 @@ import sys
 
 import r2o
 from r2o import core, firstparty
+from r2o.filter import FilterConfig
 
 PACKAGE = pathlib.Path(r2o.__file__).parent
 
@@ -72,3 +75,20 @@ def test_only_firstparty_spells_the_album_routes():
 def test_core_reexports_the_first_party_client_class():
     # a patch on either name reaches the client that callers build
     assert core.HttpFirstPartyClient is firstparty.HttpFirstPartyClient
+
+
+def test_only_store_spells_the_id_pattern():
+    # every host mints, routes and accepts the ids that `store` defines
+    holders = sorted(
+        str(path.relative_to(PACKAGE))
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "[0-9a-f]" in node.value)
+    assert set(holders) == {"store.py"}
+
+
+def test_the_stand_in_edges_are_constants_not_filter_settings():
+    # a writer and every reader share `filter.MIN_EDGE`/`MAX_EDGE`
+    fields = [f.name for f in dataclasses.fields(FilterConfig)]
+    assert fields == ["path_prefixes"]
