@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import random
 import sys
@@ -139,6 +140,19 @@ def _parse_bind(raw: str) -> tuple[str, int]:
         return host, int(port)
     except ValueError:
         raise UsageError(f"bad port in bind address {raw!r}") from None
+
+
+def _milliseconds(raw: str) -> float:
+    """A delay flag's value; anything but a finite ms >= 0 is refused as
+    argparse refuses a bad flag, with exit 2."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected milliseconds >= 0, got {raw!r}")
+    return value
 
 
 def _load_cache_file(cfg: Config, path: str | None) -> MappingsCache:
@@ -291,14 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("serve-store", help="run an object-store server")
     s.add_argument("--bind", default=DEFAULT_STORE_BIND, metavar="HOST:PORT")
     s.add_argument("--root", help="back with this directory instead of RAM")
-    s.add_argument("--latency", type=float, default=None, metavar="MS")
+    s.add_argument("--latency", type=_milliseconds, default=None,
+                   metavar="MS")
     s.set_defaults(handler=_cmd_serve_store)
 
     s = sub.add_parser("serve-firstparty",
                        help="run the simulated social service")
     s.add_argument("--bind", default=DEFAULT_FIRSTPARTY_BIND,
                    metavar="HOST:PORT")
-    s.add_argument("--delay", type=float,
+    s.add_argument("--delay", type=_milliseconds,
                    default=firstparty.DEFAULT_RESPONSE_DELAY_MS, metavar="MS")
     s.set_defaults(handler=_cmd_serve_firstparty)
 

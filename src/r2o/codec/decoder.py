@@ -162,7 +162,8 @@ def _stream_gather(version: int, ec_level: str,
     slots = (8 * order[:, None] + np.arange(8)).ravel()
     rr, cc = matrix.order_arrays(version)
     n = tables.size_for_version(version)
-    return (rr * n + cc)[slots], matrix.mask_bits(version, mask_id)[slots]
+    index = (rr * n + cc)[slots]
+    return index, matrix.mask_layers(version)[mask_id].ravel()[index]
 
 
 def _parse_byte_mode(data: bytes, version: int) -> bytes:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..locator import validate_locator
-from . import png
+from . import png, tables
 
 DARK_THRESHOLD = 128  # pixel < 128 counts as dark
 
@@ -59,3 +59,7 @@ class QrConfig:
 
     ec_level: str = "M"
     target_size: int = 512
+
+    def __post_init__(self):
+        if self.ec_level not in tables.EC_LEVELS:
+            raise ValueError(f"unknown EC level {self.ec_level!r}")

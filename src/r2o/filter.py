@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
+from .firstparty import PHOTO_PATH_PREFIX
+
 CAPTION_MARKER = "r2o:1"
 MIN_EDGE = 64
 MAX_EDGE = 1024
@@ -42,7 +44,7 @@ class ElementDescriptor:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    path_prefixes: tuple[str, ...] = ("/fp/photos/",)
+    path_prefixes: tuple[str, ...] = (PHOTO_PATH_PREFIX,)
 
     def __post_init__(self):
         if not self.path_prefixes:

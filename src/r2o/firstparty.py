@@ -34,9 +34,26 @@ def album_page_path(album_id: str) -> str:
     return f"{ALBUMS_PATH}/{album_id}/page"
 
 
-_PHOTO_PATH_RE = re.compile(f"{PHOTO_PATH_PREFIX}({ID_PATTERN.pattern})\\.png")
-_PAGE_PATH_RE = re.compile(album_page_path(f"({ID_PATTERN.pattern})"))
-_UPLOAD_PATH_RE = re.compile(f"{ALBUMS_PATH}/({ID_PATTERN.pattern})/photos")
+def upload_path(album_id: str) -> str:
+    """The path a photo is posted to, to join an album."""
+    return f"{ALBUMS_PATH}/{album_id}/photos"
+
+
+def photo_path(photo_id: str) -> str:
+    """The path a photo is served at."""
+    return f"{PHOTO_PATH_PREFIX}{photo_id}.png"
+
+
+def _route(path_of) -> re.Pattern:
+    """The paths `path_of` builds, for any id, with the id captured."""
+    head, tail = path_of("\0").split("\0")
+    return re.compile(f"{re.escape(head)}({ID_PATTERN.pattern})"
+                      f"{re.escape(tail)}")
+
+
+_PHOTO_PATH_RE = _route(photo_path)
+_PAGE_PATH_RE = _route(album_page_path)
+_UPLOAD_PATH_RE = _route(upload_path)
 
 
 class FirstPartyError(Exception):
@@ -118,7 +135,7 @@ class FirstPartyService:
             if album is None:
                 raise AlbumNotFound(album_id)
             photo_id = fresh_id(self._photos.__contains__)
-            static_url = f"{PHOTO_PATH_PREFIX}{photo_id}.png"
+            static_url = photo_path(photo_id)
             self._photos[photo_id] = PhotoObject(
                 photo_id=photo_id,
                 image=ContentItem(data=bytes(image.data),
@@ -275,7 +292,7 @@ class HttpFirstPartyClient:
     def upload_photo(self, album_id: str, item: ContentItem,
                      caption: str) -> tuple[str, str]:
         """(photo id, photo path), as the service answers them."""
-        return self._post(f"{ALBUMS_PATH}/{album_id}/photos", item.data,
+        return self._post(upload_path(album_id), item.data,
                           {"Content-Type": item.media_type,
                            "X-Caption": caption})
 

@@ -279,3 +279,52 @@ def test_reference_equivalence_randomized():
        st.integers(0, 6))
 def test_property_reference_equivalence(seed, n, m):
     assert drive_pair(seed, 120, n, m, keys=9) is None
+
+
+# -- frequent-segment eviction ------------------------------------------------
+
+class MinFrequent:
+    """The frequent segment's rule as one min() over every entry."""
+
+    def __init__(self, n):
+        self.n, self.tick, self.entries = n, 0, {}
+
+    def record(self, key, hits):
+        self.tick += 1
+        self.entries[key] = (hits, self.tick)
+        while len(self.entries) > self.n:
+            del self.entries[min(self.entries,
+                                 key=lambda k: (*self.entries[k], k))]
+
+    def lookup(self, key):
+        if key in self.entries:
+            self.tick += 1
+            self.entries[key] = (self.entries[key][0] + 1, self.tick)
+
+
+@given(st.integers(0, 5),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 7),
+                          st.integers(0, 3)), max_size=200))
+def test_frequent_eviction_matches_min(n, ops):
+    cache = MappingsCache(CacheConfig(n_frequent=n, m_recent=0))
+    ref = MinFrequent(n)
+    for is_record, i, hits in ops:
+        if is_record:  # a new key or a re-record, with any start count
+            cache.record_created(entry(i, hits=hits))
+            ref.record(P(i), hits)
+        else:
+            cache.lookup(P(i))
+            ref.lookup(P(i))
+        frequent, _ = cache.snapshot()
+        assert {k: (e.hit_count, e.last_used)
+                for k, e in frequent.items()} == ref.entries
+
+
+def test_re_records_leave_the_rank_heap_bounded():
+    cache = MappingsCache(CacheConfig(n_frequent=8))
+    for i in range(3):
+        cache.record_created(entry(i))
+    for _ in range(10_000):
+        cache.record_created(entry(1))
+    assert len(cache._ranks) <= 2 * 8 + 1
+    assert sorted(cache.snapshot()[0]) == [P(0), P(1), P(2)]

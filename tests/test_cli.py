@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from r2o import bench, cli, codec, store
+from r2o import bench, cli, codec, firstparty, store
 from r2o.cache import MAP_HEADER, CacheConfig, MappingsCache, MappingEntry
 from r2o.codec.png import write_png
 from r2o.filter import FilterConfig
@@ -159,6 +159,31 @@ def test_encode_ec_level_choices(tmp_path, capsys):
     assert cli.run(["encode", "http://a.example/x", "--out", str(out),
                     "--ec-level", "Z"]) == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+def test_an_unknown_ec_level_in_the_config_is_a_usage_error(tmp_path,
+                                                           capsys):
+    config = tmp_path / "qr.ini"
+    config.write_text("[qr]\nec_level = X\n")
+    out = tmp_path / "sym.png"
+    assert cli.run(["--config", str(config), "encode", "http://a.example/x",
+                    "--out", str(out)]) == cli.EXIT_USAGE
+    assert "unknown EC level 'X'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unknown_ec_level_uploads_nothing(served_world, tmp_path, capsys):
+    config = pathlib.Path(served_world["config"])
+    config.write_text(config.read_text() + "[qr]\nec_level = X\n")
+    photo, _ = png_file(tmp_path)
+    uploads = []
+    backing = served_world["store"].backing
+    real_upload = backing.upload
+    backing.upload = lambda item: uploads.append(item) or real_upload(item)
+    assert cli.run(["--config", str(config), "upload", "--provider", "lab",
+                    "--file", str(photo)]) == cli.EXIT_USAGE
+    capsys.readouterr()
+    assert uploads == []
 
 
 # -- config loading ----------------------------------------------------------
@@ -508,6 +533,20 @@ def test_serve_store_flags(monkeypatch, tmp_path, capsys, flags, kind):
     assert type(backing) is kind
     assert backing.simulated_latency == 7.0
     assert getattr(backing, "root", None) == (tmp_path if flags else None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve-store", "--latency", "-1"], ["serve-firstparty", "--delay", "-1"],
+    ["serve-store", "--latency", "nan"], ["serve-firstparty", "--delay", "x"]])
+def test_a_bad_serve_delay_is_a_usage_error(monkeypatch, capsys, argv):
+    # refused before anything binds, as any bad flag value is
+    bound = []
+    monkeypatch.setattr(store, "serve_store", lambda *a: bound.append(a))
+    monkeypatch.setattr(firstparty, "serve_firstparty",
+                        lambda *a: bound.append(a))
+    assert cli.run([*argv, "--bind", "127.0.0.1:0"]) == cli.EXIT_USAGE
+    assert "expected milliseconds >= 0" in capsys.readouterr().err
+    assert bound == []
 
 
 def test_serve_store_on_a_bound_port_exits_1(capsys):

@@ -109,6 +109,13 @@ def test_round_trip_all_ec_levels(rng):
         assert got.locator == url, level
 
 
+def test_qr_config_refuses_an_unknown_ec_level():
+    # refused where it is set, not when a photo is already off-site
+    for level in ("X", "m", ""):
+        with pytest.raises(ValueError, match="unknown EC level"):
+            codec.QrConfig(ec_level=level)
+
+
 def test_round_trip_spans_versions(rng):
     # walk payload sizes that force a range of symbol versions
     for length in (22, 40, 70, 100, 140, 180, 210):
@@ -353,7 +360,8 @@ def test_place_then_read_is_identity(rng):
         words = [rng.randrange(256) for _ in range(total)]
         for mask_id in (0, 3, 7):
             m = matrix.base_matrix(version)
-            matrix.place_codewords(m, version, words, mask_id)
+            matrix.place_codewords(m, version, words)
+            m ^= matrix.mask_layers(version)[mask_id]
             for ec_level in tables.EC_LEVELS:
                 index, flip = decoder._stream_gather(version, ec_level,
                                                      mask_id)

@@ -200,7 +200,8 @@ def test_place_and_read_match_module_loops(version):
         words = [r.randrange(256) for _ in range(total)]
         fast = matrix.base_matrix(version)
         slow = matrix.base_matrix(version)
-        matrix.place_codewords(fast, version, words, mask_id)
+        matrix.place_codewords(fast, version, words)
+        fast ^= matrix.mask_layers(version)[mask_id]
         _place_reference(slow, version, words, mask_id)
         assert np.array_equal(fast, slow)
         assert _read_reference(fast, version, mask_id)[:total] == words
@@ -238,7 +239,10 @@ def _penalty_reference(m):
     return total + 10 * int(abs(pct - 50) // 5)
 
 
-@pytest.mark.parametrize("version", [1, 2, 4, 7, 10])
+_FINDER_LINE = np.array([1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("version", range(1, 11))
 def test_batched_penalty_matches_scalar(version):
     n = tables.size_for_version(version)
     gen = np.random.default_rng(version)
@@ -247,8 +251,21 @@ def test_batched_penalty_matches_scalar(version):
     words = gen.integers(0, 256, TOTAL_CODEWORDS[version]).tolist()
     for mask_id in (0, 5):  # real symbols are rich in finder-like runs
         m = matrix.base_matrix(version)
-        matrix.place_codewords(m, version, words, mask_id)
+        matrix.place_codewords(m, version, words)
+        m ^= matrix.mask_layers(version)[mask_id]
         stack.append(m)
+    for width in (4, 5, 6):  # long runs across, 2x2 blocks, edge runs
+        m = (gen.random((n, -(-n // width))) < 0.5).astype(np.uint8)
+        stack.append(np.repeat(m, width, axis=1)[:, :n])
+        stack.append(np.repeat(m, width, axis=1)[:, :n].T)
+    for p in (0.3, 0.6):  # finder-like runs flush with both ends of lines
+        m = (gen.random((n, n)) < p).astype(np.uint8)
+        rows = gen.choice(n, size=n // 2, replace=False)
+        m[rows[::2], :11] = _FINDER_LINE
+        m[rows[1::2], -11:] = _FINDER_LINE[::-1]
+        m[:4, -7:] = _FINDER_LINE[:7]  # cores without their light modules
+        stack.append(m)
+        stack.append(m.T)
     stack = np.stack(stack)
     assert matrix.penalty_scores(stack) == [_penalty_reference(m)
                                             for m in stack]
@@ -514,7 +531,8 @@ def test_deinterleave_matches_loop(key):
     data_blocks, ec_blocks, nsym = _deinterleave_reference(codewords, *key)
     mask_id = r.randrange(8)
     m = matrix.base_matrix(version)
-    matrix.place_codewords(m, version, codewords, mask_id)
+    matrix.place_codewords(m, version, codewords)
+    m ^= matrix.mask_layers(version)[mask_id]
     stream = _read_stream(m, version, ec_level, mask_id)
     _, ks, got_nsym = tables.block_layout(*key)
     assert got_nsym == nsym

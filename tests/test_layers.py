@@ -62,13 +62,14 @@ def test_the_only_function_level_import_is_https_ssl():
 
 
 def test_only_firstparty_spells_the_album_routes():
-    # the /fp protocol is written and read in one module
+    # the /fp protocol, its album and photo routes alike, is written and
+    # read in one module
     holders = sorted(
         str(path.relative_to(PACKAGE))
         for path in PACKAGE.rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and "/fp/albums" in node.value)
+        and ("/fp/albums" in node.value or "/fp/photos" in node.value))
     assert set(holders) == {"firstparty.py"}
 
 
