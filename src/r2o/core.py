@@ -1,12 +1,13 @@
 """Write/read orchestration: content out to the store, schemata in its place.
 
-The write path uploads real bytes off-site, encodes the returned locator
+The write path uploads real bytes off-site, encodes the object's locator
 into a QR pseudo-image whose edge every reader accepts (`filter.MIN_EDGE`
 to `filter.MAX_EDGE`), places that on the first party, and records the
-mapping. The first-party client is `FirstPartyService` itself in process,
-or `HttpFirstPartyClient` over HTTP (defined in `firstparty`, beside the
-server, and re-exported here); either answers a photo's path, and the
-write path alone joins it to the client's `base_url`. The read path walks
+mapping; it names the object itself, so it draws the stand-in while the
+upload is in flight. The first-party client is `FirstPartyService` itself
+in process, or `HttpFirstPartyClient` over HTTP (defined in `firstparty`,
+beside the server, and re-exported here); either answers a photo's path,
+and the write path alone joins it to the client's `base_url`. The read path walks
 page elements the other way: filter gate, cache lookup, pseudo fetch,
 decode, off-site fetch. A page's fetches run at once on a shared fan-out
 pool, so a page costs about one network round trip, not one per element;
@@ -38,7 +39,7 @@ from .filter import (MAX_EDGE, MIN_EDGE, ElementDescriptor, FilterConfig,
 from .firstparty import (FirstPartyError, FirstPartyService,
                          HttpFirstPartyClient)  # re-exported
 from .locator import InvalidPayload, validate_locator
-from .store import ContentItem
+from .store import ContentItem, ObjectExists
 
 OUTCOME_REPLACED = "replaced"
 OUTCOME_NOT_INDIRECTION = "not_indirection"
@@ -57,7 +58,12 @@ class CoreError(Exception):
 
 
 class FetchError(CoreError):
-    pass
+    """A fetch that got no content: `status` is the HTTP status the host
+    answered, or None when no response came back."""
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
+        self.status = status
 
 
 class PageUnreachable(CoreError):
@@ -100,7 +106,7 @@ class HttpFetcher:
         except HttpError as exc:
             raise FetchError(f"GET {url} failed: {exc}") from None
         if resp.status != 200:
-            raise FetchError(f"GET {url} -> {resp.status}")
+            raise FetchError(f"GET {url} -> {resp.status}", resp.status)
         return ContentItem(data=resp.body, media_type=resp.content_type)
 
     def close(self) -> None:
@@ -153,10 +159,16 @@ def write_path(image: ContentItem, caption: str | None, album_id: str,
                cache: MappingsCache | None = None) -> WriteReceipt:
     """Intercept content: store it off-site, place a schema first-party.
 
-    The original bytes never reach the first party; on failure after the
-    off-site upload, the orphaned object is deleted. A `target_size`
-    outside the filter's edges fails before the upload. The pseudo-locator
-    is `firstparty_client.base_url` + the photo path the first party
+    The original bytes never reach the first party. `begin_upload` names
+    the off-site locator as the upload starts, so the stand-in is encoded
+    and written to PNG (about 0.6 ms) while the store takes the bytes (its
+    12 ms delay, over HTTP); the first-party post waits for the store's
+    confirmation. When the encode or the confirmation fails, or the first
+    party refuses the stand-in, the off-site object is deleted (best
+    effort) and nothing more is posted; an id the store says is taken is
+    someone else's object and stays. A `target_size` outside the filter's
+    edges fails before the upload. The pseudo-locator is
+    `firstparty_client.base_url` + the photo path the first party
     answers; a path that does not start with '/', or that joins into no
     valid locator, fails the write.
     """
@@ -165,15 +177,20 @@ def write_path(image: ContentItem, caption: str | None, album_id: str,
     if not MIN_EDGE <= qr_config.target_size <= MAX_EDGE:
         raise ValueError(f"target_size {qr_config.target_size} is outside "
                          f"the stand-in edges {MIN_EDGE}-{MAX_EDGE}")
-    offsite_locator = offsite_provider.upload(image)
+    offsite_locator, confirm = offsite_provider.begin_upload(image)
     try:
-        pseudo = codec.encode_qr(
-            codec.IndirectionPayload(locator=offsite_locator), qr_config)
+        try:
+            png = codec.encode_qr(
+                codec.IndirectionPayload(locator=offsite_locator),
+                qr_config).to_png()
+        finally:
+            confirm()
         photo_id, path = firstparty_client.upload_photo(
-            album_id,
-            ContentItem(data=pseudo.to_png(), media_type="image/png"),
+            album_id, ContentItem(data=png, media_type="image/png"),
             make_caption(caption))
         pseudo_locator = _photo_locator(firstparty_client.base_url, path)
+    except ObjectExists:
+        raise  # the drawn id was taken: that object is someone else's
     except Exception:
         try:
             offsite_provider.delete(offsite_locator)

@@ -7,6 +7,12 @@ implement the v1 object protocol on r2o's one HTTP layer (`_http`): a
 keep-alive server scaffold and a pooled client over r2o's own HTTP/1.1
 wire code, so desk-scale measurements cross a real socket. Latency floors
 are a pre-response sleep of exactly the configured duration.
+
+The writer names each object: an upload is `PUT <base_url>/<id>` with an
+id from `fresh_id`, answered 201 once stored, 409 for a taken id (nothing
+is overwritten) and 404 for one outside `ID_PATTERN`. So `begin_upload`
+knows the locator before the store answers, and the write path draws the
+stand-in (about 0.6 ms) during the store's 12 ms.
 """
 
 from __future__ import annotations
@@ -16,17 +22,16 @@ import re
 import secrets
 import threading
 import time
-from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-from urllib.parse import urljoin
 
 from ._http import (
     MAX_PAYLOAD_DEFAULT,
     ConnectionPool,
     Handler,
     HttpError,
+    Response,
     Server,
 )
 from .locator import InvalidPayload, validate_locator
@@ -62,6 +67,11 @@ class NotFound(StoreError):
 
 class PayloadTooLarge(StoreError):
     pass
+
+
+class ObjectExists(StoreError):
+    """The id an upload named is taken; the object there is not the
+    uploader's."""
 
 
 @dataclass
@@ -133,7 +143,9 @@ class _ProviderBase:
 
 class _LocalStore(_ProviderBase):
     """A store in this process. Its locators sit under a private `.invalid`
-    base that no reader can reach; `serve_store` puts it behind a URL."""
+    base that no reader can reach; `serve_store` puts it behind a URL and
+    stores each PUT through `upload(item, oid)`, which in-process writes
+    call with no `oid` to take a fresh id."""
 
     def __init__(self, name: str, simulated_latency: float | None):
         if simulated_latency is not None and simulated_latency < 0:
@@ -142,6 +154,20 @@ class _LocalStore(_ProviderBase):
         self.base_url = f"http://{name}.offsite.invalid{OBJECTS_PATH}"
         self.simulated_latency = simulated_latency
         self._lock = threading.Lock()
+
+    def begin_upload(self, item: ContentItem) -> tuple[str, Callable[[], None]]:
+        """Store `item` now (see `HttpStoreClient.begin_upload`)."""
+        return self.upload(item), lambda: None
+
+    @staticmethod
+    def _claim(oid: str | None, taken: Callable[[str], bool]) -> str:
+        if oid is None:
+            return fresh_id(taken)
+        if not ID_PATTERN.fullmatch(oid):
+            raise NotFound(f"malformed object id {oid!r}")
+        if taken(oid):
+            raise ObjectExists(f"object {oid} exists")
+        return oid
 
 
 class MemoryStore(_LocalStore):
@@ -152,11 +178,11 @@ class MemoryStore(_LocalStore):
         super().__init__(name, simulated_latency)
         self._objects: dict[str, tuple[bytes, str]] = {}
 
-    def upload(self, item: ContentItem) -> str:
+    def upload(self, item: ContentItem, oid: str | None = None) -> str:
         self._check_size(item)
         self._sleep_floor()
         with self._lock:
-            oid = fresh_id(self._objects.__contains__)
+            oid = self._claim(oid, self._objects.__contains__)
             self._objects[oid] = (bytes(item.data), item.media_type)
         return self._locator_for(oid)
 
@@ -190,11 +216,11 @@ class FilesystemStore(_LocalStore):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def upload(self, item: ContentItem) -> str:
+    def upload(self, item: ContentItem, oid: str | None = None) -> str:
         self._check_size(item)
         self._sleep_floor()
         with self._lock:
-            oid = fresh_id(lambda oid: (self.root / oid).exists())
+            oid = self._claim(oid, lambda oid: (self.root / oid).exists())
             (self.root / oid).write_bytes(item.data)
             (self.root / f"{oid}.meta").write_text(item.media_type + "\n")
         return self._locator_for(oid)
@@ -231,8 +257,9 @@ class _StoreHandler(Handler):
         oid = self.path[len(prefix):]
         return oid if ID_PATTERN.fullmatch(oid) else None
 
-    def do_POST(self):
-        if self.path != OBJECTS_PATH:
+    def do_PUT(self):
+        oid = self._object_id()
+        if oid is None:
             self._reply(404, b"unknown path\n")
             return
         backing = self.server.backing
@@ -242,15 +269,13 @@ class _StoreHandler(Handler):
         media_type = self.headers.get("content-type",
                                       "application/octet-stream")
         try:
-            locator = backing.upload(
-                ContentItem(data=body, media_type=media_type))
+            backing.upload(ContentItem(data=body, media_type=media_type), oid)
         except PayloadTooLarge:
             self._reply(413, b"payload too large\n")
-            return
-        oid = locator.rsplit("/", 1)[1]
-        public = f"{self.server.base_url}/{oid}"
-        self._reply(201, (public + "\n").encode(),
-                    extra={"Location": f"{OBJECTS_PATH}/{oid}"})
+        except ObjectExists:
+            self._reply(409, b"object id taken\n")
+        else:
+            self._reply(201)
 
     def do_GET(self):
         oid = self._object_id()
@@ -289,35 +314,56 @@ class HttpStoreClient(_ProviderBase):
         self.base_url = base_url.rstrip("/")
         self._pool = ConnectionPool()
 
-    def _request(self, what: str, method: str, url: str, **kwargs):
+    def _request(self, what: str, method: str, url: str,
+                 **kwargs) -> Callable[[], Response]:
+        """Write a request; returns the call that reads its response. Both
+        raise StoreUnavailable for a request that fails."""
         try:
-            return self._pool.request(method, url,
+            receive = self._pool.send(method, url,
                                       max_body=self.max_payload, **kwargs)
         except HttpError as exc:
             raise StoreUnavailable(f"{what} failed: {exc}") from None
 
-    def upload(self, item: ContentItem) -> str:
+        def response() -> Response:
+            try:
+                return receive()
+            except HttpError as exc:
+                raise StoreUnavailable(f"{what} failed: {exc}") from None
+        return response
+
+    def begin_upload(self, item: ContentItem) -> tuple[str, Callable[[], None]]:
+        """Write the PUT of `item` under a fresh id; returns its locator,
+        and the confirmation (to be called) that reads the store's answer:
+        ObjectExists for a 409, PayloadTooLarge for a 413, StoreUnavailable
+        for anything but 201. A locator outside the locator rule is refused
+        before any byte is sent."""
         self._check_size(item)
-        resp = self._request("upload", "POST", self.base_url,
-                             body=item.data,
-                             headers={"Content-Type": item.media_type})
-        if resp.status == 413:
-            raise PayloadTooLarge("server rejected payload")
-        if resp.status != 201:
-            raise StoreUnavailable(f"upload failed: HTTP {resp.status}")
-        locator = resp.body.decode("ascii", "replace").strip()
+        locator = self._locator_for(fresh_id(lambda oid: False))
         try:
-            return validate_locator(locator)
+            validate_locator(locator)
         except InvalidPayload as exc:
-            # the server kept the object: delete it by the path in Location,
-            # which `delete` takes only when it names an id under base_url
-            with suppress(StoreError):
-                self.delete(urljoin(self.base_url, resp.location))
-            raise StoreUnavailable(f"upload returned {exc}") from None
+            raise StoreUnavailable(f"upload to {locator!r}: {exc}") from None
+        response = self._request("upload", "PUT", locator, body=item.data,
+                                 headers={"Content-Type": item.media_type})
+
+        def confirm() -> None:
+            status = response().status
+            if status == 409:
+                raise ObjectExists(f"{locator} is taken")
+            if status == 413:
+                raise PayloadTooLarge("server rejected payload")
+            if status != 201:
+                raise StoreUnavailable(f"upload failed: HTTP {status}")
+        return locator, confirm
+
+    def upload(self, item: ContentItem) -> str:
+        locator, confirm = self.begin_upload(item)
+        confirm()
+        return locator
 
     def fetch(self, locator: str) -> ContentItem:
         self._id_from(locator)  # validate shape before any network use
-        resp = self._request("fetch", "GET", locator)
+        resp = self._request("fetch", "GET", locator)()
         if resp.status == 404:
             raise NotFound(locator)
         if resp.status != 200:
@@ -326,7 +372,7 @@ class HttpStoreClient(_ProviderBase):
 
     def delete(self, locator: str) -> None:
         self._id_from(locator)
-        resp = self._request("delete", "DELETE", locator)
+        resp = self._request("delete", "DELETE", locator)()
         if resp.status >= 300 and resp.status != 404:
             raise StoreUnavailable(f"delete failed: HTTP {resp.status}")
 

@@ -97,10 +97,10 @@ def test_write_path_cleans_orphan_on_firstparty_failure():
     uploaded = []
 
     class SpyingStore:
-        def upload(self, item):
-            locator = w.store.upload(item)
+        def begin_upload(self, item):
+            locator, confirm = w.store.begin_upload(item)
             uploaded.append(locator)
-            return locator
+            return locator, confirm
 
         def delete(self, locator):
             w.store.delete(locator)

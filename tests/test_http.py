@@ -2,6 +2,7 @@
 
 import ast
 import http.client
+import select
 import socket
 import threading
 import time
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from r2o import _http
+from r2o import _http, codec
 from r2o.cache import MappingsCache
 from r2o.codec.png import write_png
 from r2o.core import (
@@ -108,13 +109,14 @@ def raw_server(reply: bytes, close_after: bool):
     assert not thread.is_alive()
 
 
-def _raw_post(base_url: str, path: str, length: str | None,
+def _raw_send(method: str, base_url: str, path: str, length: str | None,
               body: bytes = b""):
-    """POST with a hand-set Content-Length; returns (status, will_close)."""
+    """A request with a hand-set Content-Length; returns (status,
+    will_close)."""
     host, port = base_url.split("//")[1].split("/")[0].split(":")
     conn = http.client.HTTPConnection(host, int(port), timeout=3)
     try:
-        conn.putrequest("POST", path)
+        conn.putrequest(method, path)
         if length is not None:
             conn.putheader("Content-Length", length)
         conn.endheaders(body or None)
@@ -241,6 +243,45 @@ def test_restarted_server_is_reached_through_the_retry(connects):
         client.close()
 
 
+def test_a_closed_reused_connection_is_retried_on_the_deferred_read(
+        store_server, connects, monkeypatch):
+    # the write to a connection the server dropped as idle succeeds; the
+    # read finds it closed and sends the request once more, on a fresh one
+    monkeypatch.setattr(_http.Handler, "timeout", 0.2)
+    server, backing = store_server
+    url = f"{server.base_url}/{'0' * 16}"
+    pool = _http.ConnectionPool()
+    try:
+        assert pool.request("GET", url).status == 404
+        ((idle,),) = pool._idle.values()
+        assert select.select([idle.sock], [], [], 5)[0]  # the server hung up
+        receive = pool.send("PUT", url, b"late")
+        assert len(connects) == 1
+        assert receive().status == 201
+        assert len(connects) == 2
+    finally:
+        pool.close()
+    assert backing.fetch(backing._locator_for("0" * 16)).data == b"late"
+
+
+def test_fetch_error_carries_the_status(store_server):
+    # a reader can tell "gone" from "unreachable"
+    server, _ = store_server
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    listener.close()
+    fetcher = HttpFetcher()
+    try:
+        with pytest.raises(FetchError) as gone:
+            fetcher.fetch(f"{server.base_url}/{'0' * 16}")
+        with pytest.raises(FetchError) as refused:
+            fetcher.fetch(f"http://127.0.0.1:{port}/x")
+    finally:
+        fetcher.close()
+    assert gone.value.status == 404
+    assert refused.value.status is None
+
+
 def test_fresh_connection_is_not_retried(connects):
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
@@ -278,9 +319,10 @@ def test_idle_connection_is_dropped(store_server, monkeypatch):
 @pytest.mark.parametrize("length", [None, "abc", "-1", "1e3", "5, 6"])
 def test_bad_content_length_answers_400(store_server, fp_server, length):
     server, backing = store_server
-    for base, path in ((server.base_url, "/v1/objects"),
-                       (fp_server.base_url, "/fp/albums")):
-        status, will_close = _raw_post(base, path, length)
+    for method, base, path in (
+            ("PUT", server.base_url, "/v1/objects/" + "0" * 16),
+            ("POST", fp_server.base_url, "/fp/albums")):
+        status, will_close = _raw_send(method, base, path, length)
         assert status == 400
         if length is not None:
             assert will_close
@@ -290,21 +332,22 @@ def test_bad_content_length_answers_400(store_server, fp_server, length):
 def test_oversized_body_answers_413_and_closes(store_server, fp_server):
     server, backing = store_server
     backing.max_payload = 100
-    assert _raw_post(server.base_url, "/v1/objects", "1000") == (413, True)
-    assert _raw_post(fp_server.base_url, "/fp/albums",
+    assert _raw_send("PUT", server.base_url, "/v1/objects/" + "0" * 16,
+                     "1000") == (413, True)
+    assert _raw_send("POST", fp_server.base_url, "/fp/albums",
                      str(MAX_PAYLOAD_DEFAULT + 1)) == (413, True)
-    assert _raw_post(fp_server.base_url, "/fp/albums",
+    assert _raw_send("POST", fp_server.base_url, "/fp/albums",
                      "9" * 30) == (413, True)
 
 
 def test_unread_body_closes_the_connection(store_server):
     server, _ = store_server
-    assert _raw_post(server.base_url, "/v1/elsewhere", "5",
+    assert _raw_send("PUT", server.base_url, "/v1/elsewhere", "5",
                      b"hello") == (404, True)
 
 
 def test_non_utf8_album_title_answers_400(fp_server):
-    assert _raw_post(fp_server.base_url, "/fp/albums", "1",
+    assert _raw_send("POST", fp_server.base_url, "/fp/albums", "1",
                      b"\xff") == (400, False)
 
 
@@ -521,9 +564,9 @@ def test_caption_outside_latin1_fails_the_write_and_deletes(fp_server):
     uploaded = []
 
     class SpyingStore:
-        def upload(self, item):
+        def begin_upload(self, item):
             uploaded.append(offsite.upload(item))
-            return uploaded[-1]
+            return uploaded[-1], lambda: None
 
         def delete(self, locator):
             offsite.delete(locator)
@@ -534,6 +577,43 @@ def test_caption_outside_latin1_fails_the_write_and_deletes(fp_server):
     assert len(uploaded) == 1
     with pytest.raises(NotFound):
         offsite.fetch(uploaded[0])
+
+
+def test_an_encoder_that_raises_deletes_the_object_in_flight(
+        store_server, fp_server, connects, monkeypatch):
+    # the stand-in is drawn while the PUT is in flight; when drawing fails,
+    # the writer reads the store's answer, deletes its object and posts
+    # nothing, and the connection goes back to the pool for the next write
+    server, backing = store_server
+    backing.simulated_latency = 100
+    held = []
+
+    def failing_encode(payload, config):
+        held.append(len(backing))
+        raise RuntimeError("encoder broke")
+
+    fp = HttpFirstPartyClient(fp_server.base_url)
+    offsite = HttpStoreClient(server.base_url)
+    try:
+        album = fp.create_album("broken")
+        monkeypatch.setattr(codec, "encode_qr", failing_encode)
+        opened = len(connects)
+        with pytest.raises(RuntimeError, match="encoder broke"):
+            write_path(png_item(5), "c", album, offsite, fp)
+        assert held == [0]
+        assert len(backing) == 0
+        # the PUT's answer was read, so its connection carried the DELETE
+        assert len(connects) == opened + 1
+        (idle,) = offsite._pool._idle.values()
+        assert len(idle) == 1 and idle[0].sock.fileno() != -1
+        assert offsite.fetch(offsite.upload(ContentItem(b"next"))).data == \
+            b"next"
+        assert len(connects) == opened + 1
+        assert b"<img" not in fp._pool.request("GET",
+                                               fp.page_url(album)).body
+    finally:
+        fp.close()
+        offsite.close()
 
 
 _ALBUM_ID, _PHOTO_ID = b"00000000000000aa", b"00000000000000bb"

@@ -13,9 +13,11 @@ from contextlib import closing
 import numpy as np
 import pytest
 
-from r2o import bench, store
+from r2o import _http, bench, store
 from r2o._http import ConnectionPool, Server
 from r2o.codec.png import write_png
+from r2o.core import write_path
+from r2o.firstparty import FirstPartyService
 from r2o.store import (
     LATENCY_PRESETS,
     ContentItem,
@@ -23,6 +25,7 @@ from r2o.store import (
     HttpStoreClient,
     MemoryStore,
     NotFound,
+    ObjectExists,
     PayloadTooLarge,
     StoreUnavailable,
     preset_store,
@@ -65,6 +68,18 @@ def test_fetch_unknown_and_malformed(provider):
         provider.fetch(f"{base}/nothex")
     with pytest.raises(NotFound):
         provider.fetch("http://other.example/v1/objects/" + "0" * 16)
+
+
+def test_upload_under_a_named_id(provider):
+    oid = "0123456789abcdef"
+    locator = provider.upload(ContentItem(data=b"named"), oid)
+    assert locator == f"{provider.base_url}/{oid}"
+    with pytest.raises(ObjectExists):
+        provider.upload(ContentItem(data=b"other"), oid)
+    assert provider.fetch(locator).data == b"named"
+    for bad in ("../escape", "0" * 15, "0" * 16 + "/x"):
+        with pytest.raises(NotFound):
+            provider.upload(ContentItem(data=b"x"), bad)
 
 
 def test_payload_cap(provider):
@@ -179,58 +194,90 @@ def test_http_404_and_413(http_pair):
         client.upload(ContentItem(data=b"z" * 200))
 
 
-def test_http_upload_refuses_a_locator_outside_rfc_3986():
-    # a server whose locator would close the src attribute it lands in
-    class Hostile(MemoryStore):
-        def upload(self, item):
-            super().upload(item)
-            return 'http://x.example/v1/objects/a"onerror="alert(1)'
-
-    server = serve_store(("127.0.0.1", 0), Hostile(name="hostile"))
-    client = HttpStoreClient(server.base_url)
-    try:
+def test_http_upload_refuses_a_locator_outside_rfc_3986(monkeypatch):
+    # a base URL whose locators would close the src attribute they land in
+    # is refused before any byte is sent
+    opened = []
+    monkeypatch.setattr(_http.socket, "create_connection",
+                        lambda *args, **kwargs: opened.append(args))
+    with closing(HttpStoreClient(
+            'http://127.0.0.1:9/v1/objects"onerror="alert(1)')) as client:
         with pytest.raises(StoreUnavailable, match="RFC 3986"):
             client.upload(ContentItem(data=b"x", media_type="image/png"))
-    finally:
-        client.close()
-        server.shutdown()
+    assert opened == []
 
 
-def _bad_locator_server(backing, location):
-    """A store server that keeps each upload but answers a locator outside
-    RFC 3986, with `location(oid)` as the 201's Location."""
-
-    class BadLocator(store._StoreHandler):
-        def do_POST(self):
-            oid = backing.upload(ContentItem(self._body())).rsplit("/", 1)[1]
-            self._reply(201, b'http://x.example/a"onerror="alert(1)\n',
-                        extra={"Location": location(oid)})
-
-    return Server(("127.0.0.1", 0), BadLocator, store.OBJECTS_PATH,
-                  backing=backing)
+def test_put_to_a_taken_id_answers_409_and_keeps_the_object(http_pair):
+    client, backing = http_pair
+    locator = client.upload(ContentItem(data=b"first",
+                                        media_type="image/png"))
+    with closing(ConnectionPool()) as pool:
+        assert pool.request("PUT", locator, b"second",
+                            {"Content-Type": "text/plain"}).status == 409
+    got = client.fetch(locator)
+    assert (got.data, got.media_type) == (b"first", "image/png")
+    assert len(backing) == 1
 
 
-def test_refused_upload_deletes_the_object_its_location_names():
-    backing = MemoryStore(name="backing")
-    with _bad_locator_server(
-            backing, lambda oid: f"{store.OBJECTS_PATH}/{oid}") as server, \
-            closing(HttpStoreClient(server.base_url)) as client:
-        with pytest.raises(StoreUnavailable, match="RFC 3986"):
-            client.upload(ContentItem(data=b"x", media_type="image/png"))
+@pytest.mark.parametrize("path", ["", "/", "/" + "A" * 16, "/" + "0" * 15,
+                                  "/" + "0" * 17, "/" + "0" * 16 + "/x"])
+def test_put_to_a_bad_id_answers_404(http_pair, path):
+    client, backing = http_pair
+    with closing(ConnectionPool()) as pool:
+        assert pool.request("PUT", client.base_url + path,
+                            b"x").status == 404
     assert len(backing) == 0
 
 
-def test_refused_upload_deletes_nothing_outside_its_base_url():
-    # a Location naming an object on another store leaves that object be
-    victim, backing = MemoryStore(name="victim"), MemoryStore(name="backing")
-    oid = victim.upload(ContentItem(b"kept")).rsplit("/", 1)[1]
-    with serve_store(("127.0.0.1", 0), victim) as other, \
-            _bad_locator_server(
-                backing, lambda _: f"{other.base_url}/{oid}") as server, \
+def _png(seed: int) -> ContentItem:
+    pixels = np.random.default_rng(seed).integers(0, 256, (64, 64),
+                                                  dtype=np.uint8)
+    return ContentItem(data=write_png(pixels), media_type="image/png")
+
+
+def test_a_store_that_keeps_the_bytes_but_answers_500_ends_empty():
+    # the PUT's object is the writer's own, so it deletes it, and the
+    # first party never sees a stand-in for it
+    backing = MemoryStore(name="backing")
+    kept = []
+
+    class KeepsButFails(store._StoreHandler):
+        def do_PUT(self):
+            kept.append(backing.upload(ContentItem(self._body()),
+                                       self._object_id()))
+            self._reply(500, b"lost the answer\n")
+
+    service = FirstPartyService(response_delay_ms=0)
+    album = service.create_album("refused")
+    with Server(("127.0.0.1", 0), KeepsButFails, store.OBJECTS_PATH,
+                backing) as server, \
             closing(HttpStoreClient(server.base_url)) as client:
-        with pytest.raises(StoreUnavailable, match="RFC 3986"):
-            client.upload(ContentItem(data=b"x", media_type="image/png"))
-    assert (len(victim), len(backing)) == (1, 1)
+        with pytest.raises(StoreUnavailable, match="HTTP 500"):
+            write_path(_png(1), "c", album, client, service)
+    assert len(kept) == 1
+    assert len(backing) == 0
+    assert b"<img" not in service.get(service.page_url(album)).data
+
+
+def test_a_409_deletes_nothing(http_pair):
+    # the id the writer drew is taken: the object there is someone else's
+    client, backing = http_pair
+    deleted = []
+    backing.delete = deleted.append
+    service = FirstPartyService(response_delay_ms=0)
+    album = service.create_album("taken")
+    store.seed_ids(5)
+    try:
+        oid = store.fresh_id(lambda oid: False)
+        backing.upload(ContentItem(data=b"theirs"), oid)
+        store.seed_ids(5)
+        with pytest.raises(ObjectExists):
+            write_path(_png(2), "c", album, client, service)
+    finally:
+        store.seed_ids(None)
+    assert backing.fetch(backing._locator_for(oid)).data == b"theirs"
+    assert (len(backing), deleted) == (1, [])
+    assert b"<img" not in service.get(service.page_url(album)).data
 
 
 _SERVE_BOTH = """
@@ -269,9 +316,8 @@ def test_servers_start_without_numpy():
         page = pool.request("GET", f"{album_url}/page").body.decode()
         assert f'src="{static_url}" width="16" height="8"' in page
         assert pool.request("GET", fp + static_url).body == png
-        stored = pool.request("POST", objects, b"bytes")
-        assert stored.status == 201
-        locator = stored.body.decode().strip()
+        locator = f"{objects}/{'0' * 16}"
+        assert pool.request("PUT", locator, b"bytes").status == 201
         assert pool.request("GET", locator).body == b"bytes"
         assert pool.request("DELETE", locator).status == 204
         assert pool.request("GET", locator).status == 404
