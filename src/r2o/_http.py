@@ -467,8 +467,7 @@ class Handler(socketserver.StreamRequestHandler):
         return body
 
     def _reply(self, status: int, body: bytes = b"",
-               content_type: str = "text/plain",
-               extra: dict[str, str] | None = None) -> None:
+               content_type: str = "text/plain") -> None:
         if not self._body_read and (
                 self.headers.get("content-length", "0") != "0"
                 or "transfer-encoding" in self.headers):
@@ -480,7 +479,6 @@ class Handler(socketserver.StreamRequestHandler):
                  f"Content-Type: {content_type}"]
         if status != 204:  # a 204 carries no Content-Length (RFC 9110 §8.6)
             lines.append(f"Content-Length: {len(body)}")
-        lines += [f"{k}: {v}" for k, v in (extra or {}).items()]
         if self._close:
             lines.append("Connection: close")
         self.wfile.write("\r\n".join(lines).encode("latin-1")

@@ -39,7 +39,7 @@ from .filter import (MAX_EDGE, MIN_EDGE, ElementDescriptor, FilterConfig,
 from .firstparty import (FirstPartyError, FirstPartyService,
                          HttpFirstPartyClient)  # re-exported
 from .locator import InvalidPayload, validate_locator
-from .store import ContentItem, ObjectExists
+from .store import ContentItem, ObjectExists, secure_id
 
 OUTCOME_REPLACED = "replaced"
 OUTCOME_NOT_INDIRECTION = "not_indirection"
@@ -153,6 +153,34 @@ def _photo_locator(base_url: str, path: str) -> str:
     raise FirstPartyError(f"first party answered a bad photo path {path!r}")
 
 
+def _discard(provider, locator: str) -> None:
+    try:
+        provider.delete(locator)
+    except Exception:
+        pass  # cleanup is best-effort; the original error wins
+
+
+def _store_and_draw(image: ContentItem, provider, qr_config: codec.QrConfig,
+                    oid: str | None = None) -> tuple[str, bytes]:
+    """Upload `image` under `oid` (or a fresh id) and draw its stand-in
+    while the bytes are in flight; returns the locator and the stand-in's
+    PNG. After a failed encode or confirmation the object is deleted, but
+    not after ObjectExists: that object is someone else's."""
+    locator, confirm = provider.begin_upload(image, oid)
+    try:
+        try:
+            png = codec.encode_qr(codec.IndirectionPayload(locator=locator),
+                                  qr_config).to_png()
+        finally:
+            confirm()
+    except ObjectExists:
+        raise
+    except Exception:
+        _discard(provider, locator)
+        raise
+    return locator, png
+
+
 def write_path(image: ContentItem, caption: str | None, album_id: str,
                offsite_provider, firstparty_client,
                qr_config: codec.QrConfig | None = None,
@@ -165,37 +193,33 @@ def write_path(image: ContentItem, caption: str | None, album_id: str,
     12 ms delay, over HTTP); the first-party post waits for the store's
     confirmation. When the encode or the confirmation fails, or the first
     party refuses the stand-in, the off-site object is deleted (best
-    effort) and nothing more is posted; an id the store says is taken is
-    someone else's object and stays. A `target_size` outside the filter's
-    edges fails before the upload. The pseudo-locator is
-    `firstparty_client.base_url` + the photo path the first party
-    answers; a path that does not start with '/', or that joins into no
-    valid locator, fails the write.
+    effort) and nothing more is posted. An id the store says is taken is
+    someone else's object and stays; the upload and the stand-in are
+    retried once under a `secure_id`, off the seeded stream, so a seeded
+    writer whose ids a store already holds still publishes. A
+    `target_size` outside the filter's edges fails before the upload. The
+    pseudo-locator is `firstparty_client.base_url` + the photo path the
+    first party answers; a path that does not start with '/', or that
+    joins into no valid locator, fails the write.
     """
     image.validate()
     qr_config = qr_config or codec.QrConfig()
     if not MIN_EDGE <= qr_config.target_size <= MAX_EDGE:
         raise ValueError(f"target_size {qr_config.target_size} is outside "
                          f"the stand-in edges {MIN_EDGE}-{MAX_EDGE}")
-    offsite_locator, confirm = offsite_provider.begin_upload(image)
     try:
-        try:
-            png = codec.encode_qr(
-                codec.IndirectionPayload(locator=offsite_locator),
-                qr_config).to_png()
-        finally:
-            confirm()
+        offsite_locator, png = _store_and_draw(image, offsite_provider,
+                                               qr_config)
+    except ObjectExists:
+        offsite_locator, png = _store_and_draw(image, offsite_provider,
+                                               qr_config, secure_id())
+    try:
         photo_id, path = firstparty_client.upload_photo(
             album_id, ContentItem(data=png, media_type="image/png"),
             make_caption(caption))
         pseudo_locator = _photo_locator(firstparty_client.base_url, path)
-    except ObjectExists:
-        raise  # the drawn id was taken: that object is someone else's
     except Exception:
-        try:
-            offsite_provider.delete(offsite_locator)
-        except Exception:
-            pass  # cleanup is best-effort; the original error wins
+        _discard(offsite_provider, offsite_locator)
         raise
     if cache is not None:
         cache.record_created(MappingEntry(

@@ -12,7 +12,11 @@ The writer names each object: an upload is `PUT <base_url>/<id>` with an
 id from `fresh_id`, answered 201 once stored, 409 for a taken id (nothing
 is overwritten) and 404 for one outside `ID_PATTERN`. So `begin_upload`
 knows the locator before the store answers, and the write path draws the
-stand-in (about 0.6 ms) during the store's 12 ms.
+stand-in (about 0.6 ms) during the store's 12 ms. A writer whose seeded
+ids a store already holds (a second run with the same `--seed`, or a
+`--root` store kept over a restart) meets a 409 and retries once under a
+`secure_id`, so each such object costs one more round trip, not a walk
+down the seeded stream.
 """
 
 from __future__ import annotations
@@ -95,13 +99,19 @@ def seed_ids(seed: int | None) -> None:
     _id_rng = None if seed is None else random.Random(seed)
 
 
+def secure_id() -> str:
+    """An id matching `ID_PATTERN` from secure randomness, off the seeded
+    stream."""
+    return secrets.token_hex(_ID_HEX_LEN // 2)
+
+
 def fresh_id(taken: Callable[[str], bool]) -> str:
     """A new id matching `ID_PATTERN` that is not `taken`."""
     while True:
         if _id_rng is not None:
             oid = f"{_id_rng.getrandbits(4 * _ID_HEX_LEN):0{_ID_HEX_LEN}x}"
         else:
-            oid = secrets.token_hex(_ID_HEX_LEN // 2)
+            oid = secure_id()
         if not taken(oid):
             return oid
 
@@ -155,9 +165,10 @@ class _LocalStore(_ProviderBase):
         self.simulated_latency = simulated_latency
         self._lock = threading.Lock()
 
-    def begin_upload(self, item: ContentItem) -> tuple[str, Callable[[], None]]:
+    def begin_upload(self, item: ContentItem, oid: str | None = None
+                     ) -> tuple[str, Callable[[], None]]:
         """Store `item` now (see `HttpStoreClient.begin_upload`)."""
-        return self.upload(item), lambda: None
+        return self.upload(item, oid), lambda: None
 
     @staticmethod
     def _claim(oid: str | None, taken: Callable[[str], bool]) -> str:
@@ -331,14 +342,17 @@ class HttpStoreClient(_ProviderBase):
                 raise StoreUnavailable(f"{what} failed: {exc}") from None
         return response
 
-    def begin_upload(self, item: ContentItem) -> tuple[str, Callable[[], None]]:
-        """Write the PUT of `item` under a fresh id; returns its locator,
-        and the confirmation (to be called) that reads the store's answer:
-        ObjectExists for a 409, PayloadTooLarge for a 413, StoreUnavailable
-        for anything but 201. A locator outside the locator rule is refused
-        before any byte is sent."""
+    def begin_upload(self, item: ContentItem, oid: str | None = None
+                     ) -> tuple[str, Callable[[], None]]:
+        """Write the PUT of `item` under `oid`, or a fresh id; returns its
+        locator, and the confirmation (to be called) that reads the store's
+        answer: ObjectExists for a 409, PayloadTooLarge for a 413,
+        StoreUnavailable for anything but 201. A locator outside the
+        locator rule is refused before any byte is sent."""
         self._check_size(item)
-        locator = self._locator_for(fresh_id(lambda oid: False))
+        if oid is None:
+            oid = fresh_id(lambda oid: False)
+        locator = self._locator_for(oid)
         try:
             validate_locator(locator)
         except InvalidPayload as exc:
@@ -357,8 +371,13 @@ class HttpStoreClient(_ProviderBase):
         return locator, confirm
 
     def upload(self, item: ContentItem) -> str:
+        """Store `item`; a taken id is retried once, as in `write_path`."""
         locator, confirm = self.begin_upload(item)
-        confirm()
+        try:
+            confirm()
+        except ObjectExists:
+            locator, confirm = self.begin_upload(item, secure_id())
+            confirm()
         return locator
 
     def fetch(self, locator: str) -> ContentItem:

@@ -5,6 +5,7 @@ import pathlib
 import re
 import runpy
 import sys
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -599,8 +600,26 @@ def test_upload_resolve_flow(served_world, tmp_path, capsys):
     assert b"data:image/png;base64," in inline_html.read_bytes()
 
 
+def test_seeded_runs_share_one_served_store(served_world, capsys):
+    # the second run's seeded object id is taken: the store answers 409,
+    # keeps the first run's object, and the upload lands under a new id
+    photo, data = png_file(served_world["tmp"], seed=6)
+    album = served_world["firstparty"].backing.create_album("same")
+    locators = []
+    for _ in range(2):
+        assert cli.run(["--config", served_world["config"], "--seed", "42",
+                        "upload", "--provider", "lab", "--file", str(photo),
+                        "--album", album]) == cli.EXIT_OK
+        lines = dict(line.split(": ", 1)
+                     for line in capsys.readouterr().out.splitlines())
+        locators.append(lines["offsite_locator"])
+    assert locators[0] != locators[1]
+    with closing(HttpStoreClient(served_world["store"].base_url)) as client:
+        assert [client.fetch(loc).data for loc in locators] == [data, data]
+
+
 def test_seeded_runs_are_reproducible(tmp_path, capsys):
-    # fresh servers per run: reuse would force collision-avoiding id skips
+    # fresh servers per run: a store that holds the seeded ids answers 409
     photo, _ = png_file(tmp_path, seed=5)
     receipts = []
     for i in range(2):

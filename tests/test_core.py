@@ -97,8 +97,8 @@ def test_write_path_cleans_orphan_on_firstparty_failure():
     uploaded = []
 
     class SpyingStore:
-        def begin_upload(self, item):
-            locator, confirm = w.store.begin_upload(item)
+        def begin_upload(self, item, oid=None):
+            locator, confirm = w.store.begin_upload(item, oid)
             uploaded.append(locator)
             return locator, confirm
 

@@ -564,8 +564,8 @@ def test_caption_outside_latin1_fails_the_write_and_deletes(fp_server):
     uploaded = []
 
     class SpyingStore:
-        def begin_upload(self, item):
-            uploaded.append(offsite.upload(item))
+        def begin_upload(self, item, oid=None):
+            uploaded.append(offsite.upload(item, oid))
             return uploaded[-1], lambda: None
 
         def delete(self, locator):

@@ -260,7 +260,8 @@ def test_a_store_that_keeps_the_bytes_but_answers_500_ends_empty():
 
 
 def test_a_409_deletes_nothing(http_pair):
-    # the id the writer drew is taken: the object there is someone else's
+    # the id the writer drew is taken: the object there is someone else's,
+    # so it stays, and the write lands under a secure id instead
     client, backing = http_pair
     deleted = []
     backing.delete = deleted.append
@@ -271,13 +272,60 @@ def test_a_409_deletes_nothing(http_pair):
         oid = store.fresh_id(lambda oid: False)
         backing.upload(ContentItem(data=b"theirs"), oid)
         store.seed_ids(5)
-        with pytest.raises(ObjectExists):
-            write_path(_png(2), "c", album, client, service)
+        receipt = write_path(_png(2), "c", album, client, service)
     finally:
         store.seed_ids(None)
     assert backing.fetch(backing._locator_for(oid)).data == b"theirs"
-    assert (len(backing), deleted) == (1, [])
+    assert receipt.offsite_locator != client._locator_for(oid)
+    assert client.fetch(receipt.offsite_locator).data == _png(2).data
+    assert (len(backing), deleted) == (2, [])
+    assert service.get(receipt.pseudo_locator).media_type == "image/png"
+
+
+def test_a_store_that_answers_409_to_every_put_gets_two_and_no_delete():
+    # one retry: a second 409 fails the write, deletes nothing and posts
+    # nothing, as neither id's object is the writer's
+    puts, deletes = [], []
+
+    class AlwaysTaken(store._StoreHandler):
+        def do_PUT(self):
+            self._body()
+            puts.append(self._object_id())
+            self._reply(409, b"object id taken\n")
+
+        def do_DELETE(self):
+            deletes.append(self.path)
+            self._reply(204)
+
+    service = FirstPartyService(response_delay_ms=0)
+    album = service.create_album("taken")
+    with Server(("127.0.0.1", 0), AlwaysTaken, store.OBJECTS_PATH,
+                MemoryStore(name="backing")) as server, \
+            closing(HttpStoreClient(server.base_url)) as client:
+        with pytest.raises(ObjectExists):
+            write_path(_png(3), "c", album, client, service)
+        with pytest.raises(ObjectExists):
+            client.upload(ContentItem(data=b"x"))
+    assert len(puts) == 4 and len(set(puts)) == 4
+    assert deletes == []
     assert b"<img" not in service.get(service.page_url(album)).data
+
+
+def test_http_upload_retries_a_taken_seeded_id(http_pair):
+    # the retry's id is off the seeded stream, whose next ids the store
+    # may hold too
+    client, backing = http_pair
+    store.seed_ids(6)
+    try:
+        earlier = [client.upload(ContentItem(data=b"one")),
+                   client.upload(ContentItem(data=b"two"))]
+        store.seed_ids(6)
+        again = client.upload(ContentItem(data=b"three"))
+    finally:
+        store.seed_ids(None)
+    assert again not in earlier
+    assert [client.fetch(loc).data for loc in [*earlier, again]] == \
+        [b"one", b"two", b"three"]
 
 
 _SERVE_BOTH = """
