@@ -13,12 +13,13 @@ idle keep-alive connections (RFC 9112 §9), so a page's fetches reuse
 sockets instead of paying a TCP handshake each. A request goes out in one
 write, and fails once `TIMEOUT_S` has passed since it started. `send`
 writes it and returns the call that reads its response, so a caller can
-work while the peer handles the request: the write path draws a stand-in
-(about 0.6 ms of CPU) inside a store's 12 ms upload. `request` is the two
-in a row. Interim 1xx responses are skipped and redirects are not
-followed. A response body is `chunked` (no other transfer coding is
-accepted), delimited by `Content-Length`, or runs to the connection's
-close, and is capped before it is read.
+work while the peer handles the request: `HttpStoreClient.upload` runs the
+write path's stand-in draw (0.6 ms of CPU) inside the store's 12 ms, while
+the bytes are in flight. `request` is the two in a row. Interim 1xx
+responses are skipped and redirects are not followed. A response body is
+`chunked` (no other transfer coding is accepted), delimited by
+`Content-Length`, or runs to the connection's close, and is capped before
+it is read.
 
 A running server is one `Server` object, a `socketserver.ThreadingTCPServer`
 that accepts on its own thread from the moment it is built and is its own

@@ -3,8 +3,8 @@
 The write path uploads real bytes off-site, encodes the object's locator
 into a QR pseudo-image whose edge every reader accepts (`filter.MIN_EDGE`
 to `filter.MAX_EDGE`), places that on the first party, and records the
-mapping; it names the object itself, so it draws the stand-in while the
-upload is in flight. The first-party client is `FirstPartyService` itself
+mapping; the store's `upload` runs its stand-in draw while the bytes are
+in flight. The first-party client is `FirstPartyService` itself
 in process, or `HttpFirstPartyClient` over HTTP (defined in `firstparty`,
 beside the server, and re-exported here); either answers a photo's path,
 and the write path alone joins it to the client's `base_url`. The read path walks
@@ -28,6 +28,7 @@ import re
 import threading
 from concurrent.futures import (FIRST_COMPLETED, Future, ThreadPoolExecutor,
                                 wait)
+from contextlib import suppress
 from dataclasses import dataclass
 from urllib.parse import urljoin
 
@@ -36,10 +37,11 @@ from ._http import MAX_IDLE_PER_HOST, ConnectionPool, HttpError
 from .cache import MappingEntry, MappingsCache
 from .filter import (MAX_EDGE, MIN_EDGE, ElementDescriptor, FilterConfig,
                      is_candidate, make_caption)
-from .firstparty import (FirstPartyError, FirstPartyService,
-                         HttpFirstPartyClient)  # re-exported
+from .firstparty import (AlbumNotFound, FirstPartyError, FirstPartyService,
+                         HttpFirstPartyClient,  # re-exported
+                         PhotoNotFound)
 from .locator import InvalidPayload, validate_locator
-from .store import ContentItem, ObjectExists, secure_id
+from .store import ContentItem, NotFound
 
 OUTCOME_REPLACED = "replaced"
 OUTCOME_NOT_INDIRECTION = "not_indirection"
@@ -120,7 +122,8 @@ class InProcessFetcher:
     A URL under a registered provider's base goes to that provider, and
     one under the first party's base through `FirstPartyService.get`, the
     route the HTTP first party serves, so both give the same bytes, media
-    type and misses. A URL under no host's base is a miss. Useful for
+    type and misses: a host's miss is status 404, as over HTTP, and a URL
+    under no host's base fails with no status. Useful for
     tight latency measurements where socket noise is unwanted.
     """
 
@@ -135,6 +138,8 @@ class InProcessFetcher:
             if url.startswith(base):
                 try:
                     return route(url)
+                except (NotFound, AlbumNotFound, PhotoNotFound) as exc:
+                    raise FetchError(str(exc), 404) from None
                 except Exception as exc:
                     raise FetchError(str(exc)) from None
         raise FetchError(f"no route for {url!r}")
@@ -153,73 +158,45 @@ def _photo_locator(base_url: str, path: str) -> str:
     raise FirstPartyError(f"first party answered a bad photo path {path!r}")
 
 
-def _discard(provider, locator: str) -> None:
-    try:
-        provider.delete(locator)
-    except Exception:
-        pass  # cleanup is best-effort; the original error wins
-
-
-def _store_and_draw(image: ContentItem, provider, qr_config: codec.QrConfig,
-                    oid: str | None = None) -> tuple[str, bytes]:
-    """Upload `image` under `oid` (or a fresh id) and draw its stand-in
-    while the bytes are in flight; returns the locator and the stand-in's
-    PNG. After a failed encode or confirmation the object is deleted, but
-    not after ObjectExists: that object is someone else's."""
-    locator, confirm = provider.begin_upload(image, oid)
-    try:
-        try:
-            png = codec.encode_qr(codec.IndirectionPayload(locator=locator),
-                                  qr_config).to_png()
-        finally:
-            confirm()
-    except ObjectExists:
-        raise
-    except Exception:
-        _discard(provider, locator)
-        raise
-    return locator, png
-
-
 def write_path(image: ContentItem, caption: str | None, album_id: str,
                offsite_provider, firstparty_client,
                qr_config: codec.QrConfig | None = None,
                cache: MappingsCache | None = None) -> WriteReceipt:
     """Intercept content: store it off-site, place a schema first-party.
 
-    The original bytes never reach the first party. `begin_upload` names
-    the off-site locator as the upload starts, so the stand-in is encoded
-    and written to PNG (about 0.6 ms) while the store takes the bytes (its
-    12 ms delay, over HTTP); the first-party post waits for the store's
-    confirmation. When the encode or the confirmation fails, or the first
-    party refuses the stand-in, the off-site object is deleted (best
-    effort) and nothing more is posted. An id the store says is taken is
-    someone else's object and stays; the upload and the stand-in are
-    retried once under a `secure_id`, off the seeded stream, so a seeded
-    writer whose ids a store already holds still publishes. A
-    `target_size` outside the filter's edges fails before the upload. The
-    pseudo-locator is `firstparty_client.base_url` + the photo path the
-    first party answers; a path that does not start with '/', or that
-    joins into no valid locator, fails the write.
+    The original bytes never reach the first party. The provider's
+    `upload(image, draw=...)` runs the draw, which encodes the stand-in
+    for the locator it names and writes its PNG (about 0.6 ms), while the
+    store takes the bytes (its 12 ms delay, over HTTP), and deletes its
+    object when the draw or the store fails; the first-party post waits
+    until the upload returns. When the first party refuses the stand-in,
+    the off-site object is deleted (best effort) and nothing more is
+    posted. A `target_size` outside the filter's edges fails before the
+    upload. The pseudo-locator is `firstparty_client.base_url` + the photo
+    path the first party answers; a path that does not start with '/', or
+    that joins into no valid locator, fails the write.
     """
     image.validate()
     qr_config = qr_config or codec.QrConfig()
     if not MIN_EDGE <= qr_config.target_size <= MAX_EDGE:
         raise ValueError(f"target_size {qr_config.target_size} is outside "
                          f"the stand-in edges {MIN_EDGE}-{MAX_EDGE}")
-    try:
-        offsite_locator, png = _store_and_draw(image, offsite_provider,
-                                               qr_config)
-    except ObjectExists:
-        offsite_locator, png = _store_and_draw(image, offsite_provider,
-                                               qr_config, secure_id())
+    drawn: dict[str, bytes] = {}
+
+    def draw(locator: str) -> None:
+        drawn[locator] = codec.encode_qr(
+            codec.IndirectionPayload(locator=locator), qr_config).to_png()
+
+    offsite_locator = offsite_provider.upload(image, draw=draw)
     try:
         photo_id, path = firstparty_client.upload_photo(
-            album_id, ContentItem(data=png, media_type="image/png"),
+            album_id, ContentItem(data=drawn[offsite_locator],
+                                  media_type="image/png"),
             make_caption(caption))
         pseudo_locator = _photo_locator(firstparty_client.base_url, path)
     except Exception:
-        _discard(offsite_provider, offsite_locator)
+        with suppress(Exception):  # the original error wins
+            offsite_provider.delete(offsite_locator)
         raise
     if cache is not None:
         cache.record_created(MappingEntry(
@@ -309,6 +286,10 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
                 if isinstance(found, Resolution):
                     results[i] = found
                     continue
+                if found == elements[i].source_url:
+                    results[i] = Resolution(elements[i], OUTCOME_FAILED,
+                                            reason="stand-in names itself")
+                    continue
                 cache.record_resolved(MappingEntry(
                     pseudo_locator=elements[i].source_url,
                     offsite_locator=found, hit_count=1))
@@ -354,7 +335,10 @@ def resolve_page(album_page_url: str, fetcher,
     descriptors = []
     for el in scan:
         d = el.descriptor
-        absolute = urljoin(album_page_url, d.source_url)
+        try:
+            absolute = urljoin(album_page_url, d.source_url)
+        except ValueError:  # left for the filter to refuse
+            absolute = d.source_url
         descriptors.append(ElementDescriptor(
             source_url=absolute, width=d.width, height=d.height,
             media_subtype=d.media_subtype, caption=d.caption))

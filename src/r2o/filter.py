@@ -64,16 +64,21 @@ class Decision:
 CANDIDATE = Decision(True)
 
 
-def _path_of(url: str) -> str:
+def _path_of(url: str) -> str | None:
+    """The path of `url`, or None for a URL that does not parse."""
     if "://" in url:
-        return urlsplit(url).path
+        try:
+            return urlsplit(url).path
+        except ValueError:
+            return None
     return url.split("?", 1)[0].split("#", 1)[0]
 
 
 def is_candidate(e: ElementDescriptor, cfg: FilterConfig) -> Decision:
-    """Apply the screening rules in fixed order; first failure is reported."""
+    """Apply the screening rules in fixed order; first failure is reported.
+    A URL that does not parse fails the prefix rule."""
     path = _path_of(e.source_url)
-    if not any(path.startswith(p) for p in cfg.path_prefixes):
+    if path is None or not any(path.startswith(p) for p in cfg.path_prefixes):
         return Decision(False, RULE_PREFIX)
     if e.media_subtype.lower() in EXCLUDED_SUBTYPES:
         return Decision(False, RULE_SUBTYPE)

@@ -10,13 +10,13 @@ are a pre-response sleep of exactly the configured duration.
 
 The writer names each object: an upload is `PUT <base_url>/<id>` with an
 id from `fresh_id`, answered 201 once stored, 409 for a taken id (nothing
-is overwritten) and 404 for one outside `ID_PATTERN`. So `begin_upload`
-knows the locator before the store answers, and the write path draws the
-stand-in (about 0.6 ms) during the store's 12 ms. A writer whose seeded
-ids a store already holds (a second run with the same `--seed`, or a
-`--root` store kept over a restart) meets a 409 and retries once under a
-`secure_id`, so each such object costs one more round trip, not a walk
-down the seeded stream.
+is overwritten) and 404 for one outside `ID_PATTERN`. So `upload` runs
+the writer's `draw(locator)` while the bytes are in flight: the write
+path draws its stand-in (about 0.6 ms) during the store's 12 ms. A writer
+whose seeded ids a store already holds (a second run with the same
+`--seed`, or a `--root` store kept over a restart) meets a 409 and
+`upload` retries once under a `secure_id`, drawing again, so each such
+object costs one more round trip, not a walk down the seeded stream.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import re
 import secrets
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -165,20 +166,30 @@ class _LocalStore(_ProviderBase):
         self.simulated_latency = simulated_latency
         self._lock = threading.Lock()
 
-    def begin_upload(self, item: ContentItem, oid: str | None = None
-                     ) -> tuple[str, Callable[[], None]]:
-        """Store `item` now (see `HttpStoreClient.begin_upload`)."""
-        return self.upload(item, oid), lambda: None
-
-    @staticmethod
-    def _claim(oid: str | None, taken: Callable[[str], bool]) -> str:
-        if oid is None:
-            return fresh_id(taken)
-        if not ID_PATTERN.fullmatch(oid):
-            raise NotFound(f"malformed object id {oid!r}")
-        if taken(oid):
-            raise ObjectExists(f"object {oid} exists")
-        return oid
+    def upload(self, item: ContentItem, oid: str | None = None,
+               draw: Callable[[str], None] | None = None) -> str:
+        """Store `item` under `oid` (NotFound if malformed, ObjectExists if
+        taken) or a fresh id, then run `draw(locator)`; returns the locator.
+        A draw that raises deletes the object (best effort)."""
+        self._check_size(item)
+        self._sleep_floor()
+        with self._lock:
+            if oid is None:
+                oid = fresh_id(self._taken)
+            elif not ID_PATTERN.fullmatch(oid):
+                raise NotFound(f"malformed object id {oid!r}")
+            elif self._taken(oid):
+                raise ObjectExists(f"object {oid} exists")
+            self._write(oid, item)
+        locator = self._locator_for(oid)
+        if draw is not None:
+            try:
+                draw(locator)
+            except BaseException:
+                with suppress(Exception):
+                    self.delete(locator)
+                raise
+        return locator
 
 
 class MemoryStore(_LocalStore):
@@ -189,13 +200,11 @@ class MemoryStore(_LocalStore):
         super().__init__(name, simulated_latency)
         self._objects: dict[str, tuple[bytes, str]] = {}
 
-    def upload(self, item: ContentItem, oid: str | None = None) -> str:
-        self._check_size(item)
-        self._sleep_floor()
-        with self._lock:
-            oid = self._claim(oid, self._objects.__contains__)
-            self._objects[oid] = (bytes(item.data), item.media_type)
-        return self._locator_for(oid)
+    def _taken(self, oid: str) -> bool:
+        return oid in self._objects
+
+    def _write(self, oid: str, item: ContentItem) -> None:
+        self._objects[oid] = (bytes(item.data), item.media_type)
 
     def fetch(self, locator: str) -> ContentItem:
         oid = self._id_from(locator)
@@ -227,14 +236,12 @@ class FilesystemStore(_LocalStore):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def upload(self, item: ContentItem, oid: str | None = None) -> str:
-        self._check_size(item)
-        self._sleep_floor()
-        with self._lock:
-            oid = self._claim(oid, lambda oid: (self.root / oid).exists())
-            (self.root / oid).write_bytes(item.data)
-            (self.root / f"{oid}.meta").write_text(item.media_type + "\n")
-        return self._locator_for(oid)
+    def _taken(self, oid: str) -> bool:
+        return (self.root / oid).exists()
+
+    def _write(self, oid: str, item: ContentItem) -> None:
+        (self.root / oid).write_bytes(item.data)
+        (self.root / f"{oid}.meta").write_text(item.media_type + "\n")
 
     def fetch(self, locator: str) -> ContentItem:
         oid = self._id_from(locator)
@@ -342,16 +349,23 @@ class HttpStoreClient(_ProviderBase):
                 raise StoreUnavailable(f"{what} failed: {exc}") from None
         return response
 
-    def begin_upload(self, item: ContentItem, oid: str | None = None
-                     ) -> tuple[str, Callable[[], None]]:
-        """Write the PUT of `item` under `oid`, or a fresh id; returns its
-        locator, and the confirmation (to be called) that reads the store's
-        answer: ObjectExists for a 409, PayloadTooLarge for a 413,
-        StoreUnavailable for anything but 201. A locator outside the
-        locator rule is refused before any byte is sent."""
+    def upload(self, item: ContentItem,
+               draw: Callable[[str], None] | None = None) -> str:
+        """Write the PUT of `item` under a fresh id, run `draw(locator)`
+        while the store takes the bytes, read its answer and return the
+        locator. A 409 deletes nothing (the object is someone else's) and
+        is tried once more under a `secure_id`; a second raises
+        ObjectExists. Any other failure of the draw or the answer (413:
+        PayloadTooLarge, not 201: StoreUnavailable) deletes the object
+        (best effort). A bad locator is refused before any byte is sent."""
         self._check_size(item)
-        if oid is None:
-            oid = fresh_id(lambda oid: False)
+        try:
+            return self._put(item, fresh_id(lambda oid: False), draw)
+        except ObjectExists:
+            return self._put(item, secure_id(), draw)
+
+    def _put(self, item: ContentItem, oid: str,
+             draw: Callable[[str], None] | None) -> str:
         locator = self._locator_for(oid)
         try:
             validate_locator(locator)
@@ -359,25 +373,26 @@ class HttpStoreClient(_ProviderBase):
             raise StoreUnavailable(f"upload to {locator!r}: {exc}") from None
         response = self._request("upload", "PUT", locator, body=item.data,
                                  headers={"Content-Type": item.media_type})
-
-        def confirm() -> None:
-            status = response().status
-            if status == 409:
-                raise ObjectExists(f"{locator} is taken")
+        try:
+            try:
+                if draw is not None:
+                    draw(locator)
+            finally:
+                # raised here, a 409 replaces the draw's own error, so the
+                # taken object is not deleted and the id is tried again
+                status = response().status
+                if status == 409:
+                    raise ObjectExists(f"{locator} is taken")
             if status == 413:
                 raise PayloadTooLarge("server rejected payload")
             if status != 201:
                 raise StoreUnavailable(f"upload failed: HTTP {status}")
-        return locator, confirm
-
-    def upload(self, item: ContentItem) -> str:
-        """Store `item`; a taken id is retried once, as in `write_path`."""
-        locator, confirm = self.begin_upload(item)
-        try:
-            confirm()
         except ObjectExists:
-            locator, confirm = self.begin_upload(item, secure_id())
-            confirm()
+            raise
+        except BaseException:
+            with suppress(Exception):
+                self.delete(locator)
+            raise
         return locator
 
     def fetch(self, locator: str) -> ContentItem:

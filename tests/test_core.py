@@ -24,7 +24,7 @@ from r2o.core import (
     resolve_page,
     write_path,
 )
-from r2o.filter import ElementDescriptor
+from r2o.filter import RULE_PREFIX, ElementDescriptor
 from r2o.firstparty import FirstPartyService
 from r2o.store import ContentItem, MemoryStore, NotFound
 from recording_fetcher import RecordingFetcher
@@ -97,10 +97,9 @@ def test_write_path_cleans_orphan_on_firstparty_failure():
     uploaded = []
 
     class SpyingStore:
-        def begin_upload(self, item, oid=None):
-            locator, confirm = w.store.begin_upload(item, oid)
-            uploaded.append(locator)
-            return locator, confirm
+        def upload(self, item, draw=None):
+            uploaded.append(w.store.upload(item, draw=draw))
+            return uploaded[-1]
 
         def delete(self, locator):
             w.store.delete(locator)
@@ -114,6 +113,43 @@ def test_write_path_cleans_orphan_on_firstparty_failure():
     assert len(uploaded) == 1
     with pytest.raises(NotFound):
         w.store.fetch(uploaded[0])
+
+
+def test_a_draw_that_raises_leaves_the_store_empty_and_posts_nothing(
+        monkeypatch):
+    # a local store holds the object while the stand-in is drawn, and
+    # deletes it when drawing fails; the first party gets nothing
+    w = World()
+    held = []
+
+    def failing_encode(payload, config):
+        held.append(len(w.store))
+        raise RuntimeError("encoder broke")
+
+    monkeypatch.setattr(codec, "encode_qr", failing_encode)
+    with pytest.raises(RuntimeError, match="encoder broke"):
+        w.publish()
+    assert held == [1]
+    assert len(w.store) == 0
+    assert "<img" not in w.service.render_album_page(w.album)
+
+
+def test_a_store_with_only_upload_and_delete_serves_the_write_path():
+    w = World()
+
+    class UploadAndDelete:
+        def upload(self, item, draw=None):
+            return w.store.upload(item, draw=draw)
+
+        def delete(self, locator):
+            w.store.delete(locator)
+
+    receipt = write_path(png_item(4), "c", w.album, UploadAndDelete(),
+                         w.client)
+    (res,) = read_path([w.element(receipt)], None, MappingsCache(),
+                       w.fetcher)
+    assert res.outcome == OUTCOME_REPLACED
+    assert res.content.data == png_item(4).data
 
 
 @pytest.mark.parametrize("outside, inside", [(63, 64), (1025, 1024)])
@@ -616,6 +652,78 @@ def test_resolve_page_untouched_without_candidates():
     original = w.fetcher.fetch(page_url).data
     # the sole photo is real content: decode finds no symbol, no rewrite
     assert resolve_page(page_url, w.fetcher) == original
+
+
+class Swapping:
+    """Answers some URLs from a table of its own, the rest from `inner`."""
+
+    def __init__(self, inner, table):
+        self.inner = inner
+        self.table = table
+
+    def fetch(self, url):
+        found = self.table.get(url)
+        return self.inner.fetch(url) if found is None else found
+
+
+def test_a_stand_in_that_names_itself_fails_and_is_not_recorded():
+    w = World()
+    _, path = w.service.upload_photo(w.album, png_item(1), "r2o:1")
+    url = w.service.base_url + path
+    png = codec.encode_qr(codec.IndirectionPayload(locator=url),
+                          codec.QrConfig()).to_png()
+    fetcher = RecordingFetcher(
+        Swapping(w.fetcher, {url: ContentItem(png, "image/png")}))
+    page_url = w.client.page_url(w.album)
+    cache = MappingsCache()
+    assert resolve_page(page_url, fetcher, cache=cache) == \
+        w.fetcher.fetch(page_url).data
+    assert fetcher.requests == [page_url, url]
+    assert len(cache) == 0
+    elem = ElementDescriptor(source_url=url, media_subtype="png",
+                             caption="r2o:1")
+    (res,) = read_path([elem], None, cache, fetcher)
+    assert res.outcome == OUTCOME_FAILED
+    assert res.reason == "stand-in names itself"
+    assert len(cache) == 0
+
+
+_BAD_SRC = "http://[bad/fp/photos/a.png"
+
+
+def test_a_malformed_image_url_keeps_its_src_and_the_page_resolves():
+    w = World()
+    receipt = w.publish(seed=15)
+    page_url = w.client.page_url(w.album)
+    page = w.fetcher.fetch(page_url).data.replace(
+        b"</body>",
+        f'<img src="{_BAD_SRC}" width="512" height="512"></body>'.encode())
+    fetcher = RecordingFetcher(
+        Swapping(w.fetcher, {page_url: ContentItem(page, "text/html")}))
+    out = resolve_page(page_url, fetcher, cache=MappingsCache())
+    assert receipt.offsite_locator.encode() in out
+    assert f'<img src="{_BAD_SRC}"'.encode() in out
+    assert not any(url.startswith("http://[") for url in fetcher.requests)
+    elem = ElementDescriptor(source_url=_BAD_SRC, width=512, height=512)
+    (res,) = read_path([elem], None, MappingsCache(), fetcher)
+    assert res.outcome == OUTCOME_NOT_INDIRECTION
+    assert res.reason == RULE_PREFIX
+
+
+def test_in_process_fetch_error_carries_the_status():
+    # a host's miss reads 404, as over HTTP; a URL no host serves, None
+    w = World()
+    missing = "0" * 16
+    urls = [f"{w.store.base_url}/{missing}",
+            f"{w.service.base_url}/fp/photos/{missing}.png",
+            w.service.page_url(missing)]
+    for url in urls:
+        with pytest.raises(core.FetchError) as gone:
+            w.fetcher.fetch(url)
+        assert gone.value.status == 404
+    with pytest.raises(core.FetchError) as refused:
+        w.fetcher.fetch("http://elsewhere.invalid/x")
+    assert refused.value.status is None
 
 
 def test_resolve_page_unreachable():

@@ -564,9 +564,9 @@ def test_caption_outside_latin1_fails_the_write_and_deletes(fp_server):
     uploaded = []
 
     class SpyingStore:
-        def begin_upload(self, item, oid=None):
-            uploaded.append(offsite.upload(item, oid))
-            return uploaded[-1], lambda: None
+        def upload(self, item, draw=None):
+            uploaded.append(offsite.upload(item, draw=draw))
+            return uploaded[-1]
 
         def delete(self, locator):
             offsite.delete(locator)

@@ -311,6 +311,48 @@ def test_a_store_that_answers_409_to_every_put_gets_two_and_no_delete():
     assert b"<img" not in service.get(service.page_url(album)).data
 
 
+def test_a_409_after_a_failed_draw_deletes_nothing_and_retries():
+    # the 409 wins over the draw's error: the taken object is not the
+    # writer's, so it is left alone and the id is tried again
+    puts, deletes, drawn = [], [], []
+
+    class TakenOnce(store._StoreHandler):
+        def do_PUT(self):
+            if puts:
+                puts.append(self._object_id())
+                return super().do_PUT()
+            self._body()
+            puts.append(self._object_id())
+            self._reply(409, b"object id taken\n")
+
+        def do_DELETE(self):
+            deletes.append(self.path)
+            return super().do_DELETE()
+
+    def draw(locator):
+        drawn.append(locator)
+        if len(drawn) == 1:
+            raise ValueError("draw failed")
+
+    def always_fails(locator):
+        raise KeyboardInterrupt
+
+    backing = MemoryStore(name="backing")
+    with Server(("127.0.0.1", 0), TakenOnce, store.OBJECTS_PATH,
+                backing) as server, \
+            closing(HttpStoreClient(server.base_url)) as client:
+        locator = client.upload(ContentItem(data=b"x"), draw)
+        assert deletes == []
+        assert drawn == [client._locator_for(oid) for oid in puts]
+        assert locator == drawn[1] and len(set(puts)) == 2
+        assert client.fetch(locator).data == b"x"
+        with pytest.raises(KeyboardInterrupt):
+            client.upload(ContentItem(data=b"y"), always_fails)
+        # this write's one PUT was stored, so its object is the writer's
+        assert len(puts) == 3
+        assert deletes == [store.OBJECTS_PATH + "/" + puts[2]]
+
+
 def test_http_upload_retries_a_taken_seeded_id(http_pair):
     # the retry's id is off the seeded stream, whose next ids the store
     # may hold too
