@@ -24,7 +24,7 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import bench, codec, core, firstparty, store
+from . import firstparty, store
 from .cache import CacheConfig, MappingsCache
 from .filter import FilterConfig
 from .locator import validate_locator
@@ -52,7 +52,9 @@ class Config:
 
     filter: FilterConfig = field(default_factory=FilterConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    qr: codec.QrConfig = field(default_factory=codec.QrConfig)
+    # None keeps the codec's defaults, so a command that draws no symbol
+    # never loads the codec (and numpy)
+    qr: codec.QrConfig | None = None
     # each configured provider's name and the base URL of its served store
     providers: dict[str, str] = field(default_factory=dict)
     firstparty_url: str = DEFAULT_FIRSTPARTY_URL
@@ -120,9 +122,13 @@ def load_config(path: str | None) -> Config:
         else:
             raise UsageError(f"unknown config section [{section_name}]")
     try:
+        if values["qr"]:
+            from .codec import QrConfig
+            qr = QrConfig(**values["qr"])
+        else:
+            qr = None
         return Config(filter=replace(cfg.filter, **values["filter"]),
-                      cache=replace(cfg.cache, **values["cache"]),
-                      qr=replace(cfg.qr, **values["qr"]),
+                      cache=replace(cfg.cache, **values["cache"]), qr=qr,
                       providers=providers,
                       firstparty_url=values["r2o"].get("firstparty_url",
                                                        cfg.firstparty_url))
@@ -196,6 +202,8 @@ def _cmd_serve_firstparty(args, cfg: Config) -> int:
 
 
 def _cmd_upload(args, cfg: Config) -> int:
+    from . import core
+
     data = Path(args.file).read_bytes()
     media_type = ("image/png" if args.file.lower().endswith(".png")
                   else "application/octet-stream")
@@ -214,6 +222,8 @@ def _cmd_upload(args, cfg: Config) -> int:
 
 
 def _cmd_resolve(args, cfg: Config) -> int:
+    from . import core
+
     cache = _load_cache_file(cfg, args.cache_file)
     with closing(core.HttpFetcher()) as fetcher:
         html_bytes = core.resolve_page(args.page, fetcher,
@@ -229,7 +239,9 @@ def _cmd_resolve(args, cfg: Config) -> int:
 
 
 def _cmd_encode(args, cfg: Config) -> int:
-    qr = cfg.qr
+    from . import codec
+
+    qr = cfg.qr or codec.QrConfig()
     if args.ec_level:
         qr = replace(qr, ec_level=args.ec_level)
     if args.target_size is not None:
@@ -246,6 +258,8 @@ def _cmd_encode(args, cfg: Config) -> int:
 
 
 def _cmd_decode(args, cfg: Config) -> int:
+    from . import codec
+
     image = codec.PseudoImage.from_png(Path(args.file).read_bytes())
     payload = codec.decode_qr(image)
     print(payload.locator)
@@ -279,11 +293,14 @@ def _cmd_cache_stats(args, cfg: Config) -> int:
 
 
 def _cmd_bench(args, cfg: Config) -> int:
+    from . import bench, codec
+
     rng = random.Random(args.seed) if args.seed is not None else None
     with ExitStack() as stack:
         providers = [stack.enter_context(closing(cfg.provider(n)))
                      for n in _csv_tuple(args.providers)]
-        violations = bench.evaluate(args.quick, cfg.qr, providers or None,
+        violations = bench.evaluate(args.quick, cfg.qr or codec.QrConfig(),
+                                    providers or None,
                                     rng, args.out_dir)
     for line in violations:
         print(f"bound violated: {line}", file=sys.stderr)
@@ -397,8 +414,15 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"r2o: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (core.CoreError, store.StoreError, firstparty.FirstPartyError,
-            codec.CodecError, OSError, ValueError) as exc:
+    except Exception as exc:
+        # core and the codec are loaded only by the commands that use them,
+        # and only those commands raise their errors
+        from . import codec, core
+
+        if not isinstance(exc, (core.CoreError, store.StoreError,
+                                firstparty.FirstPartyError, codec.CodecError,
+                                OSError, ValueError)):
+            raise
         print(f"r2o: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
     finally:

@@ -30,7 +30,8 @@ from concurrent.futures import (FIRST_COMPLETED, Future, ThreadPoolExecutor,
                                 wait)
 from contextlib import suppress
 from dataclasses import dataclass
-from urllib.parse import urljoin
+from typing import Callable
+from urllib.parse import urljoin, urlsplit
 
 from . import codec, rewriter
 from ._http import MAX_IDLE_PER_HOST, ConnectionPool, HttpError
@@ -53,6 +54,9 @@ VIA_DECODED = "decoded"
 # an inline data: URL carries only `image/` plus an RFC 9110 token
 _INLINE_MEDIA_TYPE = re.compile(r"image/[!#$%&'*+\-.^_`|~0-9A-Za-z]+",
                                 re.IGNORECASE)
+# a src that urljoin only puts after the page's origin: one leading "/",
+# no dot segment, and nothing urlsplit strips or splits off
+_PLAIN_PATH = re.compile(r"/(?![/.])(?:[^\t\n\r?#;/]|/(?!\.))*")
 
 
 class CoreError(Exception):
@@ -312,6 +316,27 @@ def read_path(elements, filter_cfg: FilterConfig | None, cache: MappingsCache,
     return results  # type: ignore[return-value]
 
 
+def _joiner(page_url: str) -> Callable[[str], str]:
+    """`urljoin(page_url, src)`, or a src that makes it raise as it is (for
+    the filter to refuse). The page URL is parsed once, and a plain
+    absolute path is put after its origin without another parse."""
+    try:
+        parts = urlsplit(page_url)
+    except ValueError:
+        parts = None
+    origin = (f"{parts.scheme}://{parts.netloc}"
+              if parts and parts.scheme in ("http", "https") else None)
+
+    def join(src: str) -> str:
+        if origin is not None and _PLAIN_PATH.fullmatch(src):
+            return origin + src
+        try:
+            return urljoin(page_url, src)
+        except ValueError:
+            return src
+    return join
+
+
 def resolve_page(album_page_url: str, fetcher,
                  filter_cfg: FilterConfig | None = None,
                  cache: MappingsCache | None = None,
@@ -332,15 +357,12 @@ def resolve_page(album_page_url: str, fetcher,
     except FetchError as exc:
         raise PageUnreachable(str(exc)) from None
     scan = rewriter.scan_html(page.data)
+    join = _joiner(album_page_url)
     descriptors = []
     for el in scan:
         d = el.descriptor
-        try:
-            absolute = urljoin(album_page_url, d.source_url)
-        except ValueError:  # left for the filter to refuse
-            absolute = d.source_url
         descriptors.append(ElementDescriptor(
-            source_url=absolute, width=d.width, height=d.height,
+            source_url=join(d.source_url), width=d.width, height=d.height,
             media_subtype=d.media_subtype, caption=d.caption))
     resolutions = read_path(descriptors, filter_cfg, cache, fetcher)
     replacements = []

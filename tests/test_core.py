@@ -4,9 +4,11 @@ import struct
 import threading
 import time
 import zlib
+from urllib.parse import urljoin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from r2o import codec, core
 from r2o.codec import encoder
@@ -731,3 +733,40 @@ def test_resolve_page_unreachable():
     with pytest.raises(PageUnreachable):
         resolve_page("http://nowhere.invalid/fp/albums/x/page",
                      InProcessFetcher())
+
+
+_BASES = st.builds(
+    lambda scheme, userinfo, host, path, query:
+        f"{scheme}://{userinfo}{host}{path}{query}",
+    st.sampled_from(["http", "HTTP", "Https"]),
+    st.sampled_from(["", "u:p@", "user@"]),
+    st.sampled_from(["fp.example", "127.0.0.1:8601", "[::1]:80"]),
+    st.sampled_from(["", "/", "/fp/albums/a", "/fp/albums/a/"]),
+    st.sampled_from(["", "?q=1", "?a/./b#f"]))
+_SRCS = st.text("/.?#;:@%\t\n\r \\[]ab", max_size=14)
+
+
+@settings(max_examples=1000)
+@given(_BASES, st.one_of(_SRCS, _SRCS.map(lambda src: "/" + src)))
+def test_property_a_page_src_joins_as_urljoin_joins_it(base, src):
+    try:
+        expected = urljoin(base, src)
+    except ValueError:
+        expected = src
+    assert core._joiner(base)(src) == expected
+
+
+def test_every_photo_src_on_an_album_page_is_joined_without_urljoin(
+        monkeypatch):
+    # a first-party page's srcs are plain absolute paths, so resolving it
+    # parses its URL once, not once per element
+    w = World()
+    for seed in range(3):
+        w.publish(seed=20 + seed)
+    page_url = w.client.page_url(w.album)
+    joined = []
+    monkeypatch.setattr(core, "urljoin",
+                        lambda base, src: joined.append(src) or src)
+    out = resolve_page(page_url, w.fetcher, cache=w.cache)
+    assert out.count(w.store.base_url.encode()) == 3
+    assert joined == []

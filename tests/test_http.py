@@ -7,12 +7,14 @@ import socket
 import threading
 import time
 from contextlib import contextmanager
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import http_reference
 from r2o import _http, codec
 from r2o.cache import MappingsCache
 from r2o.codec.png import write_png
@@ -534,6 +536,162 @@ def test_property_any_response_bytes_give_response_or_http_error(reply):
             pool.close()
 
 
+# -- the one-pass head reader against its line-by-line reference --------------
+
+_SMALL_LINE, _SMALL_FIELDS = 40, 4  # MAX_LINE and MAX_FIELDS while checked
+_ENDS = st.sampled_from([b"\r\n", b"\n"])
+# lines whose bytes before the LF come to 3 under the patched MAX_LINE,
+# up to 1 past it, so the line with its LF is at or past the limit
+_LONG_LINES = st.builds(lambda prefix, n: prefix + b"v" * (n - len(prefix)),
+                        st.sampled_from([b"X-L: ", b"GET /"]),
+                        st.integers(_SMALL_LINE - 3, _SMALL_LINE + 1))
+
+
+@st.composite
+def _heads(draw):
+    """Lines like `_LINES`, up to three past the patched MAX_FIELDS, with
+    or without a blank line and body bytes after them."""
+    lines = draw(st.lists(st.tuples(
+        st.one_of(_LINES, st.binary(max_size=12), _LONG_LINES,
+                  st.just(b"X-F: v")), _ENDS),
+        max_size=_SMALL_FIELDS + 3))
+    head = b"".join(line + end for line, end in lines)
+    if draw(st.booleans()):
+        head += draw(_ENDS) + draw(st.binary(max_size=8))
+    return head
+
+
+class _OneByteStream(_http._Stream):
+    """The reader, getting at most one byte from each receive."""
+
+    def _recv(self, size):
+        return super()._recv(1)
+
+
+def _read_through_a_socket_pair(data: bytes, read, bytewise: bool):
+    """What `read` makes of `data`, sent whole or one byte per send and
+    then closed: ("head", its result, the bytes after it) or ("error",
+    status, text)."""
+    ours, theirs = socket.socketpair()
+
+    def send():
+        try:
+            if bytewise:
+                for i in range(len(data)):
+                    theirs.send(data[i:i + 1])
+            else:
+                theirs.sendall(data)
+            theirs.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the reader failed and hung up first
+
+    sender = threading.Thread(target=send, daemon=True)
+    sender.start()
+    try:
+        return ("head", *read(ours))
+    except _http._Malformed as exc:
+        return ("error", exc.status, str(exc))
+    finally:
+        ours.close()
+        sender.join(timeout=5)
+        theirs.close()
+
+
+def _ours(stream_class):
+    def read(sock):
+        stream = stream_class(sock)
+        return stream.head(), stream.read(1000)
+    return read
+
+
+def _reference(sock):
+    with sock.makefile("rb") as rfile:
+        return http_reference.read_head(rfile), rfile.read()
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=300), _heads()), st.booleans())
+def test_property_the_head_reader_agrees_with_its_line_by_line_reference(
+        data, bytewise):
+    stream = _OneByteStream if bytewise else _http._Stream
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_http, "MAX_LINE", _SMALL_LINE)
+        patch.setattr(_http, "MAX_FIELDS", _SMALL_FIELDS)
+        ours = _read_through_a_socket_pair(data, _ours(stream), bytewise)
+        reference = _read_through_a_socket_pair(data, _reference, False)
+    assert ours == reference
+
+
+def test_a_head_past_its_bounds_fails_before_the_peer_stops(monkeypatch):
+    # no blank line and no EOF: past (MAX_FIELDS + 2) lines of MAX_LINE
+    # bytes some line or field bound is broken, so the reader stops there
+    monkeypatch.setattr(_http, "MAX_LINE", _SMALL_LINE)
+    monkeypatch.setattr(_http, "MAX_FIELDS", _SMALL_FIELDS)
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        ours.settimeout(2)
+        theirs.sendall(b"GET / HTTP/1.1\r\n"
+                       + b"X-F: v\r\n" * (6 * _SMALL_LINE // 8))
+        with pytest.raises(_http._Malformed, match="more than 4 fields"):
+            _http._Stream(ours).head()
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\n"])
+def test_a_body_holding_blank_lines_reads_back_byte_for_byte(end):
+    # the blank line that ends the head is searched for in the head alone
+    body = b"a\n\nb\r\n\r\nc" * 100 + b"\r\n\r\n"
+    reply = (b"HTTP/1.1 200 OK" + end + b"Content-Length: %d" % len(body)
+             + end + end + body)
+    with raw_server(reply, close_after=False) as base:
+        fetcher = HttpFetcher()
+        try:
+            assert fetcher.fetch(base + "/x").data == body
+        finally:
+            fetcher.close()
+    head = reply[:-len(body)]
+    assert _http._head_end(reply, 0) == len(head)
+
+
+def test_every_server_response_carries_one_date(store_server, fp_server):
+    server, backing = store_server
+    oid = backing.upload(ContentItem(data=b"x")).rsplit("/", 1)[1]
+    requests = [(server.base_url, f"GET /v1/objects/{oid}"),
+                (server.base_url, f"GET /v1/objects/{'0' * 16}"),
+                (server.base_url, f"DELETE /v1/objects/{oid}"),
+                (fp_server.base_url, "GET /fp/albums/nope"),
+                (fp_server.base_url, "BREW /fp")]
+    for base, line in requests:
+        reply = _send_raw(base, f"{line} HTTP/1.1\r\nConnection: close"
+                                f"\r\n\r\n".encode())
+        fields = reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")[1:]
+        dates = [f for f in fields if f.lower().startswith(b"date:")]
+        assert len(dates) == 1, (line, fields)
+        sent = parsedate_to_datetime(dates[0][5:].strip().decode())
+        assert abs(time.time() - sent.timestamp()) < 5
+
+
+def test_a_kept_connection_waits_for_its_new_deadline():
+    # a receive bound set near one request's deadline must not cut short
+    # the next request on the same connection
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        key = ("http", "127.0.0.1", listener.getsockname()[1])
+        conn = _http._Connection(key, time.monotonic() + 0.2)
+        peer, _ = listener.accept()
+        answer = threading.Timer(0.5, peer.sendall,
+                                 (b"HTTP/1.1 204 No Content\r\n\r\n",))
+        try:
+            with pytest.raises(TimeoutError):
+                conn.wait()
+            conn.deadline = time.monotonic() + 5
+            answer.start()
+            conn.wait()
+            assert conn.head()[0].startswith(b"HTTP/1.1 204 ")
+        finally:
+            answer.cancel()
+            conn.close()
+            peer.close()
+
+
 def test_request_head_cannot_be_forged():
     pool = _http.ConnectionPool()
     with pytest.raises(ValueError, match="CR or LF"):
@@ -698,17 +856,17 @@ def test_204_has_no_content_length_and_keeps_the_connection(store_server):
     oid = backing.upload(ContentItem(data=b"x")).rsplit("/", 1)[1]
     host, port = server.base_url.split("//")[1].split("/")[0].split(":")
     target = f"/v1/objects/{oid} HTTP/1.1\r\nHost: {host}\r\n\r\n"
-    with socket.create_connection((host, int(port)), timeout=3) as sock, \
-            sock.makefile("rb") as rfile:
+    with socket.create_connection((host, int(port)), timeout=3) as sock:
+        stream = _http._Stream(sock)
         sock.sendall(f"DELETE {target}".encode())
-        start, fields = _http._read_head(rfile)
+        start, fields = stream.head()
         assert start.startswith(b"HTTP/1.1 204 ")
         assert "content-length" not in fields
         assert "connection" not in fields
         sock.sendall(f"GET {target}".encode())
-        start, fields = _http._read_head(rfile)
+        start, fields = stream.head()
         assert start.startswith(b"HTTP/1.1 404 ")
-        assert rfile.read(int(fields["content-length"])) == \
+        assert stream.read(int(fields["content-length"])) == \
             b"no such object\n"
 
 

@@ -58,14 +58,28 @@ def test_http_imports_no_r2o_module():
             if name.startswith((".", "r2o"))] == []
 
 
-def test_the_only_function_level_import_is_https_ssl():
-    # ssl takes 7-11 ms to load and only an https client needs it
+def test_function_level_imports_are_https_ssl_and_the_cli_commands():
+    # ssl takes 7-11 ms to load and only an https client needs it; the CLI
+    # loads bench, the codec and core only in the commands that use them
     inside = [(str(path.relative_to(PACKAGE)), name)
               for path in sorted(PACKAGE.rglob("*.py"))
               for name, in_function in _imports(
                   ast.parse(path.read_text(encoding="utf-8")))
               if in_function]
-    assert inside == [("_http.py", "ssl")]
+    assert [item for item in inside if item[0] != "cli.py"] == \
+        [("_http.py", "ssl")]
+    assert {name for path, name in inside if path == "cli.py"} == \
+        {".", ".codec"}
+
+
+def test_the_cli_loads_no_numpy_codec_core_or_bench():
+    # serve-store, serve-firstparty and the cache commands need none of them
+    code = ("import sys, r2o.cli; print(sorted(m for m in ('numpy', "
+            "'r2o.codec', 'r2o.core', 'r2o.bench') if m in sys.modules))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_only_firstparty_spells_the_album_routes():
